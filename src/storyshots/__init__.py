@@ -10,7 +10,6 @@ from .pipeline import (
     RunMode,
     StoryboardConfig,
     ToyModelSpec,
-    anchor_topology,
     run_consistent,
     run_refined,
     run_vanilla,
@@ -24,7 +23,6 @@ __all__ = [
     "StoryboardConfig",
     "ToyModelSpec",
     "ShotPromptSet",
-    "anchor_topology",
     "load_prompts",
     "run_consistent",
     "run_refined",

@@ -6,9 +6,8 @@ chunks (shot, frame) work items without changing any result.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +17,6 @@ from .errors import ConfigError, DegenerateRowError, DimensionError
 # Additive logit penalty standing in for -inf; masked weights are zeroed
 # exactly after the softmax so no NaN can appear.
 MASK_LOGIT = -1e30
-
-
-class QueryRole(enum.Enum):
-    VANILLA = "vanilla"
-    CONSISTENT = "consistent"
-    FLOW = "flow"
 
 
 @dataclass
@@ -41,8 +34,6 @@ class AttnFeatures:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    layer_id: int = 0
-    role: QueryRole = QueryRole.CONSISTENT
 
     def __post_init__(self):
         if self.q.shape != self.k.shape or self.q.shape != self.v.shape:
@@ -59,21 +50,6 @@ class AttnFeatures:
     @property
     def frames(self) -> int:
         return self.q.shape[1]
-
-    @property
-    def patches(self) -> int:
-        return self.q.shape[2]
-
-
-@dataclass
-class AttnMask:
-    allowed: np.ndarray  # bool (query_patches, key_patches)
-    provenance: str = "subject_mask"
-
-    def __post_init__(self):
-        self.allowed = np.asarray(self.allowed, dtype=bool)
-        if not self.allowed.any(axis=1).all():
-            raise DegenerateRowError("attention mask has a query row with no keys")
 
 
 def masked_attention(q, k, v, allowed=None):
@@ -94,21 +70,11 @@ def masked_attention(q, k, v, allowed=None):
         if not allowed.any(axis=1).all():
             raise DegenerateRowError("extended mask row has no allowed key")
         logits = logits + np.where(allowed, 0.0, MASK_LOGIT)
-    weights = tc._softmax64(logits)
+    weights = tc.softmax(logits)
     if allowed is not None:
         weights[~allowed] = 0.0
     h = (weights @ v.astype(np.float64)).astype(tc.F32)
     return h, weights.astype(tc.F32)
-
-
-def self_attention(x: np.ndarray, weights: LayerWeights):
-    """Plain single-frame attention. Returns (o, (q, k, v))."""
-    q = tc.matmul(x, weights.w_q)
-    k = tc.matmul(x, weights.w_k)
-    v = tc.matmul(x, weights.w_v)
-    h, _ = masked_attention(q, k, v)
-    o = tc.matmul(h, weights.w_o)
-    return o, (q, k, v)
 
 
 def _extended_mask_row_blocks(masks, shot, frame, key_shots, middle_frame=None):

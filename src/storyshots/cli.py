@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from . import metrics_viz, pipeline, prompts, tensor_core
-from .errors import StoryshotsError
+from .errors import ConfigError, StoryshotsError
 
 DEFAULT_FLOW_THRESHOLD = 0.5
 SLICE_BLOCK_SIZE = 4
@@ -92,8 +92,16 @@ def _write_audit(path: Path, audit) -> None:
 def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", overrides=None) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "FAILED").unlink(missing_ok=True)
     try:
         config = _effective_config(config_path, overrides or {})
+        # dynamic_degree needs two frames and one search block per frame
+        side, min_side = config.model.patches_per_side, SLICE_BLOCK_SIZE + 2 * SLICE_SEARCH_RADIUS
+        if config.model.frames < 2 or side < min_side:
+            raise ConfigError(
+                f"metrics need frames >= 2 and patches_per_side >= {min_side}, "
+                f"got {config.model.frames} frames of side {side}"
+            )
         prompt_sets = prompts.load_prompts(prompts_path)
         if mode not in _MODE_SEQUENCE:
             raise StoryshotsError(f"unknown mode {mode!r}")

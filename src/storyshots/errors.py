@@ -13,10 +13,6 @@ class DegenerateRowError(StoryshotsError, ValueError):
     """A softmax row has no finite logit to normalize over."""
 
 
-class UndefinedSimilarityError(StoryshotsError, ValueError):
-    """Cosine similarity requested between two zero vectors."""
-
-
 class ConfigError(StoryshotsError, ValueError):
     """Invalid configuration value or combination."""
 

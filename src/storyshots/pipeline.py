@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -76,7 +77,7 @@ class StoryboardConfig:
 
     def __post_init__(self):
         if isinstance(self.model, dict):
-            self.model = ToyModelSpec(**self.model)
+            self.model = _from_known_keys(ToyModelSpec, self.model)
         if self.sampler_steps < 1 or self.sampler_steps > self.total_steps:
             raise ConfigError(
                 f"sampler_steps must be in [1, {self.total_steps}], got {self.sampler_steps}"
@@ -90,8 +91,19 @@ class StoryboardConfig:
                 setattr(self, name, (int(lo), int(hi)))
         if self.t_pres is not None and not 0 <= self.t_pres <= self.total_steps:
             raise ConfigError(f"t_pres {self.t_pres} outside [0, {self.total_steps}]")
-        if not 0.0 <= self.q_dropout <= 1.0:
-            raise ConfigError(f"q_dropout must be in [0,1], got {self.q_dropout}")
+        for name, rule, ok in (
+            ("q_dropout", "in [0, 1]", 0.0 <= self.q_dropout <= 1.0),
+            ("refine_blend", "in [0, 1]", 0.0 <= self.refine_blend <= 1.0),
+            ("keyframe_spacing", ">= 1", self.keyframe_spacing >= 1),
+            ("sub_batch", "None or >= 1", self.sub_batch is None or self.sub_batch >= 1),
+            ("subject_channel", f"in [0, {self.model.channels})",
+             0 <= self.subject_channel < self.model.channels),
+            ("q_weight_mode", "'sigmoid' or 'linear'", self.q_weight_mode in ("sigmoid", "linear")),
+            ("segmenter", f"one of {sorted(subject_mask.SEGMENTERS)}",
+             self.segmenter in subject_mask.SEGMENTERS),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def timesteps(self) -> list:
         T, n = self.total_steps, self.sampler_steps
@@ -119,12 +131,7 @@ class StoryboardConfig:
         return anchors
 
     def effective_sub_batch(self, shots: int) -> int:
-        full = shots * self.model.frames
-        if self.sub_batch is None:
-            return full
-        if self.sub_batch < 1:
-            raise ConfigError(f"sub_batch must be >= 1, got {self.sub_batch}")
-        return self.sub_batch
+        return shots * self.model.frames if self.sub_batch is None else self.sub_batch
 
     def to_dict(self) -> dict:
         out = {}
@@ -143,7 +150,14 @@ class StoryboardConfig:
         for key in ("sdsa_window", "refine_window", "anchors", "injection_layers", "refine_layers"):
             if kwargs.get(key) is not None:
                 kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return _from_known_keys(cls, kwargs)
+
+
+def _from_known_keys(cls, d: dict):
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} keys {unknown}")
+    return cls(**d)
 
 
 @dataclass
@@ -160,24 +174,11 @@ class AttentionTopology:
         return sorted(a for a in self.anchors if a != shot)
 
 
-def anchor_topology(shots: int, anchors) -> AttentionTopology:
-    anchors = tuple(anchors)
-    if not anchors:
-        raise ConfigError("anchor set must be nonempty")
-    if any(a < 0 or a >= shots for a in anchors):
-        raise ConfigError(f"anchors {anchors} outside shot range 0..{shots - 1}")
-    return AttentionTopology(shots, anchors)
-
-
 def _in_window(window, t: int) -> bool:
     return window is not None and window[0] <= t <= window[1]
 
 
 # --- toy denoiser ---------------------------------------------------------
-
-def _proj(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (x.astype(np.float64) @ w.astype(np.float64)).astype(tc.F32)
-
 
 def _token_vector(token: str, channels: int) -> np.ndarray:
     digest = hashlib.sha256(token.encode("utf-8")).digest()
@@ -223,13 +224,13 @@ class ToyModel:
             for s, prompt in enumerate(prompts):
                 h[s] = h[s] + self.prompt_bias(prompt)
         for l, w in enumerate(self.layers):
-            q = _proj(h, w.w_q)
-            k = _proj(h, w.w_k)
-            v = _proj(h, w.w_v)
+            q = tc.matmul(h, w.w_q)
+            k = tc.matmul(h, w.w_k)
+            v = tc.matmul(h, w.w_v)
             if hooks is not None:
                 q = hooks.substitute_q(l, q)
-            feats = attention.AttnFeatures(q, k, v, layer_id=l)
-            if hooks is not None and hooks.wants_extended(l):
+            feats = attention.AttnFeatures(q, k, v)
+            if hooks is not None and hooks.sdsa_on:
                 h_attn = hooks.extended_attention(l, feats)
             else:
                 h_attn = np.zeros_like(q)
@@ -238,11 +239,11 @@ class ToyModel:
                         h_attn[s, f], _ = attention.masked_attention(
                             feats.q[s, f], feats.k[s, f], feats.v[s, f]
                         )
-            o = _proj(h_attn, w.w_o)
+            o = tc.matmul(h_attn, w.w_o)
             if hooks is not None:
                 o = hooks.inject_o(l, o)
             h = h + o
-        return _proj(h, self.w_out)
+        return tc.matmul(h, self.w_out)
 
 
 # --- runs -----------------------------------------------------------------
@@ -258,6 +259,8 @@ class PipelineRun:
     audit: list = field(default_factory=list)
     final_masks: subject_mask.SubjectMaskSet | None = None
     fingerprint: str = ""
+    # correspondence-map ids, numbered from 1 in build order within this run
+    map_ids: itertools.count = field(default_factory=lambda: itertools.count(1), repr=False)
 
     @property
     def shots(self) -> int:
@@ -302,10 +305,9 @@ class _StepHooks:
     """Per-timestep hook state shared by the conditional and unconditional
     passes, so refinement reuses the identical correspondence maps."""
 
-    def __init__(self, run, model, t, masks, topology, kf, sdsa_on, refine_on):
+    def __init__(self, run, t, masks, topology, kf, sdsa_on, refine_on):
         self.run = run
         self.cfg = run.config
-        self.model = model
         self.t = t
         self.masks = masks
         self.topology = topology
@@ -347,9 +349,6 @@ class _StepHooks:
 
     # -- extended attention --
 
-    def wants_extended(self, layer: int) -> bool:
-        return self.sdsa_on
-
     def extended_attention(self, layer: int, feats) -> np.ndarray:
         cfg = self.cfg
         out = attention.sub_batched_attention(
@@ -381,7 +380,8 @@ class _StepHooks:
                 key = (layer, s, f)
                 if self.pass_tag == "cond":
                     corr = refinement.build_correspondence(
-                        snapshot[s, f], anchor_feats, target=(s, f), source=sources
+                        snapshot[s, f], anchor_feats, target=(s, f), source=sources,
+                        map_id=next(self.run.map_ids),
                     )
                     self.refine_handles[key] = corr
                 else:
@@ -409,8 +409,7 @@ def sample(run: PipelineRun) -> np.ndarray:
     shots = run.shots
     if shots < 1:
         raise ConfigError("run needs at least one prompt")
-    anchors = cfg.anchor_list(shots)
-    topology = anchor_topology(shots, anchors)
+    topology = AttentionTopology(shots, cfg.anchor_list(shots))
     model = ToyModel(spec)
     sched = subject_mask.NoiseSchedule.geometric(cfg.total_steps, cfg.alpha_min)
     fp = run_fingerprint(cfg, run.prompts)
@@ -443,7 +442,6 @@ def sample(run: PipelineRun) -> np.ndarray:
             masks = _build_masks(run, x0_probe)
         hooks = _StepHooks(
             run,
-            model,
             t,
             masks,
             topology,

@@ -29,9 +29,6 @@ class ShotPromptSet:
     def full_prompts(self) -> list:
         return [f"{self.subject} {setting}, {self.style}" for setting in self.settings]
 
-    def to_dict(self) -> dict:
-        return {"subject": self.subject, "style": self.style, "settings": list(self.settings)}
-
 
 def parse_prompt_sets(data: dict) -> list:
     if not isinstance(data, dict):
@@ -56,8 +53,3 @@ def load_prompts(path) -> list:
         data = yaml.safe_load(fh)
     return parse_prompt_sets(data)
 
-
-def dump_prompts(path, sets) -> None:
-    data = {ps.name: ps.to_dict() for ps in sets}
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(data, fh, sort_keys=False)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .attention import QueryRole
 from .errors import CacheMissError, ConfigError, WindowError
 
 
@@ -97,22 +96,6 @@ def q_preserve(q_c: np.ndarray, cache: FeatureCache, t: int, layer: int, t_pres:
     return cached
 
 
-def _match_locations(query_frame: np.ndarray, keyframe: np.ndarray) -> np.ndarray:
-    """Argmax-cosine match of each query row against keyframe rows.
-
-    Ties break to the lowest patch index (argmax takes the first maximum).
-    Zero-norm keyframe rows get similarity 0 against everything.
-    """
-    q64 = np.asarray(query_frame, dtype=np.float64)
-    k64 = np.asarray(keyframe, dtype=np.float64)
-    qn = np.linalg.norm(q64, axis=1, keepdims=True)
-    kn = np.linalg.norm(k64, axis=1, keepdims=True)
-    qh = np.divide(q64, qn, out=np.zeros_like(q64), where=qn > 0)
-    kh = np.divide(k64, kn, out=np.zeros_like(k64), where=kn > 0)
-    sims = qh @ kh.T
-    return np.argmax(sims, axis=1)
-
-
 def q_flow(
     q_c: np.ndarray,
     q_v: np.ndarray,
@@ -142,8 +125,9 @@ def q_flow(
     else:
         raise ConfigError(f"unknown weight_mode {weight_mode!r}")
 
-    match_a = _match_locations(q_v[frame], q_v[f_a])
-    match_b = _match_locations(q_v[frame], q_v[f_b])
+    # argmax takes the first maximum: ties break to the lowest patch index
+    match_a = np.argmax(tc.cosine_matrix(q_v[frame], q_v[f_a]), axis=1)
+    match_b = np.argmax(tc.cosine_matrix(q_v[frame], q_v[f_b]), axis=1)
     blended = (
         w * q_c[f_a][match_a].astype(np.float64)
         + (1.0 - w) * q_c[f_b][match_b].astype(np.float64)
@@ -201,7 +185,7 @@ def select_q(
     injection_layers = cfg.injection_layer_set()
     if cfg.t_pres is not None and t >= cfg.t_pres:
         q_inj = q_preserve(q_c, cache, t, layer, cfg.t_pres)
-        role = QueryRole.VANILLA
+        role = "vanilla"
     elif layer in injection_layers:
         q_v = cache.get(t, layer)
         out = np.empty_like(q_c)
@@ -209,19 +193,9 @@ def select_q(
             for f in range(q_c.shape[1]):
                 out[s, f], _ = q_flow(q_c[s], q_v[s], kf, f, cfg.q_weight_mode)
         q_inj = out
-        role = QueryRole.FLOW
+        role = "flow"
     else:
-        return q_c, QueryAudit(t, layer, QueryRole.CONSISTENT.value, 0.0)
+        return q_c, QueryAudit(t, layer, "consistent", 0.0)
 
     q_out, kept = q_dropout(q_inj, q_c, cfg.q_dropout, rng)
-    return q_out, QueryAudit(t, layer, role.value, kept)
-
-
-def cache_vanilla(run) -> FeatureCache:
-    """Execute a full vanilla denoising run and return its query cache."""
-    from . import pipeline
-
-    if run.mode != pipeline.RunMode.VANILLA:
-        raise ConfigError("cache_vanilla requires a vanilla-mode run")
-    pipeline.sample(run)
-    return run.cache
+    return q_out, QueryAudit(t, layer, role, kept)

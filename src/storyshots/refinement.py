@@ -6,15 +6,12 @@ unconditional passes, which is what keeps the two passes in sync.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor_core as tc
 from .errors import ConfigError, IntegrityError
-
-_map_ids = itertools.count(1)
 
 
 @dataclass
@@ -28,7 +25,7 @@ class CorrespondenceMap:
     score: np.ndarray  # float (P,)
     matched: np.ndarray  # bool (P,); False where the target vector was zero
     anchor_shape: tuple = ()
-    map_id: int = field(default_factory=lambda: next(_map_ids))
+    map_id: int = 0  # numbered per run by the pipeline
 
 
 def build_correspondence(
@@ -36,6 +33,7 @@ def build_correspondence(
     anchor_feats: np.ndarray,
     target: tuple = (0, 0),
     source: tuple = (),
+    map_id: int = 0,
 ) -> CorrespondenceMap:
     """Argmax-cosine match of each target patch against all (frame, patch)
     anchor features; ties break to the lowest linear index. Zero-norm target
@@ -46,17 +44,11 @@ def build_correspondence(
     if anchor_feats.ndim != 3 or anchor_feats.shape[0] == 0:
         raise ConfigError(f"anchor features must be nonempty (F,P,d), got {anchor_feats.shape}")
     frames, patches, dim = anchor_feats.shape
-    flat = anchor_feats.reshape(frames * patches, dim).astype(np.float64)
-    t64 = target_feats.astype(np.float64)
-
-    tn = np.linalg.norm(t64, axis=1, keepdims=True)
-    fn = np.linalg.norm(flat, axis=1, keepdims=True)
-    th = np.divide(t64, tn, out=np.zeros_like(t64), where=tn > 0)
-    fh = np.divide(flat, fn, out=np.zeros_like(flat), where=fn > 0)
-    sims = np.clip(th @ fh.T, -1.0, 1.0)
-
+    sims = np.clip(
+        tc.cosine_matrix(target_feats, anchor_feats.reshape(frames * patches, dim)), -1.0, 1.0
+    )
     linear = np.argmax(sims, axis=1)
-    matched = tn.ravel() > 0
+    matched = np.linalg.norm(target_feats.astype(np.float64), axis=1) > 0
     score = sims[np.arange(sims.shape[0]), linear]
     return CorrespondenceMap(
         target=target,
@@ -66,6 +58,7 @@ def build_correspondence(
         score=score,
         matched=matched,
         anchor_shape=tuple(anchor_feats.shape),
+        map_id=map_id,
     )
 
 

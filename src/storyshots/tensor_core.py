@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import DegenerateRowError, DimensionError, UndefinedSimilarityError
+from .errors import DegenerateRowError, DimensionError
 
 F32 = np.float32
 
@@ -26,24 +26,16 @@ def as_f32(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=F32)
 
 
-def check_finite(x: np.ndarray, name: str = "tensor") -> np.ndarray:
-    if not np.isfinite(x).all():
-        raise DimensionError(f"{name} contains non-finite values")
-    return x
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-major matrix product, float64 accumulation, float32 result."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """(..., k) @ (k, n) row projection, float64 accumulation, float32 result."""
+    if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise DimensionError(
             f"matmul shape mismatch: {tuple(a.shape)} x {tuple(b.shape)}"
         )
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
 
 
-def _softmax64(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax in float64 with per-row max subtraction.
 
     Accepts -inf entries as masking sentinels; a row that is entirely -inf
@@ -59,29 +51,16 @@ def _softmax64(logits: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a 2-D array; -inf entries map to exact 0."""
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise DimensionError(f"softmax_rows expects 2-D input, got {tuple(x.shape)}")
-    return _softmax64(x).astype(F32)
+def _unit_rows(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    n = np.linalg.norm(x, axis=1, keepdims=True)
+    return np.divide(x, n, out=np.zeros_like(x), where=n > 0)
 
 
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two 1-D vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"cosine_sim shape mismatch: {tuple(a.shape)} vs {tuple(b.shape)}"
-        )
-    na = math.sqrt(float(a @ a))
-    nb = math.sqrt(float(b @ b))
-    if na == 0.0 and nb == 0.0:
-        raise UndefinedSimilarityError("cosine similarity of two zero vectors")
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+def cosine_matrix(a, b) -> np.ndarray:
+    """Float64 cosine similarity of every row of a (m, d) against every row
+    of b (n, d), unclipped. Zero-norm rows get similarity 0 against all."""
+    return _unit_rows(a) @ _unit_rows(b).T
 
 
 def sigmoid(x: float) -> float:

@@ -139,6 +139,7 @@ def exhaustive_match(query, keyframe):
 def test_acceptance_03_q_flow_matching_oracle():
     def body():
         rng = np.random.default_rng(300)
+        live = np.random.default_rng(301)  # own stream, so the trial draws do not depend on it
         for trial in range(100):
             p = int(rng.integers(2, 24))
             d = int(rng.integers(2, 12))
@@ -147,8 +148,17 @@ def test_acceptance_03_q_flow_matching_oracle():
             if trial % 3 == 0:
                 # scaled duplicates share the same cosine: forced tie
                 keyframe[-1] = keyframe[0] * 2.0
-            got = qc._match_locations(query, keyframe)
-            assert np.array_equal(got, exhaustive_match(query, keyframe))
+            # frame 1 sits halfway between keyframes 0 and 2, both `keyframe`;
+            # distinct live rows make any wrong match show in the blend
+            q_v = np.stack([keyframe, query, keyframe])
+            q_c = live.standard_normal((3, p, d)).astype(np.float32)
+            kf = qc.KeyframeIndex.build(3, 2)
+            got, _ = qc.q_flow(q_c, q_v, kf, frame=1, weight_mode="linear")
+            match = exhaustive_match(query, keyframe)
+            expected = (
+                0.5 * q_c[0][match].astype(np.float64) + 0.5 * q_c[2][match].astype(np.float64)
+            ).astype(np.float32)
+            assert np.array_equal(got, expected)
 
     _check("03 q-flow matching equals exhaustive search with ties", body)
 

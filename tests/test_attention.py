@@ -53,12 +53,19 @@ def dense_masked_oracle(q, k, v, allowed):
     return out
 
 
+def plain_attention(x, w):
+    """One frame of the toy model's plain attention layer: (o, (q, k, v))."""
+    q, k, v = (tc.matmul(x, m) for m in (w.w_q, w.w_k, w.w_v))
+    h, _ = attention.masked_attention(q, k, v)
+    return tc.matmul(h, w.w_o), (q, k, v)
+
+
 class TestSelfAttention:
     def test_single_patch(self):
         rng = np.random.default_rng(0)
         w = random_weights(rng, 6)
         x = rng.standard_normal((1, 6)).astype(np.float32)
-        o, (q, k, v) = attention.self_attention(x, w)
+        o, (q, k, v) = plain_attention(x, w)
         assert np.array_equal(o, tc.matmul(v, w.w_o))
 
     def test_identical_keys_give_uniform_rows(self):
@@ -79,7 +86,7 @@ class TestSelfAttention:
         P, d = 16, 8
         w = random_weights(rng, d)
         x = rng.standard_normal((P, d)).astype(np.float32)
-        o, (q, k, v) = attention.self_attention(x, w)
+        o, (q, k, v) = plain_attention(x, w)
         expected = dense_masked_oracle(q, k, v, None) @ w.w_o.astype(np.float64)
         assert np.abs(o - expected).max() < 1e-6
 
@@ -157,8 +164,12 @@ class TestFramewiseSdsa:
         assert np.array_equal(feats.q, q_before)
 
     def test_degenerate_mask_rejected(self):
+        rng = np.random.default_rng(12)
+        q, k, v = (rng.standard_normal((2, 4)).astype(np.float32) for _ in range(3))
+        allowed = np.ones((2, 2), dtype=bool)
+        allowed[1] = False
         with pytest.raises(DegenerateRowError):
-            attention.AttnMask(np.zeros((2, 3), dtype=bool))
+            attention.masked_attention(q, k, v, allowed)
 
 
 class TestSubBatchedAttention:

@@ -61,26 +61,59 @@ class TestStoryboardConfig:
         with pytest.raises(ConfigError):
             small_config(anchors=()).anchor_list(3)
 
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ConfigError, match="colour"):
+            pipeline.StoryboardConfig.from_dict({"seed": 1, "colour": "red"})
+        with pytest.raises(ConfigError, match="depth"):
+            pipeline.StoryboardConfig.from_dict({"model": {"layers": 2, "depth": 3}})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("subject_channel", 8),
+            ("subject_channel", -1),
+            ("segmenter", "no_such_segmenter"),
+            ("q_weight_mode", "cubic"),
+            ("refine_blend", 1.5),
+            ("refine_blend", -0.1),
+            ("keyframe_spacing", 0),
+            ("sub_batch", 0),
+        ],
+    )
+    def test_invalid_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            small_config(**{field: value})
+
+    def test_field_bounds_accepted(self):
+        cfg = small_config(subject_channel=7, refine_blend=1.0, keyframe_spacing=1, sub_batch=1)
+        assert cfg.effective_sub_batch(3) == 1
+        assert small_config(refine_blend=0.0, q_weight_mode="linear").effective_sub_batch(3) == 12
+
+
+def topology(shots, anchors):
+    """The topology sample() builds: anchors validated by the config."""
+    return pipeline.AttentionTopology(shots, small_config(anchors=anchors).anchor_list(shots))
+
 
 class TestAnchorTopology:
     def test_follower_spans_self_plus_anchors(self):
-        topo = pipeline.anchor_topology(3, (0, 1))
+        topo = topology(3, (0, 1))
         assert topo.key_shots(2) == [0, 1, 2]
         assert topo.key_shots(0) == [0, 1]
 
     def test_all_anchor_clique(self):
-        topo = pipeline.anchor_topology(3, (0, 1, 2))
+        topo = topology(3, (0, 1, 2))
         for s in range(3):
             assert topo.key_shots(s) == [0, 1, 2]
 
     def test_refine_sources_exclude_self(self):
-        topo = pipeline.anchor_topology(3, (0, 1))
+        topo = topology(3, (0, 1))
         assert topo.refine_sources(0) == [1]
         assert topo.refine_sources(2) == [0, 1]
 
     def test_empty_anchors_rejected(self):
         with pytest.raises(ConfigError):
-            pipeline.anchor_topology(3, ())
+            topology(3, ())
 
 
 class TestToyModel:

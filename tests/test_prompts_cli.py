@@ -64,8 +64,9 @@ class TestPromptSets:
         path = write_yaml(tmp_path / "p.yaml", PROMPT_DOC)
         loaded = prompts.load_prompts(path)
         assert [ps.name for ps in loaded] == ["fox"]
-        prompts.dump_prompts(tmp_path / "q.yaml", loaded)
-        again = prompts.load_prompts(tmp_path / "q.yaml")
+        fields = {ps.name: {"subject": ps.subject, "style": ps.style, "settings": ps.settings}
+                  for ps in loaded}
+        again = prompts.load_prompts(write_yaml(tmp_path / "q.yaml", fields))
         assert again == loaded
 
 
@@ -149,6 +150,40 @@ class TestCli:
         assert rc == 1
         assert (out / "FAILED").exists()
         assert "PromptError" in capsys.readouterr().err
+
+    def test_rerun_clears_stale_failed_marker(self, io_paths):
+        cfg, pro, out = io_paths
+        bad = write_yaml(out.parent / "bad.yaml", {"n": {"subject": "x"}})
+        assert cli.main(["--config", str(cfg), "--prompts", str(bad), "--out", str(out)]) == 1
+        assert (out / "FAILED").exists()
+        assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 0
+        assert not (out / "FAILED").exists()
+
+    @pytest.mark.parametrize(
+        "model", [{"patches_per_side": 4}, {"frames": 1}], ids=["side_4", "one_frame"]
+    )
+    def test_metric_infeasible_shape_fails_before_compute(self, tmp_path, model, capsys):
+        config = dict(SMALL_CONFIG, model=dict(SMALL_CONFIG["model"], **model))
+        cfg = write_yaml(tmp_path / "config.yaml", config)
+        pro = write_yaml(tmp_path / "prompts.yaml", PROMPT_DOC)
+        out = tmp_path / "out"
+        rc = cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)])
+        assert rc == 1
+        assert (out / "FAILED").read_text().startswith("ConfigError")
+        assert not list(out.rglob("latents_*.tensor"))
+        assert "ConfigError" in capsys.readouterr().err
+
+    def test_refined_audit_byte_identical_across_runs(self, io_paths, tmp_path):
+        cfg, pro, _ = io_paths
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 0
+        audits = [(out / "fox" / "audit_refined.jsonl").read_bytes() for out in outs]
+        assert audits[0] == audits[1]
+        records = [json.loads(line) for line in audits[0].decode().splitlines()]
+        map_ids = [i for r in records if r.get("pass") == "cond" for i in r["map_ids"]]
+        assert map_ids and len(set(map_ids)) == len(map_ids)
+        assert sorted(map_ids) == list(range(1, len(map_ids) + 1))
 
     def test_anchor_flag_parsing(self):
         assert cli._parse_anchors("0,2") == (0, 2)

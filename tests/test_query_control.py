@@ -20,6 +20,14 @@ def exhaustive_match(query, keyframe):
     return np.array(out)
 
 
+def oracle_flow(q_c, q_v, kf, frame, w):
+    """q_flow's blend with the exhaustive matches as its match field."""
+    f_a, f_b = kf.bracket(frame)
+    ma = exhaustive_match(q_v[frame], q_v[f_a])
+    mb = exhaustive_match(q_v[frame], q_v[f_b])
+    return (w * q_c[f_a][ma].astype(np.float64) + (1 - w) * q_c[f_b][mb].astype(np.float64)).astype(np.float32)
+
+
 class TestFeatureCache:
     def test_put_get_copy(self):
         cache = qc.FeatureCache()
@@ -111,17 +119,24 @@ class TestQFlow:
         rng = np.random.default_rng(seed)
         F, P, d = 6, 16, 8
         q_v = rng.standard_normal((F, P, d)).astype(np.float32)
+        q_c = rng.standard_normal((F, P, d)).astype(np.float32)
         kf = qc.KeyframeIndex.build(F, 2)
         f = 3
         f_a, f_b = kf.bracket(f)
-        assert np.array_equal(qc._match_locations(q_v[f], q_v[f_a]), exhaustive_match(q_v[f], q_v[f_a]))
-        assert np.array_equal(qc._match_locations(q_v[f], q_v[f_b]), exhaustive_match(q_v[f], q_v[f_b]))
+        out, _ = qc.q_flow(q_c, q_v, kf, frame=f)
+        expected = oracle_flow(q_c, q_v, kf, f, tc.sigmoid((f_b - f) / (f_b - f_a)))
+        assert np.array_equal(out, expected)
 
     def test_tie_breaks_to_lowest_index(self):
-        q = np.array([[1.0, 0.0]], dtype=np.float32)
+        q = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=np.float32)
         # duplicate candidates: scaled copies have identical cosine
         keyframe = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 0.0]], dtype=np.float32)
-        assert qc._match_locations(q, keyframe)[0] == 1
+        q_v = np.stack([keyframe, q, keyframe])
+        q_c = np.random.default_rng(5).standard_normal((3, 3, 2)).astype(np.float32)
+        kf = qc.KeyframeIndex.build(3, 2)
+        out, _ = qc.q_flow(q_c, q_v, kf, frame=1, weight_mode="linear")
+        expected = (0.5 * q_c[0, 1].astype(np.float64) + 0.5 * q_c[2, 1].astype(np.float64)).astype(np.float32)
+        assert np.array_equal(out[0], expected)
 
     def test_zero_query_keeps_live(self):
         rng = np.random.default_rng(2)
@@ -149,8 +164,8 @@ class TestQFlow:
         kf = qc.KeyframeIndex.build(F, 2)
         f = 1
         f_a, f_b = kf.bracket(f)
-        ma = qc._match_locations(q_v[f], q_v[f_a])
-        mb = qc._match_locations(q_v[f], q_v[f_b])
+        ma = exhaustive_match(q_v[f], q_v[f_a])
+        mb = exhaustive_match(q_v[f], q_v[f_b])
         out, _ = qc.q_flow(q_c, q_v, kf, frame=f)
         for p in range(P):
             bound = max(np.linalg.norm(q_c[f_a, ma[p]]), np.linalg.norm(q_c[f_b, mb[p]]))
@@ -163,11 +178,7 @@ class TestQFlow:
         q_c = rng.standard_normal((F, P, d)).astype(np.float32)
         kf = qc.KeyframeIndex.build(F, 4)
         out, _ = qc.q_flow(q_c, q_v, kf, frame=2, weight_mode="linear")
-        ma = qc._match_locations(q_v[2], q_v[0])
-        mb = qc._match_locations(q_v[2], q_v[4])
-        w = 2 / 4
-        expected = (w * q_c[0][ma].astype(np.float64) + (1 - w) * q_c[4][mb].astype(np.float64)).astype(np.float32)
-        assert np.abs(out - expected).max() < 1e-6
+        assert np.abs(out - oracle_flow(q_c, q_v, kf, 2, 2 / 4)).max() < 1e-6
 
 
 class TestQDropout:
@@ -241,22 +252,12 @@ class TestCacheVanilla:
             model=pipeline.ToyModelSpec(layers=3, patches_per_side=2, channels=4, frames=2),
             seed=11,
         )
-        run = pipeline.PipelineRun(cfg, "a cat", ["a cat, oil"], pipeline.RunMode.VANILLA)
-        cache = qc.cache_vanilla(run)
+        cache = pipeline.run_vanilla(cfg, "a cat", ["a cat, oil"]).cache
         assert len(cache) == 5 * 3
         for (t, layer), entry in cache.entries.items():
             assert entry.shape == (1, 2, 4, 4)
-        run2 = pipeline.PipelineRun(cfg, "a cat", ["a cat, oil"], pipeline.RunMode.VANILLA)
-        cache2 = qc.cache_vanilla(run2)
+        cache2 = pipeline.run_vanilla(cfg, "a cat", ["a cat, oil"]).cache
         assert cache.seed_fingerprint == cache2.seed_fingerprint
         for key in cache.entries:
             assert np.array_equal(cache.entries[key], cache2.entries[key])
 
-    def test_requires_vanilla_mode(self):
-        cfg = pipeline.StoryboardConfig(
-            sampler_steps=2,
-            model=pipeline.ToyModelSpec(layers=1, patches_per_side=2, channels=4, frames=2),
-        )
-        run = pipeline.PipelineRun(cfg, "x", ["x"], pipeline.RunMode.CONSISTENT)
-        with pytest.raises(ConfigError):
-            qc.cache_vanilla(run)

@@ -119,8 +119,3 @@ class TestInjectRefinement:
     def test_blend_range(self):
         with pytest.raises(ConfigError):
             rf.inject_refinement(self.target, self.anchor, self.corr, self.mask, 1.5)
-
-    def test_map_ids_unique(self):
-        a = rf.build_correspondence(self.target, self.anchor)
-        b = rf.build_correspondence(self.target, self.anchor)
-        assert a.map_id != b.map_id

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storyshots import tensor_core as tc
-from storyshots.errors import DegenerateRowError, DimensionError, UndefinedSimilarityError
+from storyshots.errors import DegenerateRowError, DimensionError
 
 
 def naive_matmul(a, b):
@@ -50,53 +50,68 @@ class TestMatmul:
         right = tc.matmul(a, tc.matmul(b, c))
         assert np.abs(left - right).max() < 1e-5
 
+    def test_leading_axes_project_each_row(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((2, 3, 5)).astype(np.float32)
+        b = rng.standard_normal((5, 4)).astype(np.float32)
+        out = tc.matmul(a, b)
+        assert out.shape == (2, 3, 4) and out.dtype == np.float32
+        for i in range(2):
+            assert np.abs(out[i] - naive_matmul(a[i], b)).max() < 1e-6
+
 
 class TestSoftmaxRows:
     def test_symmetry(self):
-        out = tc.softmax_rows(np.array([[0.0, 0.0]]))
+        out = tc.softmax(np.array([[0.0, 0.0]]))
         assert np.allclose(out, [[0.5, 0.5]])
 
     def test_mask_sentinel(self):
-        out = tc.softmax_rows(np.array([[-np.inf, 0.0]]))
+        out = tc.softmax(np.array([[-np.inf, 0.0]]))
         assert out[0, 0] == 0.0
         assert out[0, 1] == pytest.approx(1.0)
 
     def test_row_sums(self):
         rng = np.random.default_rng(2)
-        out = tc.softmax_rows(rng.standard_normal((4, 6)).astype(np.float32) * 5)
+        out = tc.softmax(rng.standard_normal((4, 6)).astype(np.float32) * 5)
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-6
 
     def test_all_minus_inf_row(self):
         with pytest.raises(DegenerateRowError):
-            tc.softmax_rows(np.full((1, 3), -np.inf))
+            tc.softmax(np.full((1, 3), -np.inf))
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 5))
         shifted = x + np.array([[10.0], [-7.0], [3.0]])
-        assert np.abs(tc.softmax_rows(x) - tc.softmax_rows(shifted)).max() < 1e-6
+        assert np.abs(tc.softmax(x) - tc.softmax(shifted)).max() < 1e-6
 
     def test_rejects_nan_and_plus_inf(self):
         with pytest.raises(DimensionError):
-            tc.softmax_rows(np.array([[np.nan, 0.0]]))
+            tc.softmax(np.array([[np.nan, 0.0]]))
         with pytest.raises(DimensionError):
-            tc.softmax_rows(np.array([[np.inf, 0.0]]))
+            tc.softmax(np.array([[np.inf, 0.0]]))
+
+
+def cosine(a, b) -> float:
+    """One pair through the cosine-matrix kernel."""
+    return float(tc.cosine_matrix(np.atleast_2d(a), np.atleast_2d(b))[0, 0])
 
 
 class TestCosineSim:
     def test_self_similarity(self):
         a = np.array([1.0, 2.0, -3.0])
-        assert tc.cosine_sim(a, a) == pytest.approx(1.0)
+        assert cosine(a, a) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert tc.cosine_sim([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
 
     def test_analytic(self):
-        assert tc.cosine_sim([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1 / math.sqrt(2), abs=1e-5)
+        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1 / math.sqrt(2), abs=1e-5)
 
     def test_both_zero(self):
-        with pytest.raises(UndefinedSimilarityError):
-            tc.cosine_sim([0.0, 0.0], [0.0, 0.0])
+        # zero rows are similar to nothing, themselves included
+        assert cosine([0.0, 0.0], [0.0, 0.0]) == 0.0
+        assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3),
@@ -106,7 +121,22 @@ class TestCosineSim:
     def test_scale_invariance(self, alpha, beta):
         a = np.array([0.3, -1.2, 2.0])
         b = np.array([1.5, 0.4, -0.7])
-        assert tc.cosine_sim(alpha * a, beta * b) == pytest.approx(tc.cosine_sim(a, b), abs=1e-6)
+        assert cosine(alpha * a, beta * b) == pytest.approx(cosine(a, b), abs=1e-6)
+
+    def test_matrix_against_pairwise(self):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((5, 4)).astype(np.float32)
+        b = rng.standard_normal((3, 4)).astype(np.float32)
+        b[1] = 0.0
+        sims = tc.cosine_matrix(a, b)
+        assert sims.shape == (5, 3) and sims.dtype == np.float64
+        for i in range(5):
+            for j in range(3):
+                x, y = a[i].astype(np.float64), b[j].astype(np.float64)
+                nx, ny = math.sqrt(float(x @ x)), math.sqrt(float(y @ y))
+                expected = 0.0 if nx == 0 or ny == 0 else float(x @ y) / (nx * ny)
+                assert sims[i, j] == pytest.approx(expected, abs=1e-12)
+
 
 
 class TestSigmoid:
