@@ -31,6 +31,8 @@ _MODE_SEQUENCE = {
         pipeline.RunMode.REFINED,
     ],
 }
+# what _run_prompt_set writes into a set directory, removed before a re-run
+_SET_ARTIFACTS = ("latents_*.tensor", "audit_*.jsonl", "metrics.*", "manifest.json", "slices/shot_*.pgm")
 
 
 def _effective_config(config_path, overrides: dict) -> pipeline.StoryboardConfig:
@@ -119,6 +121,9 @@ def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", ov
 
 
 def _run_prompt_set(config, prompt_set, mode, set_dir: Path, prompt_hash: str) -> None:
+    for pattern in _SET_ARTIFACTS:
+        for stale in set_dir.glob(pattern):
+            stale.unlink()
     shot_prompts = prompt_set.full_prompts
     pass_fingerprints = {}
     cache = None

@@ -11,23 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor_core as tc
 from .errors import ConfigError, DimensionError, InsufficientShotsError
 
-# --- feature extractor seam ----------------------------------------------
+# --- consistency -----------------------------------------------------------
 
-FEATURE_EXTRACTORS: dict = {}
-
-
-def register_extractor(name: str):
-    def deco(fn):
-        FEATURE_EXTRACTORS[name] = fn
-        return fn
-
-    return deco
-
-
-@register_extractor("masked_mean")
 def masked_mean_extractor(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Stub extractor: mean-pool the background-zeroed patch features."""
     frame = np.asarray(frame, dtype=np.float64)
@@ -50,7 +37,6 @@ class ConsistencyReport:
     set_consistency_sem: float
     subject_consistency: float
     pair_count: int
-    extractor: str
 
 
 def expected_pair_count(shots: int, frames: int) -> int:
@@ -58,7 +44,7 @@ def expected_pair_count(shots: int, frames: int) -> int:
     return math.comb(total, 2) - shots * math.comb(frames, 2)
 
 
-def set_consistency(frames: np.ndarray, masks, extractor: str = "masked_mean") -> ConsistencyReport:
+def set_consistency(frames: np.ndarray, masks) -> ConsistencyReport:
     """Mean pairwise cosine similarity of masked frame features across all
     cross-shot pairs, plus the mean adjacent-frame similarity within shots.
     """
@@ -68,15 +54,11 @@ def set_consistency(frames: np.ndarray, masks, extractor: str = "masked_mean") -
     shots, n_frames = frames.shape[:2]
     if shots < 2:
         raise InsufficientShotsError(f"set consistency needs >= 2 shots, got {shots}")
-    try:
-        fn = FEATURE_EXTRACTORS[extractor]
-    except KeyError:
-        raise ConfigError(f"unknown extractor {extractor!r}; registered: {sorted(FEATURE_EXTRACTORS)}")
 
     feats = np.zeros((shots, n_frames, frames.shape[3]))
     for s in range(shots):
         for f in range(n_frames):
-            feats[s, f] = fn(frames[s, f], masks.masks[s, f])
+            feats[s, f] = masked_mean_extractor(frames[s, f], masks.masks[s, f])
 
     sims = []
     for s1 in range(shots):
@@ -98,7 +80,6 @@ def set_consistency(frames: np.ndarray, masks, extractor: str = "masked_mean") -
         set_consistency_sem=sem,
         subject_consistency=subject,
         pair_count=sims.size,
-        extractor=extractor,
     )
 
 

@@ -99,8 +99,7 @@ class StoryboardConfig:
             ("subject_channel", f"in [0, {self.model.channels})",
              0 <= self.subject_channel < self.model.channels),
             ("q_weight_mode", "'sigmoid' or 'linear'", self.q_weight_mode in ("sigmoid", "linear")),
-            ("segmenter", f"one of {sorted(subject_mask.SEGMENTERS)}",
-             self.segmenter in subject_mask.SEGMENTERS),
+            ("segmenter", "'channel_energy'", self.segmenter == "channel_energy"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -292,12 +291,7 @@ def _init_latents(config: StoryboardConfig, shots: int) -> np.ndarray:
 
 
 def _build_masks(run: PipelineRun, x0: np.ndarray) -> subject_mask.SubjectMaskSet:
-    cfg = run.config
-    kwargs = {"channel": cfg.subject_channel} if cfg.segmenter == "channel_energy" else {}
-    sal = np.zeros(x0.shape[:3], dtype=tc.F32)
-    for s in range(x0.shape[0]):
-        for f in range(x0.shape[1]):
-            sal[s, f] = subject_mask.saliency(x0[s, f], run.subject, cfg.segmenter, **kwargs)
+    sal = subject_mask.saliency(x0, run.subject, run.config.subject_channel)
     return subject_mask.SubjectMaskSet.from_saliency(sal)
 
 

@@ -17,6 +17,9 @@ class ShotPromptSet:
     style: str
 
     def __post_init__(self):
+        # the name becomes one directory under --out
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise PromptError(f"prompt set name {self.name!r} must be one plain path component")
         if not self.subject or not str(self.subject).strip():
             raise PromptError(f"prompt set {self.name!r}: subject must be nonempty")
         if not self.settings:

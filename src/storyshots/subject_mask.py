@@ -1,10 +1,10 @@
 """Per-frame subject localization.
 
 The clean latent is estimated from the noisy one and the predicted noise,
-scored per patch by a pluggable segmenter, then thresholded with Otsu's
-method over a 256-bin histogram. The default segmenter is a deterministic
+scored per patch by the channel-energy segmenter, then thresholded with
+Otsu's method over a 256-bin histogram. The segmenter is a deterministic
 stub that scores patches by the normalized energy of a designated latent
-channel; a real zero-shot segmenter would plug in at the same seam.
+channel; a real zero-shot segmenter would replace `saliency`.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ class SubjectMaskSet:
         masks = np.zeros(saliency.shape, dtype=bool)
         for s in range(shots):
             for f in range(frames):
-                thr, fb = otsu_threshold(saliency[s, f])
+                thr, fallback[s, f] = otsu_threshold(saliency[s, f])
                 thresholds[s, f] = thr
-                fallback[s, f] = fb
+                # compare against the Python float: float32 saliency stays float32
                 masks[s, f] = saliency[s, f] > thr
         return cls(masks, thresholds, saliency, fallback)
 
@@ -97,36 +97,17 @@ def estimate_x0(x: np.ndarray, e_t: np.ndarray, t: int, sched: NoiseSchedule) ->
     return x0.astype(tc.F32)
 
 
-# --- segmenter seam -------------------------------------------------------
+# --- segmenter -----------------------------------------------------------
 
-SEGMENTERS: dict = {}
-
-
-def register_segmenter(name: str):
-    def deco(fn):
-        SEGMENTERS[name] = fn
-        return fn
-
-    return deco
-
-
-@register_segmenter("channel_energy")
-def channel_energy_segmenter(x0_hat: np.ndarray, prompt_subject: str, channel: int = 0):
-    """Stub segmenter: normalized squared magnitude of one latent channel."""
-    energy = np.asarray(x0_hat, dtype=np.float64)[:, channel] ** 2
-    peak = energy.max()
-    if peak == 0.0:
-        return np.zeros_like(energy, dtype=tc.F32)
-    return (energy / peak).astype(tc.F32)
-
-
-def saliency(x0_hat: np.ndarray, prompt_subject: str, extractor: str = "channel_energy", **kwargs) -> np.ndarray:
-    """Per-patch subject score in [0, 1] via a name-registered segmenter."""
-    try:
-        fn = SEGMENTERS[extractor]
-    except KeyError:
-        raise ConfigError(f"unknown segmenter {extractor!r}; registered: {sorted(SEGMENTERS)}")
-    return fn(np.asarray(x0_hat), prompt_subject, **kwargs)
+def saliency(x0_hat: np.ndarray, prompt_subject: str, channel: int = 0) -> np.ndarray:
+    """Stub segmenter over (..., P, C): squared magnitude of one latent channel,
+    normalized per frame by its peak over the patch axis (all-zero frames
+    give zeros)."""
+    x0_hat = np.asarray(x0_hat, dtype=np.float64)
+    energy = x0_hat[..., channel] ** 2
+    peak = energy.max(axis=-1, keepdims=True)
+    out = np.divide(energy, peak, out=np.zeros_like(energy), where=peak != 0)
+    return out.astype(tc.F32)
 
 
 # --- Otsu thresholding ----------------------------------------------------
@@ -150,19 +131,13 @@ def otsu_threshold(scores: np.ndarray):
     candidates = edges[1:]  # 256 upper bin edges
     order = np.sort(scores)
     csum = np.cumsum(order)
-    total = scores.size
-    total_sum = csum[-1]
-    best_var = -1.0
-    best_thr = float(candidates[0])
-    for c in candidates:
-        n0 = int(np.searchsorted(order, c, side="right"))
-        n1 = total - n0
-        if n0 == 0 or n1 == 0:
-            continue
+    n0 = np.searchsorted(order, candidates, side="right")
+    n1 = scores.size - n0
+    with np.errstate(divide="ignore", invalid="ignore"):
         mu0 = csum[n0 - 1] / n0
-        mu1 = (total_sum - csum[n0 - 1]) / n1
+        mu1 = (csum[-1] - csum[n0 - 1]) / n1
         var = n0 * n1 * (mu0 - mu1) ** 2
-        if var > best_var:
-            best_var = var
-            best_thr = float(c)
-    return best_thr, False
+    # empty classes and NaN variances (overflowed class sums) never win, as in
+    # a strict `>` scan; argmax keeps the first maximum, the lower threshold
+    var[(n0 == 0) | (n1 == 0) | np.isnan(var)] = -1.0
+    return float(candidates[np.argmax(var)]), False

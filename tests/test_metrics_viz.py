@@ -79,12 +79,6 @@ class TestSetConsistency:
         with pytest.raises(InsufficientShotsError):
             mv.set_consistency(np.zeros((1, 2, 3, 4)), mask_set(np.ones((1, 2, 3))))
 
-    def test_unknown_extractor(self):
-        with pytest.raises(ConfigError):
-            mv.set_consistency(
-                np.zeros((2, 2, 3, 4)), mask_set(np.ones((2, 2, 3))), extractor="dino"
-            )
-
 
 def shifted_video(rng, n_frames, size, shift):
     base = rng.random((size, size))

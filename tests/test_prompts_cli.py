@@ -60,6 +60,11 @@ class TestPromptSets:
                 {"n": {"subject": "a dog", "style": "ink", "settings": "beach"}}
             )
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "/abs", "a\\b"])
+    def test_path_like_names_rejected(self, name):
+        with pytest.raises(PromptError):
+            prompts.ShotPromptSet(name, "a dog", ["x"], "ink")
+
     def test_load_dump_round_trip(self, tmp_path):
         path = write_yaml(tmp_path / "p.yaml", PROMPT_DOC)
         loaded = prompts.load_prompts(path)
@@ -158,6 +163,39 @@ class TestCli:
         assert (out / "FAILED").exists()
         assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 0
         assert not (out / "FAILED").exists()
+
+    def test_parent_set_name_stays_inside_out(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "config.yaml", SMALL_CONFIG)
+        pro = write_yaml(tmp_path / "prompts.yaml", {"..": PROMPT_DOC["fox"]})
+        out = tmp_path / "runs" / "out"
+        rc = cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)])
+        assert rc == 1
+        assert (out / "FAILED").read_text().startswith("PromptError")
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["out"]
+        assert "PromptError" in capsys.readouterr().err
+
+    def test_rerun_removes_stale_set_artifacts(self, io_paths):
+        cfg, pro, out = io_paths
+        assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 0
+        set_dir = out / "fox"
+        (set_dir / "notes.txt").write_text("mine")
+        (set_dir / "slices" / "cover.pgm").write_bytes(b"P5")
+        two_shots = {"fox": dict(PROMPT_DOC["fox"], settings=PROMPT_DOC["fox"]["settings"][:2])}
+        pro2 = write_yaml(out.parent / "two.yaml", two_shots)
+        rc = cli.main(
+            ["--config", str(cfg), "--prompts", str(pro2), "--out", str(out), "--mode", "vanilla"]
+        )
+        assert rc == 0
+        assert sorted(p.name for p in set_dir.iterdir()) == [
+            "latents_vanilla.tensor", "manifest.json", "metrics.csv", "metrics.json",
+            "notes.txt", "slices",
+        ]
+        assert sorted(p.name for p in (set_dir / "slices").iterdir()) == [
+            "cover.pgm", "shot_0.pgm", "shot_1.pgm",
+        ]
+        assert (set_dir / "notes.txt").read_text() == "mine"
+        manifest = json.loads((set_dir / "manifest.json").read_text())
+        assert manifest["mode"] == "vanilla" and set(manifest["pass_fingerprints"]) == {"vanilla"}
 
     @pytest.mark.parametrize(
         "model", [{"patches_per_side": 4}, {"frames": 1}], ids=["side_4", "one_frame"]

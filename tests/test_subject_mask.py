@@ -108,9 +108,20 @@ class TestSaliency:
         out = sm.saliency(rng.standard_normal((32, 6)).astype(np.float32), "x")
         assert out.min() >= 0.0 and out.max() <= 1.0
 
-    def test_unknown_extractor(self):
-        with pytest.raises(ConfigError):
-            sm.saliency(np.zeros((4, 2)), "x", extractor="nope")
+    def test_batched_equals_stacked_frames(self):
+        rng = np.random.default_rng(3)
+        x0 = rng.standard_normal((3, 4, 16, 5)).astype(np.float32)
+        x0[1, 2] = 0.0  # all-zero frame
+        x0[2, 0, 7, 1] = np.nan  # NaN in the scored channel
+        out = sm.saliency(x0, "x", channel=1)
+        stacked = np.stack([[sm.saliency(x0[s, f], "x", channel=1) for f in range(4)]
+                            for s in range(3)])
+        assert out.dtype == stacked.dtype == np.float32
+        assert np.array_equal(out, stacked, equal_nan=True)
+        assert np.array_equal(out[1, 2], np.zeros(16, dtype=np.float32))
+        assert np.isnan(out[2, 0]).all()
+        assert not np.isnan(np.delete(out.reshape(12, 16), 8, axis=0)).any()
+        assert out[0, 0].max() == 1.0
 
     def test_custom_channel(self):
         x0 = np.zeros((4, 3), dtype=np.float32)
@@ -120,6 +131,15 @@ class TestSaliency:
 
 
 class TestOtsu:
+    def test_overflowed_variance_never_wins(self):
+        # class sums past 1e308 overflow: inf - inf gives NaN variances, which
+        # must lose to the finite-or-inf ones like in a strict `>` scan
+        scores = np.array([1e308, 1e308, 1.5e308, 1.7e308, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            thr, fallback = sm.otsu_threshold(scores)
+        assert not fallback
+        assert thr == np.linspace(0.0, 1.7e308, sm.OTSU_BINS + 1)[1]
+
     def test_perfect_bimodal(self):
         scores = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         thr, fallback = sm.otsu_threshold(scores)
