@@ -1,7 +1,7 @@
 """Spatial self-attention over frame patches, plus the masked cross-shot
 extension where frames with the same temporal index attend to each other,
-restricted by subject masks. Also the memory-style sub-batched driver that
-chunks (shot, frame) work items without changing any result.
+restricted by subject masks, and the driver that runs it over every
+(shot, frame) item with one batched kernel call per shot and frame group.
 """
 
 from __future__ import annotations
@@ -43,110 +43,84 @@ class AttnFeatures:
         if self.q.ndim != 4:
             raise DimensionError(f"expected (S,F,P,d) features, got {self.q.shape}")
 
-    @property
-    def shots(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.q.shape[1]
-
 
 def masked_attention(q, k, v, allowed=None):
-    """Core kernel: softmax(q kᵀ/√d + logmask) · v with exact zeroing of
-    masked weights. Returns (h, weights); h is float32, pre output-projection.
+    """Core kernel: softmax(q kᵀ/√d + logmask) · v with exact zeroing of masked
+    weights, over any leading batch axes; allowed broadcasts to the logits
+    (..., Pq, Pk). Each item gets the IEEE ops of a lone call, in one float64
+    logits buffer updated in place and returned as the weights. Returns
+    (h, weights); h is float32, pre output-projection.
     """
-    q = np.asarray(q)
-    k = np.asarray(k)
-    v = np.asarray(v)
-    d = q.shape[-1]
-    logits = (q.astype(np.float64) @ k.astype(np.float64).T) / math.sqrt(d)
+    d = np.shape(q)[-1]
+    logits = np.matmul(np.asarray(q, np.float64), np.swapaxes(np.asarray(k, np.float64), -1, -2))
+    logits /= math.sqrt(d)
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape != logits.shape:
+        try:
+            np.broadcast_to(allowed, logits.shape)
+        except ValueError:
             raise DimensionError(
                 f"mask shape {allowed.shape} does not match logits {logits.shape}"
-            )
-        if not allowed.any(axis=1).all():
+            ) from None
+        if not allowed.any(axis=-1).all():
             raise DegenerateRowError("extended mask row has no allowed key")
-        logits = logits + np.where(allowed, 0.0, MASK_LOGIT)
-    weights = tc.softmax(logits)
+        logits += np.where(allowed, 0.0, MASK_LOGIT)
+    weights = tc.softmax(logits, out=logits)
     if allowed is not None:
-        weights[~allowed] = 0.0
-    h = (weights @ v.astype(np.float64)).astype(tc.F32)
-    return h, weights.astype(tc.F32)
-
-
-def _extended_mask_row_blocks(masks, shot, frame, key_shots, middle_frame=None):
-    """Per-key-shot allowed blocks: all-true for the shot's own frame block,
-    subject masks for foreign blocks (and any middle-frame blocks)."""
-    blocks = []
-    for j in key_shots:
-        if j == shot:
-            blocks.append(np.ones(masks.masks.shape[2], dtype=bool))
-        else:
-            blocks.append(masks.masks[j, frame])
-        if middle_frame is not None and middle_frame != frame:
-            blocks.append(masks.masks[j, middle_frame])
-    return blocks
+        np.copyto(weights, 0.0, where=~allowed)
+    h = np.matmul(weights, np.asarray(v, np.float64)).astype(tc.F32)
+    return h, weights
 
 
 def framewise_sdsa(
     feats: AttnFeatures,
     masks,
-    frame: int,
+    frame,
     shot: int,
     key_shots=None,
     attend_middle_frame: bool = False,
 ):
-    """Extended attention for one (shot, frame): keys/values are the
-    concatenation over shots of that temporal index only; foreign blocks are
-    gated by subject masks while the self block is fully open. Queries pass
-    through unaltered. Returns h (P, d), pre output-projection.
+    """Extended attention for one shot at one frame, or at an array of frames
+    sharing one key layout (all or none of them the middle frame): keys/values
+    are the concatenation over key shots of the query's temporal index, then
+    of the middle frame with attend_middle_frame; all blocks but the self
+    block are gated by subject masks. Queries pass through unaltered. Returns
+    h (P, d) for an int frame, (n, P, d) for n frames, pre output-projection.
     """
+    shots, mid = feats.q.shape[0], feats.q.shape[1] // 2
     if key_shots is None:
-        key_shots = list(range(feats.shots))
+        key_shots = list(range(shots))
     if shot not in key_shots:
         raise ConfigError(f"shot {shot} missing from its own key-shot set {key_shots}")
-    mid = feats.frames // 2 if attend_middle_frame else None
-
-    q = feats.q[shot, frame]
-    k_blocks, v_blocks = [], []
-    for j in key_shots:
-        k_blocks.append(feats.k[j, frame])
-        v_blocks.append(feats.v[j, frame])
-        if mid is not None and mid != frame:
-            k_blocks.append(feats.k[j, mid])
-            v_blocks.append(feats.v[j, mid])
-    k_ext = np.concatenate(k_blocks, axis=0)
-    v_ext = np.concatenate(v_blocks, axis=0)
-    allowed_row = np.concatenate(
-        _extended_mask_row_blocks(masks, shot, frame, key_shots, mid)
+    frames = np.atleast_1d(np.asarray(frame, dtype=np.intp))
+    blocks = [frames]
+    if attend_middle_frame:
+        if (frames == mid).any() != (frames == mid).all():
+            raise ConfigError(f"frames {frames.tolist()} mix the middle frame with others")
+        if frames[0] != mid:
+            blocks.append(np.full_like(frames, mid))
+    pairs = [(j, b) for j in key_shots for b in blocks]
+    k_ext = np.concatenate([feats.k[j, b] for j, b in pairs], axis=1)
+    v_ext = np.concatenate([feats.v[j, b] for j, b in pairs], axis=1)
+    allowed = np.concatenate(  # the shot's own frame block is fully open
+        [masks.masks[j, b] | (j == shot and b is frames) for j, b in pairs], axis=1
     )
-    allowed = np.broadcast_to(allowed_row, (q.shape[0], allowed_row.shape[0]))
-    h, _ = masked_attention(q, k_ext, v_ext, allowed)
-    return h
+    h, _ = masked_attention(feats.q[shot, frames], k_ext, v_ext, allowed[:, None, :])
+    return h if np.ndim(frame) else h[0]
 
 
-def sub_batched_attention(
-    feats: AttnFeatures,
-    masks,
-    sub_batch: int,
-    key_shots_for=None,
-    attend_middle_frame: bool = False,
+def extended_attention(
+    feats: AttnFeatures, masks, key_shots_for=None, attend_middle_frame: bool = False
 ) -> np.ndarray:
-    """Run framewise_sdsa over all (shot, frame) items in lexicographic order,
-    in chunks of sub_batch. Chunking is transparent: each item is computed
-    independently, so the output is bit-identical for every sub_batch value.
-    """
-    if sub_batch < 1:
-        raise ConfigError(f"sub_batch must be >= 1, got {sub_batch}")
-    items = [(s, f) for s in range(feats.shots) for f in range(feats.frames)]
-    out = np.zeros_like(feats.q)
-    for start in range(0, len(items), sub_batch):
-        for s, f in items[start : start + sub_batch]:
-            ks = key_shots_for(s) if key_shots_for is not None else None
-            out[s, f] = framewise_sdsa(
-                feats, masks, f, s, key_shots=ks, attend_middle_frame=attend_middle_frame
-            )
+    """framewise_sdsa over every (shot, frame) item: one call per shot and
+    group of frames sharing a key layout (with attend_middle_frame the middle
+    frame is a group of its own)."""
+    frames = np.arange(feats.q.shape[1])
+    at_mid = (frames == frames.size // 2) & attend_middle_frame
+    out = np.empty_like(feats.q)
+    for s in range(feats.q.shape[0]):
+        ks = key_shots_for(s) if key_shots_for is not None else None
+        for g in (frames[at_mid], frames[~at_mid]):
+            if g.size:
+                out[s, g] = framewise_sdsa(feats, masks, g, s, ks, attend_middle_frame)
     return out

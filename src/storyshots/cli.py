@@ -150,9 +150,8 @@ def _run_prompt_set(config, prompt_set, mode, set_dir: Path, prompt_hash: str) -
         "run_fingerprint": last_run.fingerprint,
         "pass_fingerprints": pass_fingerprints,
     }
-    with open(set_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    tensor_core.write_atomic(set_dir / "manifest.json", text.encode("utf-8"))
 
 
 def _parse_anchors(value):

@@ -64,7 +64,7 @@ class StoryboardConfig:
     keyframe_spacing: int = 4
     anchors: tuple | None = None  # None -> first two shots
     seed: int = 0
-    sub_batch: int | None = None  # None -> one chunk
+    sub_batch: int | None = None  # recorded in the manifest; no effect
     injection_layers: tuple | None = None  # None -> all layers
     refine_layers: tuple | None = None  # None -> the coarse layer
     refine_blend: float = 0.8
@@ -100,6 +100,11 @@ class StoryboardConfig:
              0 <= self.subject_channel < self.model.channels),
             ("q_weight_mode", "'sigmoid' or 'linear'", self.q_weight_mode in ("sigmoid", "linear")),
             ("segmenter", "'channel_energy'", self.segmenter == "channel_energy"),
+            ("alpha_min", "in (0, 1]", 0.0 < self.alpha_min <= 1.0),
+            ("injection_layers", f"None or layer ids in [0, {self.model.layers})",
+             _layer_ids_ok(self.injection_layers, self.model.layers)),
+            ("refine_layers", f"None or layer ids in [0, {self.model.layers})",
+             _layer_ids_ok(self.refine_layers, self.model.layers)),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -129,9 +134,6 @@ class StoryboardConfig:
             raise ConfigError(f"anchors {anchors} outside shot range 0..{shots - 1}")
         return anchors
 
-    def effective_sub_batch(self, shots: int) -> int:
-        return shots * self.model.frames if self.sub_batch is None else self.sub_batch
-
     def to_dict(self) -> dict:
         out = {}
         for f in fields(self):
@@ -147,9 +149,15 @@ class StoryboardConfig:
     def from_dict(cls, d: dict) -> "StoryboardConfig":
         kwargs = dict(d)
         for key in ("sdsa_window", "refine_window", "anchors", "injection_layers", "refine_layers"):
-            if kwargs.get(key) is not None:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return _from_known_keys(cls, kwargs)
+
+
+def _layer_ids_ok(layers, n: int) -> bool:
+    return layers is None or isinstance(layers, (tuple, list)) and all(
+        isinstance(l, int) and not isinstance(l, bool) and 0 <= l < n for l in layers
+    )
 
 
 def _from_known_keys(cls, d: dict):
@@ -184,6 +192,11 @@ def _token_vector(token: str, channels: int) -> np.ndarray:
     seed = int.from_bytes(digest[:8], "little")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, 1.0 / math.sqrt(channels), channels).astype(tc.F32)
+
+
+# Float64 logits per plain-attention kernel call: 16 (shot, frame) items at 64
+# patches, 1 at 256, the fastest split measured on a 2-core x86 VM.
+LOGITS_BUDGET_BYTES = 512 * 1024
 
 
 class ToyModel:
@@ -232,12 +245,15 @@ class ToyModel:
             if hooks is not None and hooks.sdsa_on:
                 h_attn = hooks.extended_attention(l, feats)
             else:
-                h_attn = np.zeros_like(q)
-                for s in range(q.shape[0]):
-                    for f in range(q.shape[1]):
-                        h_attn[s, f], _ = attention.masked_attention(
-                            feats.q[s, f], feats.k[s, f], feats.v[s, f]
-                        )
+                # plain attention over the flattened (shot, frame) items
+                qi, ki, vi = (a.reshape(-1, *a.shape[2:]) for a in (q, k, v))
+                h_attn = np.empty_like(qi)
+                step = max(1, LOGITS_BUDGET_BYTES // (8 * qi.shape[1] ** 2))
+                for i in range(0, len(qi), step):
+                    h_attn[i : i + step], _ = attention.masked_attention(
+                        qi[i : i + step], ki[i : i + step], vi[i : i + step]
+                    )
+                h_attn = h_attn.reshape(q.shape)
             o = tc.matmul(h_attn, w.w_o)
             if hooks is not None:
                 o = hooks.inject_o(l, o)
@@ -344,13 +360,8 @@ class _StepHooks:
     # -- extended attention --
 
     def extended_attention(self, layer: int, feats) -> np.ndarray:
-        cfg = self.cfg
-        out = attention.sub_batched_attention(
-            feats,
-            self.masks,
-            cfg.effective_sub_batch(feats.shots),
-            key_shots_for=self.topology.key_shots,
-            attend_middle_frame=cfg.attend_middle_frame,
+        out = attention.extended_attention(
+            feats, self.masks, self.topology.key_shots, self.cfg.attend_middle_frame
         )
         if self.pass_tag == "cond":
             self.run.audit.append({"event": "sdsa", "t": self.t, "layer": layer})

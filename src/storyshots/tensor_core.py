@@ -35,20 +35,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax in float64 with per-row max subtraction.
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis in float64 with per-row max subtraction,
+    written to out (which may be logits itself) when given, as in numpy.
 
     Accepts -inf entries as masking sentinels; a row that is entirely -inf
-    is degenerate and rejected.
+    is degenerate and rejected. NaN or +inf anywhere in a row shows in its max.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if np.isnan(logits).any() or (logits == np.inf).any():
-        raise DimensionError("softmax input must be finite (only -inf allowed)")
     m = logits.max(axis=-1, keepdims=True)
+    if np.isnan(m).any() or (m == np.inf).any():
+        raise DimensionError("softmax input must be finite (only -inf allowed)")
     if (m == -np.inf).any():
         raise DegenerateRowError("softmax row is entirely -inf")
-    w = np.exp(logits - m)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = np.subtract(logits, m, out=out)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def _unit_rows(x) -> np.ndarray:
@@ -72,17 +75,28 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write data to a temp file next to path, then rename it into place, so
+    path never holds a truncated file; the temp file never outlives the call."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_tensor(path, arr: np.ndarray) -> None:
-    """Write a self-describing tensor file: JSON header line + LE f32 payload."""
+    """Write a self-describing tensor file atomically: JSON header line + LE
+    f32 payload."""
     arr = as_f32(arr)
     header = json.dumps(
         {"shape": list(arr.shape), "dtype": _HEADER_DTYPE, "order": _HEADER_ORDER},
         separators=(",", ":"),
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(arr.astype("<f4", copy=False).tobytes(order="C"))
+    write_atomic(path, header.encode("utf-8") + b"\n" + arr.astype("<f4", copy=False).tobytes())
 
 
 def load_tensor(path) -> np.ndarray:

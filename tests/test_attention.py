@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from storyshots import attention, tensor_core as tc
-from storyshots.errors import ConfigError, DegenerateRowError
+from storyshots import attention, pipeline, tensor_core as tc
+from storyshots.errors import ConfigError, DegenerateRowError, DimensionError
 from storyshots.subject_mask import SubjectMaskSet
 
 
@@ -172,34 +172,115 @@ class TestFramewiseSdsa:
             attention.masked_attention(q, k, v, allowed)
 
 
+class TestBatchedKernel:
+    def test_batched_equals_stacked_items(self):
+        rng = np.random.default_rng(13)
+        q, k, v = (rng.standard_normal((2, 3, 6, 4)).astype(np.float32) for _ in range(3))
+        h, weights = attention.masked_attention(q, k, v)
+        assert h.shape == (2, 3, 6, 4) and h.dtype == np.float32
+        assert weights.shape == (2, 3, 6, 6) and weights.dtype == np.float64
+        for i in range(2):
+            for j in range(3):
+                h_ij, w_ij = attention.masked_attention(q[i, j], k[i, j], v[i, j])
+                assert np.array_equal(h[i, j], h_ij)
+                assert np.array_equal(weights[i, j], w_ij)
+
+    def test_broadcast_row_mask_equals_stacked_items(self):
+        rng = np.random.default_rng(14)
+        n, P, K, d = 5, 6, 10, 4
+        q = rng.standard_normal((n, P, d)).astype(np.float32)
+        k, v = (rng.standard_normal((n, K, d)).astype(np.float32) for _ in range(2))
+        rows = rng.random((n, K)) < 0.5
+        rows[:, 0] = True
+        h, weights = attention.masked_attention(q, k, v, rows[:, None, :])
+        for i in range(n):
+            full = np.broadcast_to(rows[i], (P, K))
+            h_i, w_i = attention.masked_attention(q[i], k[i], v[i], full)
+            assert np.array_equal(h[i], h_i)
+            assert np.array_equal(weights[i], w_i)
+            assert (weights[i][:, ~rows[i]] == 0.0).all()
+
+    def test_non_finite_logits_rejected(self):
+        rng = np.random.default_rng(15)
+        q, k, v = (rng.standard_normal((3, 4, 4)).astype(np.float32) for _ in range(3))
+        for bad in (np.nan, np.inf):
+            q_bad = q.copy()
+            q_bad[2, 1, 0] = bad
+            with pytest.raises(DimensionError):
+                attention.masked_attention(q_bad, k, v)
+
+    def test_all_masked_row_rejected_before_non_finite(self):
+        rng = np.random.default_rng(16)
+        q, k, v = (rng.standard_normal((3, 4, 4)).astype(np.float32) for _ in range(3))
+        allowed = np.ones((3, 1, 4), dtype=bool)
+        allowed[1] = False
+        with pytest.raises(DegenerateRowError):
+            attention.masked_attention(q, k, v, allowed)
+        q[0, 0, 0] = np.nan
+        with pytest.raises(DegenerateRowError):
+            attention.masked_attention(q, k, v, allowed)
+
+    def test_mask_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(17)
+        q, k, v = (rng.standard_normal((3, 4, 4)).astype(np.float32) for _ in range(3))
+        for shape in ((3, 1, 5), (2, 4, 4), (3, 2, 4, 4)):
+            with pytest.raises(DimensionError):
+                attention.masked_attention(q, k, v, np.ones(shape, dtype=bool))
+
+    @pytest.mark.parametrize("middle", [False, True])
+    def test_frame_group_equals_per_frame_calls(self, middle):
+        rng = np.random.default_rng(18)
+        feats = random_feats(rng, 3, 5, 6, 4)
+        masks = mask_set(rng.random((3, 5, 6)) < 0.5)
+        group = [0, 1, 3, 4]  # every frame but the middle one
+        for shot, key_shots in ((0, [0, 1]), (2, [0, 1, 2])):
+            h = attention.framewise_sdsa(
+                feats, masks, np.array(group), shot, key_shots, attend_middle_frame=middle
+            )
+            assert h.shape == (len(group), 6, 4)
+            for i, f in enumerate(group):
+                expected = attention.framewise_sdsa(
+                    feats, masks, f, shot, key_shots, attend_middle_frame=middle
+                )
+                assert np.array_equal(h[i], expected)
+
+    def test_group_mixing_middle_frame_rejected(self):
+        rng = np.random.default_rng(19)
+        feats = random_feats(rng, 2, 4, 3, 2)
+        masks = mask_set(np.ones((2, 4, 3)))
+        with pytest.raises(ConfigError):
+            attention.framewise_sdsa(feats, masks, np.array([1, 2]), 0, attend_middle_frame=True)
+
+
 class TestSubBatchedAttention:
     def test_full_chunk_equals_unbatched(self):
         rng = np.random.default_rng(9)
         feats = random_feats(rng, 2, 3, 5, 4)
         masks = mask_set(rng.random((2, 3, 5)) < 0.5)
-        full = attention.sub_batched_attention(feats, masks, sub_batch=6)
-        expected = np.stack(
-            [
-                np.stack([attention.framewise_sdsa(feats, masks, f, s) for f in range(3)])
-                for s in range(2)
-            ]
-        )
-        assert np.array_equal(full, expected)
+        for middle in (False, True):
+            full = attention.extended_attention(feats, masks, attend_middle_frame=middle)
+            expected = np.stack(
+                [
+                    np.stack(
+                        [
+                            attention.framewise_sdsa(
+                                feats, masks, f, s, attend_middle_frame=middle
+                            )
+                            for f in range(3)
+                        ]
+                    )
+                    for s in range(2)
+                ]
+            )
+            assert np.array_equal(full, expected)
 
-    def test_chunk_sizes_bit_identical(self):
-        rng = np.random.default_rng(10)
-        feats = random_feats(rng, 2, 3, 5, 4)
-        masks = mask_set(rng.random((2, 3, 5)) < 0.5)
-        outs = [
-            attention.sub_batched_attention(feats, masks, sub_batch=sb)
-            for sb in (1, 2, 4, 6)
-        ]
+    def test_chunk_sizes_bit_identical(self, monkeypatch):
+        spec = pipeline.ToyModelSpec(layers=2, patches_per_side=2, channels=4, frames=3)
+        model = pipeline.ToyModel(spec)
+        x = np.random.default_rng(10).standard_normal((2, 3, 4, 4)).astype(np.float32)
+        outs = []
+        for items in (1, 2, 4, 6):  # items per plain-attention kernel call
+            monkeypatch.setattr(pipeline, "LOGITS_BUDGET_BYTES", items * 8 * 4 * 4)
+            outs.append(model.forward(x, ["a", "b"], cond=True))
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
-
-    def test_zero_sub_batch_rejected(self):
-        rng = np.random.default_rng(11)
-        feats = random_feats(rng, 1, 1, 2, 2)
-        masks = mask_set(np.ones((1, 1, 2)))
-        with pytest.raises(ConfigError):
-            attention.sub_batched_attention(feats, masks, sub_batch=0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from storyshots import pipeline, query_control as qc
+from storyshots import attention, pipeline, query_control as qc
+from storyshots import tensor_core as tc
 from storyshots.errors import ConfigError, ReproducibilityError
 
 SMALL_SPEC = dict(layers=2, patches_per_side=4, channels=8, frames=4)
@@ -78,6 +79,13 @@ class TestStoryboardConfig:
             ("refine_blend", -0.1),
             ("keyframe_spacing", 0),
             ("sub_batch", 0),
+            ("alpha_min", 0.0),
+            ("alpha_min", 1.5),
+            ("injection_layers", (0, 2)),
+            ("injection_layers", (-1,)),
+            ("refine_layers", (9,)),
+            ("refine_layers", (1.0,)),
+            ("refine_layers", 1),
         ],
     )
     def test_invalid_field_rejected_at_construction(self, field, value):
@@ -85,9 +93,16 @@ class TestStoryboardConfig:
             small_config(**{field: value})
 
     def test_field_bounds_accepted(self):
-        cfg = small_config(subject_channel=7, refine_blend=1.0, keyframe_spacing=1, sub_batch=1)
-        assert cfg.effective_sub_batch(3) == 1
-        assert small_config(refine_blend=0.0, q_weight_mode="linear").effective_sub_batch(3) == 12
+        small_config(subject_channel=7, refine_blend=1.0, keyframe_spacing=1, sub_batch=1)
+        small_config(refine_blend=0.0, q_weight_mode="linear")
+        cfg = small_config(alpha_min=1.0, injection_layers=(0, 1), refine_layers=())
+        assert cfg.injection_layer_set() == {0, 1} and cfg.refine_layer_set() == frozenset()
+
+    def test_from_dict_layer_lists(self):
+        cfg = pipeline.StoryboardConfig.from_dict({"refine_layers": [3], "injection_layers": [0]})
+        assert cfg.refine_layers == (3,) and cfg.injection_layers == (0,)
+        with pytest.raises(ConfigError, match="refine_layers"):
+            pipeline.StoryboardConfig.from_dict({"refine_layers": [9]})
 
 
 def topology(shots, anchors):
@@ -139,6 +154,33 @@ class TestToyModel:
         a = model.forward(x, PROMPTS[:2], cond=False)
         b = model.forward(x, ["other", "words"], cond=False)
         assert np.array_equal(a, b)
+
+
+def per_item_forward(model, x, prompts):
+    """ToyModel.forward without hooks, one masked_attention call per (shot, frame)."""
+    h = np.array(x, dtype=np.float32, copy=True)
+    for s, prompt in enumerate(prompts):
+        h[s] = h[s] + model.prompt_bias(prompt)
+    for w in model.layers:
+        q, k, v = (tc.matmul(h, m) for m in (w.w_q, w.w_k, w.w_v))
+        h_attn = np.zeros_like(q)
+        for s in range(q.shape[0]):
+            for f in range(q.shape[1]):
+                h_attn[s, f], _ = attention.masked_attention(q[s, f], k[s, f], v[s, f])
+        h = h + tc.matmul(h_attn, w.w_o)
+    return tc.matmul(h, model.w_out)
+
+
+class TestPlainAttentionChunks:
+    def test_partial_last_chunk_equals_per_item_loop(self):
+        # 21 items of 64 patches: chunks of 16 and 5
+        spec = pipeline.ToyModelSpec(layers=2, patches_per_side=8, channels=8, frames=7)
+        model = pipeline.ToyModel(spec)
+        x = np.random.default_rng(20).standard_normal((3, 7, 64, 8)).astype(np.float32)
+        step = pipeline.LOGITS_BUDGET_BYTES // (8 * 64 * 64)
+        assert 1 < step < 21 and 21 % step
+        got = model.forward(x, PROMPTS, cond=True)
+        assert np.array_equal(got, per_item_forward(model, x, PROMPTS))
 
 
 class TestSample:

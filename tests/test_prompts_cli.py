@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -222,6 +223,22 @@ class TestCli:
         map_ids = [i for r in records if r.get("pass") == "cond" for i in r["map_ids"]]
         assert map_ids and len(set(map_ids)) == len(map_ids)
         assert sorted(map_ids) == list(range(1, len(map_ids) + 1))
+
+    def test_failed_manifest_write_leaves_no_manifest(self, io_paths, monkeypatch, capsys):
+        cfg, pro, out = io_paths
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith("manifest.json"):
+                raise OSError("disk full")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        args = ["--config", str(cfg), "--prompts", str(pro), "--out", str(out), "--mode", "vanilla"]
+        assert cli.main(args) == 1
+        assert "disk full" in (out / "FAILED").read_text()
+        names = sorted(p.name for p in (out / "fox").iterdir())
+        assert names == ["latents_vanilla.tensor", "metrics.csv", "metrics.json", "slices"]
 
     def test_anchor_flag_parsing(self):
         assert cli._parse_anchors("0,2") == (0, 2)

@@ -91,6 +91,20 @@ class TestSoftmaxRows:
         with pytest.raises(DimensionError):
             tc.softmax(np.array([[np.inf, 0.0]]))
 
+    def test_out_in_place_equals_fresh_result(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 3, 5))
+        x[0, 1, :2] = -np.inf
+        expected = tc.softmax(x)
+        out = tc.softmax(x, out=x)
+        assert out is x
+        assert np.array_equal(x, expected)
+
+    def test_nan_rejected_before_all_minus_inf_row(self):
+        x = np.array([[-np.inf, -np.inf], [np.nan, 0.0]])
+        with pytest.raises(DimensionError):
+            tc.softmax(x)
+
 
 def cosine(a, b) -> float:
     """One pair through the cosine-matrix kernel."""
@@ -173,6 +187,39 @@ class TestDumpLoad:
         tc.save_tensor(path, np.zeros((2, 2), dtype=np.float32))
         header = json.loads(path.read_bytes().split(b"\n", 1)[0])
         assert header == {"shape": [2, 2], "dtype": "f32", "order": "row-major"}
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        real_open = open
+
+        class HalfWriter:
+            """Writes the first half of the data, then fails."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        path = tmp_path / "t.tensor"
+        monkeypatch.setattr(tc, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            tc.save_tensor(path, np.ones((4, 4), dtype=np.float32))
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        tc.save_tensor(path, np.zeros((2,), dtype=np.float32))
+        old = path.read_bytes()
+        monkeypatch.setattr(tc, "open", HalfWriter, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            tc.save_tensor(path, np.ones((4, 4), dtype=np.float32))
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == old
 
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "bad.tensor"
