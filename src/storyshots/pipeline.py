@@ -91,6 +91,9 @@ class StoryboardConfig:
                 setattr(self, name, (int(lo), int(hi)))
         if self.t_pres is not None and not 0 <= self.t_pres <= self.total_steps:
             raise ConfigError(f"t_pres {self.t_pres} outside [0, {self.total_steps}]")
+        if self.q_injection and self.model.frames < 2:
+            # the flow phase blends between two keyframes
+            raise ConfigError(f"q_injection needs model.frames >= 2, got {self.model.frames}")
         for name, rule, ok in (
             ("q_dropout", "in [0, 1]", 0.0 <= self.q_dropout <= 1.0),
             ("refine_blend", "in [0, 1]", 0.0 <= self.refine_blend <= 1.0),

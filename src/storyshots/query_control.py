@@ -9,6 +9,7 @@ dropout can soften either injection.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -20,19 +21,32 @@ from .errors import CacheMissError, ConfigError, WindowError
 
 @dataclass
 class FeatureCache:
-    """(timestep, layer_id) -> cached vanilla-pass queries (S, F, P, d)."""
+    """(timestep, layer_id) -> cached vanilla-pass queries (S, F, P, d), and
+    the flow match fields computed from them, memoised per keyframe set."""
 
     entries: dict = field(default_factory=dict)
     seed_fingerprint: str = ""
+    # (t, layer_id, keyframes) -> FlowField; put() drops its key's fields
+    flow_fields: dict = field(default_factory=dict, repr=False)
 
     def put(self, t: int, layer_id: int, q: np.ndarray) -> None:
         self.entries[(t, layer_id)] = np.array(q, dtype=tc.F32, copy=True)
+        for key in [k for k in self.flow_fields if k[:2] == (t, layer_id)]:
+            del self.flow_fields[key]
 
     def get(self, t: int, layer_id: int) -> np.ndarray:
         try:
             return self.entries[(t, layer_id)]
         except KeyError:
             raise CacheMissError(f"no cached queries for (t={t}, layer={layer_id})")
+
+    def flow_field(self, t: int, layer_id: int, kf: KeyframeIndex) -> FlowField:
+        """The match field of the cached queries at (t, layer_id), computed on
+        first use and kept until put() replaces those queries."""
+        key = (t, layer_id, tuple(kf.keyframes))
+        if key not in self.flow_fields:
+            self.flow_fields[key] = match_field(self.get(t, layer_id), kf)
+        return self.flow_fields[key]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -96,46 +110,76 @@ def q_preserve(q_c: np.ndarray, cache: FeatureCache, t: int, layer: int, t_pres:
     return cached
 
 
-def q_flow(
-    q_c: np.ndarray,
-    q_v: np.ndarray,
-    kf: KeyframeIndex,
-    frame: int,
-    weight_mode: str = "sigmoid",
-):
-    """Phase 2 for one frame of one shot.
+@dataclass
+class FlowField:
+    """Argmax-cosine match field of one (t, layer) of vanilla queries.
 
-    The match field comes from the vanilla queries: each vanilla query at
-    `frame` is matched (argmax cosine) against the vanilla queries of the two
-    bracketing keyframes. The output blends the *live* queries q_c at those
-    matched locations with w = sigmoid((f_B - f)/(f_B - f_A)) (or the plain
-    ratio when weight_mode == "linear"). Zero-norm vanilla queries skip
-    matching and keep their live query. Returns (q_f, skipped_patches).
+    For frame f, (f_a[f], f_b[f]) is its keyframe bracket; match_a/match_b
+    (S, F, P) hold the matched patch in each keyframe, in the smallest dtype
+    that holds P - 1; zero (S, F, P) flags zero-norm queries, which skip
+    matching and keep their live query.
+    """
+
+    f_a: np.ndarray
+    f_b: np.ndarray
+    match_a: np.ndarray
+    match_b: np.ndarray
+    zero: np.ndarray
+
+
+def match_field(q_v: np.ndarray, kf: KeyframeIndex) -> FlowField:
+    """Match every vanilla query (S, F, P, d) against the vanilla queries of
+    its frame's two bracketing keyframes, in the same shot.
+
+    One cosine matmul per (shot, bracket) covers all of the bracket's frames
+    and both keyframes; argmax takes the first maximum, so ties break to the
+    lowest patch index.
+    """
+    q_v = np.asarray(q_v)
+    if q_v.ndim != 4:
+        raise ConfigError(f"expected (S,F,P,d) vanilla queries, got {q_v.shape}")
+    S, F, P, d = q_v.shape
+    f_a, f_b = np.array([kf.bracket(f) for f in range(F)]).T
+    match_a = np.empty((S, F, P), np.min_scalar_type(P - 1))
+    match_b = np.empty_like(match_a)
+    for (a, b), frames in itertools.groupby(range(F), kf.bracket):
+        span = list(frames)
+        for s in range(S):
+            sims = tc.cosine_matrix(q_v[s, span].reshape(-1, d), q_v[s, [a, b]].reshape(-1, d))
+            best = np.argmax(sims.reshape(len(span), P, 2, P), axis=-1)
+            match_a[s, span], match_b[s, span] = best[..., 0], best[..., 1]
+    # a zero norm means every component is zero (float32 squares cannot underflow in float64)
+    zero = ~q_v.any(axis=-1)
+    return FlowField(f_a, f_b, match_a, match_b, zero)
+
+
+def q_flow(q_c: np.ndarray, fld: FlowField, weight_mode: str = "sigmoid") -> np.ndarray:
+    """Phase 2 for every (shot, frame) of one (t, layer).
+
+    Blends the *live* queries q_c (S, F, P, d) at the field's matched
+    locations with w = sigmoid((f_B - f)/(f_B - f_A)) (or the plain ratio
+    when weight_mode == "linear"); queries the field flags as zero keep
+    their live value.
     """
     q_c = np.asarray(q_c)
-    q_v = np.asarray(q_v)
-    if q_c.shape != q_v.shape or q_c.ndim != 3:
-        raise ConfigError(f"expected matching (F,P,d) inputs, got {q_c.shape} / {q_v.shape}")
-    f_a, f_b = kf.bracket(frame)
-    ratio = (f_b - frame) / (f_b - f_a)
+    if q_c.ndim != 4 or q_c.shape[:3] != fld.zero.shape:
+        raise ConfigError(f"live queries {q_c.shape} do not fit a {fld.zero.shape} match field")
     if weight_mode == "sigmoid":
-        w = tc.sigmoid(ratio)
+        weight = tc.sigmoid
     elif weight_mode == "linear":
-        w = float(ratio)
+        weight = float
     else:
         raise ConfigError(f"unknown weight_mode {weight_mode!r}")
-
-    # argmax takes the first maximum: ties break to the lowest patch index
-    match_a = np.argmax(tc.cosine_matrix(q_v[frame], q_v[f_a]), axis=1)
-    match_b = np.argmax(tc.cosine_matrix(q_v[frame], q_v[f_b]), axis=1)
-    blended = (
-        w * q_c[f_a][match_a].astype(np.float64)
-        + (1.0 - w) * q_c[f_b][match_b].astype(np.float64)
-    ).astype(tc.F32)
-
-    zero_queries = np.linalg.norm(q_v[frame].astype(np.float64), axis=1) == 0.0
-    out = np.where(zero_queries[:, None], q_c[frame], blended)
-    return out.astype(tc.F32), np.flatnonzero(zero_queries)
+    ratio = (fld.f_b - np.arange(len(fld.f_b))) / (fld.f_b - fld.f_a)
+    w = np.array([weight(r) for r in ratio.tolist()])[:, None, None]
+    out = np.empty(q_c.shape, tc.F32)
+    for s in range(q_c.shape[0]):
+        blended = (
+            w * q_c[s][fld.f_a[:, None], fld.match_a[s]].astype(np.float64)
+            + (1.0 - w) * q_c[s][fld.f_b[:, None], fld.match_b[s]].astype(np.float64)
+        ).astype(tc.F32)
+        out[s] = np.where(fld.zero[s, :, :, None], q_c[s], blended)
+    return out
 
 
 def q_dropout(q_injected: np.ndarray, q_c: np.ndarray, rate: float, rng: np.random.Generator):
@@ -187,12 +231,7 @@ def select_q(
         q_inj = q_preserve(q_c, cache, t, layer, cfg.t_pres)
         role = "vanilla"
     elif layer in injection_layers:
-        q_v = cache.get(t, layer)
-        out = np.empty_like(q_c)
-        for s in range(q_c.shape[0]):
-            for f in range(q_c.shape[1]):
-                out[s, f], _ = q_flow(q_c[s], q_v[s], kf, f, cfg.q_weight_mode)
-        q_inj = out
+        q_inj = q_flow(q_c, cache.flow_field(t, layer, kf), cfg.q_weight_mode)
         role = "flow"
     else:
         return q_c, QueryAudit(t, layer, "consistent", 0.0)

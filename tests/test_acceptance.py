@@ -153,7 +153,7 @@ def test_acceptance_03_q_flow_matching_oracle():
             q_v = np.stack([keyframe, query, keyframe])
             q_c = live.standard_normal((3, p, d)).astype(np.float32)
             kf = qc.KeyframeIndex.build(3, 2)
-            got, _ = qc.q_flow(q_c, q_v, kf, frame=1, weight_mode="linear")
+            got = qc.q_flow(q_c[None], qc.match_field(q_v[None], kf), "linear")[0, 1]
             match = exhaustive_match(query, keyframe)
             expected = (
                 0.5 * q_c[0][match].astype(np.float64) + 0.5 * q_c[2][match].astype(np.float64)
@@ -170,9 +170,9 @@ def test_acceptance_04_q_flow_blend_identities():
         kf = qc.KeyframeIndex.build(frames, 4)
         q_v = rng.standard_normal((frames, 6, 4)).astype(np.float32)
         q_const = np.full((frames, 6, 4), 0.7, dtype=np.float32)
+        out = qc.q_flow(q_const[None], qc.match_field(q_v[None], kf))[0]
         for f in range(frames):
-            out, _ = qc.q_flow(q_const, q_v, kf, frame=f)
-            assert np.abs(out - 0.7).max() < 1e-6
+            assert np.abs(out[f] - 0.7).max() < 1e-6
             f_a, f_b = kf.bracket(f)
             w = tc.sigmoid((f_b - f) / (f_b - f_a))
             assert 0.5 <= w <= 0.731059 + 1e-6

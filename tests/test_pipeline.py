@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,15 @@ class TestStoryboardConfig:
         small_config(refine_blend=0.0, q_weight_mode="linear")
         cfg = small_config(alpha_min=1.0, injection_layers=(0, 1), refine_layers=())
         assert cfg.injection_layer_set() == {0, 1} and cfg.refine_layer_set() == frozenset()
+
+    def test_one_frame_rejected_with_query_injection(self):
+        one = pipeline.ToyModelSpec(**dict(SMALL_SPEC, frames=1))
+        with pytest.raises(ConfigError, match="frames"):
+            small_config(model=one)
+        with pytest.raises(ConfigError, match="frames"):
+            pipeline.StoryboardConfig.from_dict({"model": {"frames": 1}})
+        cfg = small_config(model=one, q_injection=False)
+        assert pipeline.run_consistent(cfg, "a red fox", PROMPTS).outputs.shape[1] == 1
 
     def test_from_dict_layer_lists(self):
         cfg = pipeline.StoryboardConfig.from_dict({"refine_layers": [3], "injection_layers": [0]})
@@ -228,6 +239,18 @@ class TestSample:
         )
         with pytest.raises(ConfigError):
             pipeline.sample(run)
+
+    def test_refined_pass_same_with_fresh_or_shared_flow_fields(self):
+        cfg = small_config()
+        cache = pipeline.run_vanilla(cfg, "a red fox", PROMPTS).cache
+        fresh = qc.FeatureCache(dict(cache.entries), cache.seed_fingerprint)
+        pipeline.run_consistent(cfg, "a red fox", PROMPTS, cache=cache)
+        assert cache.flow_fields and not fresh.flow_fields
+        shared = pipeline.run_refined(cfg, "a red fox", PROMPTS, cache=cache)
+        alone = pipeline.run_refined(cfg, "a red fox", PROMPTS, cache=fresh)
+        assert shared.outputs.tobytes() == alone.outputs.tobytes()
+        assert json.dumps(shared.audit) == json.dumps(alone.audit)
+        assert fresh.flow_fields.keys() == cache.flow_fields.keys()
 
     def test_window_gating_in_audit(self):
         cfg = small_config()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from storyshots import cli, pipeline, prompts, tensor_core
+from storyshots import cli, pipeline, prompts, query_control, tensor_core
 from storyshots.errors import PromptError
 
 PROMPT_DOC = {
@@ -211,6 +211,29 @@ class TestCli:
         assert (out / "FAILED").read_text().startswith("ConfigError")
         assert not list(out.rglob("latents_*.tensor"))
         assert "ConfigError" in capsys.readouterr().err
+
+    def test_match_fields_computed_once_in_consistent_pass(self, io_paths, monkeypatch):
+        cfg, pro, out = io_paths
+        modes, calls = [], []
+        real_sample, real_match_field = pipeline.sample, query_control.match_field
+
+        def sample(run):
+            modes.append(run.mode)
+            return real_sample(run)
+
+        def match_field(q_v, kf):
+            calls.append(modes[-1])
+            return real_match_field(q_v, kf)
+
+        monkeypatch.setattr(pipeline, "sample", sample)
+        monkeypatch.setattr(query_control, "match_field", match_field)
+        assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 0
+        assert [m.value for m in modes] == ["vanilla", "consistent", "refined"]
+        for mode in ("consistent", "refined"):
+            records = [json.loads(line) for line in (out / "fox" / f"audit_{mode}.jsonl").open()]
+            flows = [(r["t"], r["layer"]) for r in records if r.get("role") == "flow"]
+            assert flows and len(set(flows)) == len(flows)
+        assert calls == [pipeline.RunMode.CONSISTENT] * len(flows)
 
     def test_refined_audit_byte_identical_across_runs(self, io_paths, tmp_path):
         cfg, pro, _ = io_paths

@@ -28,6 +28,27 @@ def oracle_flow(q_c, q_v, kf, frame, w):
     return (w * q_c[f_a][ma].astype(np.float64) + (1 - w) * q_c[f_b][mb].astype(np.float64)).astype(np.float32)
 
 
+def flow_frame(q_c, q_v, kf, frame, weight_mode="sigmoid"):
+    """One shot's (F, P, d) queries through match_field + q_flow; returns the
+    blend at `frame` and the patches the field flags as zero there."""
+    fld = qc.match_field(q_v[None], kf)
+    out = qc.q_flow(q_c[None], fld, weight_mode)
+    return out[0, frame], np.flatnonzero(fld.zero[0, frame])
+
+
+def per_frame_flow(q_c, q_v, kf, frame, weight_mode):
+    """Reference for one (F, P, d) shot and one frame: both matchings and the
+    blend computed for that frame alone."""
+    f_a, f_b = kf.bracket(frame)
+    ratio = (f_b - frame) / (f_b - f_a)
+    w = tc.sigmoid(ratio) if weight_mode == "sigmoid" else ratio
+    ma = np.argmax(tc.cosine_matrix(q_v[frame], q_v[f_a]), axis=1)
+    mb = np.argmax(tc.cosine_matrix(q_v[frame], q_v[f_b]), axis=1)
+    blended = (w * q_c[f_a][ma].astype(np.float64) + (1.0 - w) * q_c[f_b][mb].astype(np.float64)).astype(np.float32)
+    zero = np.linalg.norm(q_v[frame].astype(np.float64), axis=1) == 0.0
+    return np.where(zero[:, None], q_c[frame], blended), ma, mb, zero
+
+
 class TestFeatureCache:
     def test_put_get_copy(self):
         cache = qc.FeatureCache()
@@ -98,7 +119,7 @@ class TestQFlow:
         q_v = rng.standard_normal((F, P, d)).astype(np.float32)
         q_c = rng.standard_normal((F, P, d)).astype(np.float32)
         kf = qc.KeyframeIndex.build(F, 4)
-        out, skipped = qc.q_flow(q_c, q_v, kf, frame=4)
+        out, skipped = flow_frame(q_c, q_v, kf, frame=4)
         assert skipped.size == 0
         w = tc.sigmoid(1.0)
         match_b = exhaustive_match(q_v[4], q_v[7])
@@ -111,7 +132,7 @@ class TestQFlow:
         q_v = rng.standard_normal((F, P, d)).astype(np.float32)
         q_c = np.full((F, P, d), 1.5, dtype=np.float32)
         kf = qc.KeyframeIndex.build(F, 2)
-        out, _ = qc.q_flow(q_c, q_v, kf, frame=3)
+        out, _ = flow_frame(q_c, q_v, kf, frame=3)
         assert np.abs(out - 1.5).max() < 1e-6
 
     @pytest.mark.parametrize("seed", range(10))
@@ -123,9 +144,15 @@ class TestQFlow:
         kf = qc.KeyframeIndex.build(F, 2)
         f = 3
         f_a, f_b = kf.bracket(f)
-        out, _ = qc.q_flow(q_c, q_v, kf, frame=f)
+        out, _ = flow_frame(q_c, q_v, kf, frame=f)
         expected = oracle_flow(q_c, q_v, kf, f, tc.sigmoid((f_b - f) / (f_b - f_a)))
         assert np.array_equal(out, expected)
+        fld = qc.match_field(q_v[None], kf)
+        for g in range(F):
+            g_a, g_b = kf.bracket(g)
+            assert (fld.f_a[g], fld.f_b[g]) == (g_a, g_b)
+            assert np.array_equal(fld.match_a[0, g], exhaustive_match(q_v[g], q_v[g_a]))
+            assert np.array_equal(fld.match_b[0, g], exhaustive_match(q_v[g], q_v[g_b]))
 
     def test_tie_breaks_to_lowest_index(self):
         q = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], dtype=np.float32)
@@ -134,7 +161,7 @@ class TestQFlow:
         q_v = np.stack([keyframe, q, keyframe])
         q_c = np.random.default_rng(5).standard_normal((3, 3, 2)).astype(np.float32)
         kf = qc.KeyframeIndex.build(3, 2)
-        out, _ = qc.q_flow(q_c, q_v, kf, frame=1, weight_mode="linear")
+        out, _ = flow_frame(q_c, q_v, kf, frame=1, weight_mode="linear")
         expected = (0.5 * q_c[0, 1].astype(np.float64) + 0.5 * q_c[2, 1].astype(np.float64)).astype(np.float32)
         assert np.array_equal(out[0], expected)
 
@@ -145,7 +172,7 @@ class TestQFlow:
         q_v[1, 2] = 0.0
         q_c = rng.standard_normal((F, P, d)).astype(np.float32)
         kf = qc.KeyframeIndex.build(F, 3)
-        out, skipped = qc.q_flow(q_c, q_v, kf, frame=1)
+        out, skipped = flow_frame(q_c, q_v, kf, frame=1)
         assert list(skipped) == [2]
         assert np.array_equal(out[2], q_c[1, 2])
 
@@ -166,7 +193,7 @@ class TestQFlow:
         f_a, f_b = kf.bracket(f)
         ma = exhaustive_match(q_v[f], q_v[f_a])
         mb = exhaustive_match(q_v[f], q_v[f_b])
-        out, _ = qc.q_flow(q_c, q_v, kf, frame=f)
+        out, _ = flow_frame(q_c, q_v, kf, frame=f)
         for p in range(P):
             bound = max(np.linalg.norm(q_c[f_a, ma[p]]), np.linalg.norm(q_c[f_b, mb[p]]))
             assert np.linalg.norm(out[p]) <= bound + 1e-6
@@ -177,8 +204,82 @@ class TestQFlow:
         q_v = rng.standard_normal((F, P, d)).astype(np.float32)
         q_c = rng.standard_normal((F, P, d)).astype(np.float32)
         kf = qc.KeyframeIndex.build(F, 4)
-        out, _ = qc.q_flow(q_c, q_v, kf, frame=2, weight_mode="linear")
+        out, _ = flow_frame(q_c, q_v, kf, frame=2, weight_mode="linear")
         assert np.abs(out - oracle_flow(q_c, q_v, kf, 2, 2 / 4)).max() < 1e-6
+
+    @pytest.mark.parametrize("weight_mode", ["sigmoid", "linear"])
+    def test_batched_equals_stacked_per_frame(self, weight_mode):
+        rng = np.random.default_rng(6)
+        S, F, P, d = 3, 7, 20, 5
+        q_v = rng.standard_normal((S, F, P, d)).astype(np.float32)
+        q_v[1, 3, 4] = 0.0  # zero query: skips matching
+        q_v[2, 4, 7] = 0.0  # zero query on a keyframe: similarity 0 against it
+        q_v[:, :, -1] = 2.0 * q_v[:, :, 0]  # tied candidates in every keyframe
+        q_c = rng.standard_normal((S, F, P, d)).astype(np.float32)
+        kf = qc.KeyframeIndex.build(F, 3)
+        fld = qc.match_field(q_v, kf)
+        assert fld.match_a.dtype == np.uint8 and fld.match_b.dtype == np.uint8
+        got = qc.q_flow(q_c, fld, weight_mode)
+        for s in range(S):
+            for f in range(F):
+                out, ma, mb, zero = per_frame_flow(q_c[s], q_v[s], kf, f, weight_mode)
+                assert got[s, f].tobytes() == out.tobytes()
+                assert np.array_equal(fld.match_a[s, f], ma)
+                assert np.array_equal(fld.match_b[s, f], mb)
+                assert np.array_equal(fld.zero[s, f], zero)
+        assert fld.zero[1, 3, 4] and np.array_equal(got[1, 3, 4], q_c[1, 3, 4])
+
+    def test_shape_mismatch_rejected(self):
+        kf = qc.KeyframeIndex.build(4, 2)
+        fld = qc.match_field(np.ones((2, 4, 3, 2), dtype=np.float32), kf)
+        with pytest.raises(ConfigError):
+            qc.q_flow(np.ones((2, 4, 5, 2), dtype=np.float32), fld)
+        with pytest.raises(ConfigError):
+            qc.match_field(np.ones((4, 3, 2), dtype=np.float32), kf)
+
+
+class TestFlowFieldMemo:
+    def make_cache(self, frames=8):
+        rng = np.random.default_rng(8)
+        cache = qc.FeatureCache()
+        cache.put(500, 1, rng.standard_normal((2, frames, 6, 4)).astype(np.float32))
+        return cache, rng
+
+    def test_field_is_memoised(self):
+        cache, _ = self.make_cache()
+        kf = qc.KeyframeIndex.build(8, 4)
+        fld = cache.flow_field(500, 1, kf)
+        assert cache.flow_field(500, 1, kf) is fld
+        with pytest.raises(CacheMissError):
+            cache.flow_field(400, 1, kf)
+
+    def test_put_invalidates_field(self):
+        cache, rng = self.make_cache()
+        kf = qc.KeyframeIndex.build(8, 4)
+        old = cache.flow_field(500, 1, kf)
+        q_new = rng.standard_normal((2, 8, 6, 4)).astype(np.float32)
+        cache.put(500, 1, q_new)
+        new = cache.flow_field(500, 1, kf)
+        fresh = qc.match_field(q_new, kf)
+        assert np.array_equal(new.match_a, fresh.match_a)
+        assert np.array_equal(new.match_b, fresh.match_b)
+        assert not np.array_equal(new.match_a, old.match_a)
+
+    def test_put_keeps_other_fields(self):
+        cache, rng = self.make_cache()
+        cache.put(500, 2, rng.standard_normal((2, 8, 6, 4)).astype(np.float32))
+        kf = qc.KeyframeIndex.build(8, 4)
+        kept = cache.flow_field(500, 2, kf)
+        cache.put(500, 1, rng.standard_normal((2, 8, 6, 4)).astype(np.float32))
+        assert cache.flow_field(500, 2, kf) is kept
+
+    def test_other_keyframe_spacing_gets_fresh_field(self):
+        cache, _ = self.make_cache()
+        kf4, kf2 = qc.KeyframeIndex.build(8, 4), qc.KeyframeIndex.build(8, 2)
+        cache.flow_field(500, 1, kf4)
+        fld = cache.flow_field(500, 1, kf2)
+        assert list(fld.f_a) == [kf2.bracket(f)[0] for f in range(8)]
+        assert np.array_equal(fld.match_b, qc.match_field(cache.get(500, 1), kf2).match_b)
 
 
 class TestQDropout:
