@@ -36,11 +36,15 @@ _SET_ARTIFACTS = ("latents_*.tensor", "audit_*.jsonl", "metrics.*", "manifest.js
 
 
 def _effective_config(config_path, overrides: dict) -> pipeline.StoryboardConfig:
-    data = {}
+    """The config file with the flag values that were given laid over it."""
+    data = None
     if config_path is not None:
         with open(config_path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
-    data.update({k: v for k, v in overrides.items() if v is not None})
+            data = yaml.safe_load(fh)
+    data = {} if data is None else data  # None: no file, or an empty one
+    overrides = dict(overrides, anchors=_parse_anchors(overrides.get("anchors")))
+    if isinstance(data, dict):  # from_dict rejects any other document
+        data.update({k: v for k, v in overrides.items() if v is not None})
     return pipeline.StoryboardConfig.from_dict(data)
 
 
@@ -154,10 +158,13 @@ def _run_prompt_set(config, prompt_set, mode, set_dir: Path, prompt_hash: str) -
     tensor_core.write_atomic(set_dir / "manifest.json", text.encode("utf-8"))
 
 
-def _parse_anchors(value):
-    if value is None:
+def _parse_anchors(text):
+    if text is None:
         return None
-    return tuple(int(v) for v in value.split(",") if v.strip() != "")
+    try:
+        return tuple(int(v) for v in text.split(",") if v.strip() != "")
+    except ValueError:
+        raise ConfigError(f"anchors must be comma-separated shot ids, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,20 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=sorted(_MODE_SEQUENCE), default="refined")
     parser.add_argument("--t-pres", type=int, default=None, dest="t_pres")
     parser.add_argument("--q-dropout", type=float, default=None, dest="q_dropout")
-    parser.add_argument("--sub-batch", type=int, default=None, dest="sub_batch")
     parser.add_argument("--anchors", default=None, help="comma-separated shot ids")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "t_pres": args.t_pres,
-        "q_dropout": args.q_dropout,
-        "sub_batch": args.sub_batch,
-        "anchors": _parse_anchors(args.anchors),
-    }
+    overrides = {"seed": args.seed, "t_pres": args.t_pres, "q_dropout": args.q_dropout,
+                 "anchors": args.anchors}
     return run_storyboard(args.config, args.prompts, args.out, args.mode, overrides)
 
 

@@ -39,11 +39,6 @@ class ConsistencyReport:
     pair_count: int
 
 
-def expected_pair_count(shots: int, frames: int) -> int:
-    total = shots * frames
-    return math.comb(total, 2) - shots * math.comb(frames, 2)
-
-
 def set_consistency(frames: np.ndarray, masks) -> ConsistencyReport:
     """Mean pairwise cosine similarity of masked frame features across all
     cross-shot pairs, plus the mean adjacent-frame similarity within shots.

@@ -10,7 +10,8 @@ import enum
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,8 +36,8 @@ class ToyModelSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < (0 if f.name == "weight_seed" else 1):
-                raise ConfigError(f"{f.name} must be positive")
+            v, low = getattr(self, f.name), 0 if f.name == "weight_seed" else 1
+            _require(f"model.{f.name}", f"an integer >= {low}", v, _int_in(v, low))
 
     @property
     def patches(self) -> int:
@@ -48,7 +49,7 @@ class ToyModelSpec:
         return self.layers - 1
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
 
 @dataclass
@@ -76,41 +77,48 @@ class StoryboardConfig:
     model: ToyModelSpec = field(default_factory=ToyModelSpec)
 
     def __post_init__(self):
-        if isinstance(self.model, dict):
+        """The one place a config value is checked or normalised: a bad value
+        raises ConfigError naming its field before any compute runs."""
+        for name in ("sdsa_window", "refine_window", "anchors", "injection_layers", "refine_layers"):
+            if isinstance(getattr(self, name), list):  # as YAML and JSON give them
+                setattr(self, name, tuple(getattr(self, name)))
+        if isinstance(self.model, Mapping):
             self.model = _from_known_keys(ToyModelSpec, self.model)
-        if self.sampler_steps < 1 or self.sampler_steps > self.total_steps:
-            raise ConfigError(
-                f"sampler_steps must be in [1, {self.total_steps}], got {self.sampler_steps}"
-            )
-        for name in ("sdsa_window", "refine_window"):
-            win = getattr(self, name)
-            if win is not None:
-                lo, hi = win
-                if not (0 <= lo <= hi <= self.total_steps):
-                    raise ConfigError(f"{name} {win} outside [0, {self.total_steps}]")
-                setattr(self, name, (int(lo), int(hi)))
-        if self.t_pres is not None and not 0 <= self.t_pres <= self.total_steps:
-            raise ConfigError(f"t_pres {self.t_pres} outside [0, {self.total_steps}]")
-        if self.q_injection and self.model.frames < 2:
-            # the flow phase blends between two keyframes
-            raise ConfigError(f"q_injection needs model.frames >= 2, got {self.model.frames}")
+        # the rules below read model and total_steps
+        _require("model", "a mapping or ToyModelSpec", self.model, isinstance(self.model, ToyModelSpec))
+        _require("total_steps", "an integer >= 1", self.total_steps, _int_in(self.total_steps, 1))
+        T, spec = self.total_steps, self.model
+        window = f"None or integers lo <= hi in [0, {T}]"
+        layer_ids = f"None or distinct layer ids in [0, {spec.layers})"
         for name, rule, ok in (
-            ("q_dropout", "in [0, 1]", 0.0 <= self.q_dropout <= 1.0),
-            ("refine_blend", "in [0, 1]", 0.0 <= self.refine_blend <= 1.0),
-            ("keyframe_spacing", ">= 1", self.keyframe_spacing >= 1),
-            ("sub_batch", "None or >= 1", self.sub_batch is None or self.sub_batch >= 1),
-            ("subject_channel", f"in [0, {self.model.channels})",
-             0 <= self.subject_channel < self.model.channels),
+            ("sampler_steps", f"an integer in [1, {T}]", _int_in(self.sampler_steps, 1, T)),
+            ("t_pres", f"None or an integer in [0, {T}]",
+             self.t_pres is None or _int_in(self.t_pres, 0, T)),
+            ("sdsa_window", window, _window_ok(self.sdsa_window, T)),
+            ("refine_window", window, _window_ok(self.refine_window, T)),
+            ("q_dropout", "a real in [0, 1]", _real_in(self.q_dropout, 0, 1)),
+            ("q_injection", "a bool", type(self.q_injection) is bool),
             ("q_weight_mode", "'sigmoid' or 'linear'", self.q_weight_mode in ("sigmoid", "linear")),
+            ("keyframe_spacing", "an integer >= 1", _int_in(self.keyframe_spacing, 1)),
+            ("anchors", "None or distinct shot ids >= 0, at least one",
+             _ids_ok(self.anchors, math.inf) and self.anchors != ()),
+            ("seed", "an integer >= 0", _int_in(self.seed, 0)),
+            ("sub_batch", "None or an integer >= 1",
+             self.sub_batch is None or _int_in(self.sub_batch, 1)),
+            ("injection_layers", layer_ids, _ids_ok(self.injection_layers, spec.layers)),
+            ("refine_layers", layer_ids, _ids_ok(self.refine_layers, spec.layers)),
+            ("refine_blend", "a real in [0, 1]", _real_in(self.refine_blend, 0, 1)),
+            ("cfg_scale", "a finite real", _real_in(self.cfg_scale, -math.inf, math.inf)),
+            ("attend_middle_frame", "a bool", type(self.attend_middle_frame) is bool),
+            ("subject_channel", f"an integer in [0, {spec.channels})",
+             _int_in(self.subject_channel, 0, spec.channels - 1)),
             ("segmenter", "'channel_energy'", self.segmenter == "channel_energy"),
-            ("alpha_min", "in (0, 1]", 0.0 < self.alpha_min <= 1.0),
-            ("injection_layers", f"None or layer ids in [0, {self.model.layers})",
-             _layer_ids_ok(self.injection_layers, self.model.layers)),
-            ("refine_layers", f"None or layer ids in [0, {self.model.layers})",
-             _layer_ids_ok(self.refine_layers, self.model.layers)),
+            ("alpha_min", "a real in (0, 1]", _real_in(self.alpha_min, 0, 1) and self.alpha_min > 0),
+            # the flow phase blends between two keyframes
+            ("q_injection", "False when model.frames < 2",
+             not self.q_injection or spec.frames >= 2),
         ):
-            if not ok:
-                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+            _require(name, rule, getattr(self, name), ok)
 
     def timesteps(self) -> list:
         T, n = self.total_steps, self.sampler_steps
@@ -127,44 +135,50 @@ class StoryboardConfig:
         return frozenset(self.refine_layers)
 
     def anchor_list(self, shots: int) -> tuple:
-        anchors = self.anchors
-        if anchors is None:
-            anchors = tuple(range(min(2, shots)))
-        anchors = tuple(int(a) for a in anchors)
-        if not anchors:
-            raise ConfigError("anchor set must be nonempty")
-        if any(a < 0 or a >= shots for a in anchors):
+        anchors = tuple(range(min(2, shots))) if self.anchors is None else self.anchors
+        # the one config check that needs the prompt count
+        if any(a >= shots for a in anchors):
             raise ConfigError(f"anchors {anchors} outside shot range 0..{shots - 1}")
         return anchors
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "model":
-                v = v.to_dict()
-            elif isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "StoryboardConfig":
-        kwargs = dict(d)
-        for key in ("sdsa_window", "refine_window", "anchors", "injection_layers", "refine_layers"):
-            if isinstance(kwargs.get(key), list):
-                kwargs[key] = tuple(kwargs[key])
-        return _from_known_keys(cls, kwargs)
+    def from_dict(cls, d) -> "StoryboardConfig":
+        if not isinstance(d, Mapping):
+            raise ConfigError(f"config must be a mapping, got {type(d).__name__}")
+        return _from_known_keys(cls, d)
 
 
-def _layer_ids_ok(layers, n: int) -> bool:
-    return layers is None or isinstance(layers, (tuple, list)) and all(
-        isinstance(l, int) and not isinstance(l, bool) and 0 <= l < n for l in layers
-    )
+def _require(name: str, rule: str, value, ok: bool) -> None:
+    if not ok:
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
-def _from_known_keys(cls, d: dict):
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+def _int_in(v, lo, hi=math.inf) -> bool:
+    """A plain int (not a bool or a numpy scalar) in [lo, hi]."""
+    return type(v) is int and lo <= v <= hi
+
+
+def _real_in(v, lo, hi) -> bool:
+    """A finite plain int or float in [lo, hi]."""
+    return (type(v) is int or type(v) is float and math.isfinite(v)) and lo <= v <= hi
+
+
+def _window_ok(w, T: int) -> bool:
+    return w is None or isinstance(w, tuple) and len(w) == 2 and (
+        _int_in(w[0], 0, T) and _int_in(w[1], w[0], T))
+
+
+def _ids_ok(ids, bound) -> bool:
+    """Layer or shot ids: None, or a tuple of distinct ints in [0, bound)."""
+    return ids is None or isinstance(ids, tuple) and all(_int_in(i, 0, bound - 1) for i in ids) and (
+        len(set(ids)) == len(ids))
+
+
+def _from_known_keys(cls, d):
+    unknown = sorted(set(d) - {f.name for f in fields(cls)}, key=str)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys {unknown}")
     return cls(**d)
@@ -172,13 +186,10 @@ def _from_known_keys(cls, d: dict):
 
 @dataclass
 class AttentionTopology:
-    shots: int
     anchors: tuple
 
     def key_shots(self, shot: int) -> list:
-        if shot in self.anchors:
-            return sorted(set(self.anchors))
-        return sorted(set(self.anchors) | {shot})
+        return sorted({*self.anchors, shot})
 
     def refine_sources(self, shot: int) -> list:
         return sorted(a for a in self.anchors if a != shot)
@@ -329,7 +340,6 @@ class _StepHooks:
         self.refine_on = refine_on
         self.pass_tag = "cond"
         self.refine_handles: dict = {}
-        self._query_cache: dict = {}
 
     def for_pass(self, tag: str) -> "_StepHooks":
         self.pass_tag = tag
@@ -376,19 +386,18 @@ class _StepHooks:
         cfg = self.cfg
         if not self.refine_on or layer not in cfg.refine_layer_set():
             return o
-        snapshot = o.copy()
         out = o.copy()
         map_ids = []
         for s in range(o.shape[0]):
             sources = self.topology.refine_sources(s)
             if not sources:
                 continue
-            anchor_feats = np.concatenate([snapshot[a] for a in sources], axis=0)
+            anchor_feats = np.concatenate([o[a] for a in sources], axis=0)
             for f in range(o.shape[1]):
                 key = (layer, s, f)
                 if self.pass_tag == "cond":
                     corr = refinement.build_correspondence(
-                        snapshot[s, f], anchor_feats, target=(s, f), source=sources,
+                        o[s, f], anchor_feats, target=(s, f), source=sources,
                         map_id=next(self.run.map_ids),
                     )
                     self.refine_handles[key] = corr
@@ -417,7 +426,7 @@ def sample(run: PipelineRun) -> np.ndarray:
     shots = run.shots
     if shots < 1:
         raise ConfigError("run needs at least one prompt")
-    topology = AttentionTopology(shots, cfg.anchor_list(shots))
+    topology = AttentionTopology(cfg.anchor_list(shots))
     model = ToyModel(spec)
     sched = subject_mask.NoiseSchedule.geometric(cfg.total_steps, cfg.alpha_min)
     fp = run_fingerprint(cfg, run.prompts)

@@ -60,14 +60,7 @@ def fingerprint(payload: dict) -> str:
 
 @dataclass
 class KeyframeIndex:
-    keyframes: list
-    spacing: int
-
-    def __post_init__(self):
-        kfs = list(self.keyframes)
-        if kfs != sorted(set(kfs)):
-            raise ConfigError(f"keyframes must be strictly increasing: {kfs}")
-        self.keyframes = kfs
+    keyframes: list  # strictly increasing, as build() makes them
 
     @classmethod
     def build(cls, frames: int, spacing: int) -> "KeyframeIndex":
@@ -78,7 +71,7 @@ class KeyframeIndex:
         kfs = list(range(0, max(frames - 1, 1), spacing))
         if kfs[-1] != frames - 1:
             kfs.append(frames - 1)
-        return cls(kfs, spacing)
+        return cls(kfs)
 
     def bracket(self, frame: int):
         """Nearest keyframes (f_A, f_B) with f_A <= frame <= f_B, f_A < f_B.

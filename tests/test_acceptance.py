@@ -347,10 +347,14 @@ def test_acceptance_10_sdsa_direction():
 
 def test_acceptance_11_metrics_oracles():
     def body():
-        for shots, frames, expected in ((2, 3, 9), (3, 5, 75), (5, 8, 640)):
-            assert mv.expected_pair_count(shots, frames) == expected
-
         rng = np.random.default_rng(1100)
+        for shots, frames, expected in ((2, 3, 9), (3, 5, 75), (5, 8, 640)):
+            data = rng.standard_normal((shots, frames, 4, 3)).astype(np.float32)
+            ones = np.ones((shots, frames, 4), dtype=bool)
+            masks = sm.SubjectMaskSet(masks=ones, thresholds=np.zeros((shots, frames)),
+                                      saliency=ones.astype(np.float32))
+            assert mv.set_consistency(data, masks).pair_count == expected
+
         data = rng.standard_normal((3, 4, 8, 5)).astype(np.float32)
         mask_arr = rng.random((3, 4, 8)) < 0.6
         masks = sm.SubjectMaskSet(

@@ -52,7 +52,6 @@ class TestSetConsistency:
         [(2, 3, 9), (3, 5, 75), (5, 8, 640)],
     )
     def test_pair_count_formula(self, shots, frames, expected):
-        assert mv.expected_pair_count(shots, frames) == expected
         data = np.random.default_rng(1).standard_normal((shots, frames, 4, 3)).astype(np.float32)
         masks = mask_set(np.ones((shots, frames, 4)))
         assert mv.set_consistency(data, masks).pair_count == expected

@@ -88,14 +88,39 @@ class TestStoryboardConfig:
             ("refine_layers", (9,)),
             ("refine_layers", (1.0,)),
             ("refine_layers", 1),
+            ("injection_layers", (0, 0)),
+            ("total_steps", 0),
+            ("total_steps", 1000.0),
+            ("sampler_steps", np.int64(5)),
+            ("sdsa_window", (100.0, 500.0)),
+            ("refine_window", (600, 590)),
+            ("t_pres", True),
+            ("anchors", ()),
+            ("anchors", (-1,)),
+            ("anchors", (0, 0)),
+            ("sub_batch", 1.0),
+            ("q_dropout", True),
+            ("refine_blend", float("nan")),
+            ("cfg_scale", float("inf")),
+            ("alpha_min", "0.5"),
+            ("attend_middle_frame", 1),
+            ("model", None),
         ],
     )
     def test_invalid_field_rejected_at_construction(self, field, value):
         with pytest.raises(ConfigError, match=field):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("field", ["layers", "patches_per_side", "channels", "frames", "weight_seed"])
+    def test_model_fields_are_integers(self, field):
+        with pytest.raises(ConfigError, match=f"model.{field}"):
+            pipeline.ToyModelSpec(**{field: 2.0})
+        with pytest.raises(ConfigError, match=f"model.{field}"):
+            pipeline.ToyModelSpec(**{field: -1})
+
     def test_field_bounds_accepted(self):
         small_config(subject_channel=7, refine_blend=1.0, keyframe_spacing=1, sub_batch=1)
+        small_config(cfg_scale=2, q_dropout=1, alpha_min=0.5, sdsa_window=(0, 1000), anchors=(4,))
         small_config(refine_blend=0.0, q_weight_mode="linear")
         cfg = small_config(alpha_min=1.0, injection_layers=(0, 1), refine_layers=())
         assert cfg.injection_layer_set() == {0, 1} and cfg.refine_layer_set() == frozenset()
@@ -112,13 +137,18 @@ class TestStoryboardConfig:
     def test_from_dict_layer_lists(self):
         cfg = pipeline.StoryboardConfig.from_dict({"refine_layers": [3], "injection_layers": [0]})
         assert cfg.refine_layers == (3,) and cfg.injection_layers == (0,)
+        direct = pipeline.StoryboardConfig(anchors=[0, 1], refine_layers=[3], sdsa_window=[1, 2])
+        assert direct == pipeline.StoryboardConfig.from_dict(
+            {"anchors": [0, 1], "refine_layers": [3], "sdsa_window": [1, 2]}
+        )
+        assert direct.anchors == (0, 1) and direct.sdsa_window == (1, 2)
         with pytest.raises(ConfigError, match="refine_layers"):
             pipeline.StoryboardConfig.from_dict({"refine_layers": [9]})
 
 
 def topology(shots, anchors):
     """The topology sample() builds: anchors validated by the config."""
-    return pipeline.AttentionTopology(shots, small_config(anchors=anchors).anchor_list(shots))
+    return pipeline.AttentionTopology(small_config(anchors=anchors).anchor_list(shots))
 
 
 class TestAnchorTopology:

@@ -267,6 +267,14 @@ class TestCli:
         assert cli._parse_anchors("0,2") == (0, 2)
         assert cli._parse_anchors(None) is None
 
+    @pytest.mark.parametrize("anchors", ["a", "0,0", "-1", "0.5", ""])
+    def test_bad_anchor_flag_fails_before_compute(self, io_paths, anchors):
+        cfg, pro, out = io_paths
+        args = ["--config", str(cfg), "--prompts", str(pro), "--out", str(out), "--anchors", anchors]
+        assert cli.main(args) == 1
+        assert (out / "FAILED").read_text().startswith("ConfigError: anchors")
+        assert not list(out.rglob("latents_*.tensor"))
+
     def test_audit_lines_are_json(self, io_paths):
         cfg, pro, out = io_paths
         cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)])
