@@ -35,6 +35,27 @@ _MODE_SEQUENCE = {
 _SET_ARTIFACTS = ("latents_*.tensor", "audit_*.jsonl", "metrics.*", "manifest.json", "slices/shot_*.pgm")
 
 
+# config field -> (conversion of its flag's text, what the text must be)
+_FLAG_TEXT = {
+    "seed": (int, "an integer"),
+    "t_pres": (int, "an integer"),
+    "q_dropout": (float, "a real"),
+    "anchors": (lambda text: tuple(int(v) for v in text.split(",") if v.strip() != ""),
+                "comma-separated shot ids"),
+}
+
+
+def _parse_flag(name: str, text: str):
+    """A flag's command-line text as its config value. Text that does not
+    convert raises ConfigError, so it fails the run with a FAILED marker like
+    any other bad config value."""
+    convert, rule = _FLAG_TEXT[name]
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be {rule}, got {text!r}") from None
+
+
 def _effective_config(config_path, overrides: dict) -> pipeline.StoryboardConfig:
     """The config file with the flag values that were given laid over it."""
     data = None
@@ -42,9 +63,9 @@ def _effective_config(config_path, overrides: dict) -> pipeline.StoryboardConfig
         with open(config_path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
     data = {} if data is None else data  # None: no file, or an empty one
-    overrides = dict(overrides, anchors=_parse_anchors(overrides.get("anchors")))
+    overrides = {k: _parse_flag(k, v) for k, v in overrides.items() if v is not None}
     if isinstance(data, dict):  # from_dict rejects any other document
-        data.update({k: v for k, v in overrides.items() if v is not None})
+        data.update(overrides)
     return pipeline.StoryboardConfig.from_dict(data)
 
 
@@ -96,6 +117,8 @@ def _write_audit(path: Path, audit) -> None:
 
 
 def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", overrides=None) -> int:
+    """Run every prompt set; overrides maps `_FLAG_TEXT` fields to their
+    command-line text (or None). Returns 0, or 1 after writing FAILED."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "FAILED").unlink(missing_ok=True)
@@ -158,15 +181,6 @@ def _run_prompt_set(config, prompt_set, mode, set_dir: Path, prompt_hash: str) -
     tensor_core.write_atomic(set_dir / "manifest.json", text.encode("utf-8"))
 
 
-def _parse_anchors(text):
-    if text is None:
-        return None
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError:
-        raise ConfigError(f"anchors must be comma-separated shot ids, got {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="storyshots",
@@ -179,18 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("STORYBOARD_OUT", "out"),
         help="output directory (default: $STORYBOARD_OUT or ./out)",
     )
-    parser.add_argument("--seed", type=int, default=None)
+    # value flags stay text here: run_storyboard converts them, so bad text fails the run
+    parser.add_argument("--seed", default=None)
     parser.add_argument("--mode", choices=sorted(_MODE_SEQUENCE), default="refined")
-    parser.add_argument("--t-pres", type=int, default=None, dest="t_pres")
-    parser.add_argument("--q-dropout", type=float, default=None, dest="q_dropout")
+    parser.add_argument("--t-pres", default=None, dest="t_pres")
+    parser.add_argument("--q-dropout", default=None, dest="q_dropout")
     parser.add_argument("--anchors", default=None, help="comma-separated shot ids")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"seed": args.seed, "t_pres": args.t_pres, "q_dropout": args.q_dropout,
-                 "anchors": args.anchors}
+    overrides = {name: getattr(args, name) for name in _FLAG_TEXT}
     return run_storyboard(args.config, args.prompts, args.out, args.mode, overrides)
 
 

@@ -17,12 +17,8 @@ class ConfigError(StoryshotsError, ValueError):
     """Invalid configuration value or combination."""
 
 
-class ScheduleRangeError(ConfigError):
-    """Timestep outside the noise schedule."""
-
-
-class WindowError(StoryshotsError, ValueError):
-    """Operation invoked outside its scheduled timestep window."""
+class NonFiniteError(StoryshotsError, FloatingPointError):
+    """A pass produced latents that are not all finite."""
 
 
 class CacheMissError(StoryshotsError, KeyError):

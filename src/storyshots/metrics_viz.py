@@ -132,21 +132,16 @@ def dynamic_degree(
 
 # --- y-t slices -----------------------------------------------------------
 
-def yt_slice(video: np.ndarray, column: int | None = None):
-    """Fixed-column spatiotemporal cross-section, (H, F).
-
-    With no column given, pick the column maximizing temporal variance summed
-    over rows (ties to the lowest index).
+def yt_slice(video: np.ndarray):
+    """Fixed-column spatiotemporal cross-section, (H, F), at the column
+    maximizing temporal variance summed over rows (ties to the lowest index).
+    Returns (slice, column).
     """
     video = np.asarray(video)
     if video.ndim != 3:
         raise DimensionError(f"expected (F,H,W) video, got {video.shape}")
-    width = video.shape[2]
-    if column is None:
-        variance = video.astype(np.float64).var(axis=0).sum(axis=0)  # per column
-        column = int(np.argmax(variance))
-    elif not 0 <= column < width:
-        raise ConfigError(f"column {column} out of range 0..{width - 1}")
+    variance = video.astype(np.float64).var(axis=0).sum(axis=0)  # per column
+    column = int(np.argmax(variance))
     return video[:, :, column].T.copy(), column
 
 

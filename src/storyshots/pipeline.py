@@ -17,7 +17,7 @@ import numpy as np
 
 from . import attention, query_control, refinement, subject_mask
 from . import tensor_core as tc
-from .errors import ConfigError, ReproducibilityError
+from .errors import ConfigError, NonFiniteError, ReproducibilityError
 
 
 class RunMode(enum.Enum):
@@ -397,8 +397,7 @@ class _StepHooks:
                 key = (layer, s, f)
                 if self.pass_tag == "cond":
                     corr = refinement.build_correspondence(
-                        o[s, f], anchor_feats, target=(s, f), source=sources,
-                        map_id=next(self.run.map_ids),
+                        o[s, f], anchor_feats, target=(s, f), map_id=next(self.run.map_ids)
                     )
                     self.refine_handles[key] = corr
                 else:
@@ -420,7 +419,8 @@ class _StepHooks:
 
 
 def sample(run: PipelineRun) -> np.ndarray:
-    """Deterministic denoising of a full run; fills run.outputs/audit/masks."""
+    """Deterministic denoising of a full run; fills run.outputs/audit/masks,
+    or raises NonFiniteError naming the pass if its latents are not finite."""
     cfg = run.config
     spec = cfg.model
     shots = run.shots
@@ -478,6 +478,8 @@ def sample(run: PipelineRun) -> np.ndarray:
             math.sqrt(a_next) * x0.astype(np.float64)
             + math.sqrt(1.0 - a_next) * e.astype(np.float64)
         ).astype(tc.F32)
+    if not np.isfinite(x).all():  # e.g. a cfg_scale large enough to overflow float32
+        raise NonFiniteError(f"{run.mode.value} pass produced non-finite latents")
     run.outputs = x
     # masks over the final clean latents, shared by all modes for metrics
     run.final_masks = _build_masks(run, x)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import CacheMissError, ConfigError, WindowError
+from .errors import CacheMissError, ConfigError
 
 
 @dataclass
@@ -64,10 +64,6 @@ class KeyframeIndex:
 
     @classmethod
     def build(cls, frames: int, spacing: int) -> "KeyframeIndex":
-        if spacing < 1:
-            raise ConfigError(f"keyframe spacing must be >= 1, got {spacing}")
-        if frames < 1:
-            raise ConfigError("need at least one frame")
         kfs = list(range(0, max(frames - 1, 1), spacing))
         if kfs[-1] != frames - 1:
             kfs.append(frames - 1)
@@ -80,8 +76,6 @@ class KeyframeIndex:
         as f_B; the final frame uses the preceding keyframe as f_A.
         """
         kfs = self.keyframes
-        if len(kfs) < 2:
-            raise ConfigError("keyframe bracket needs at least two keyframes")
         if not kfs[0] <= frame <= kfs[-1]:
             raise ConfigError(f"frame {frame} outside keyframe span {kfs[0]}..{kfs[-1]}")
         if frame == kfs[-1]:
@@ -89,18 +83,6 @@ class KeyframeIndex:
         f_a = max(k for k in kfs if k <= frame)
         f_b = min(k for k in kfs if k > frame)
         return f_a, f_b
-
-
-def q_preserve(q_c: np.ndarray, cache: FeatureCache, t: int, layer: int, t_pres: int) -> np.ndarray:
-    """Phase 1: return the cached vanilla queries verbatim for this step."""
-    if t < t_pres:
-        raise WindowError(f"q_preserve called at t={t} below t_pres={t_pres}")
-    cached = cache.get(t, layer)
-    if cached.shape != np.asarray(q_c).shape:
-        raise ConfigError(
-            f"cached query shape {cached.shape} != live shape {np.asarray(q_c).shape}"
-        )
-    return cached
 
 
 @dataclass
@@ -157,12 +139,7 @@ def q_flow(q_c: np.ndarray, fld: FlowField, weight_mode: str = "sigmoid") -> np.
     q_c = np.asarray(q_c)
     if q_c.ndim != 4 or q_c.shape[:3] != fld.zero.shape:
         raise ConfigError(f"live queries {q_c.shape} do not fit a {fld.zero.shape} match field")
-    if weight_mode == "sigmoid":
-        weight = tc.sigmoid
-    elif weight_mode == "linear":
-        weight = float
-    else:
-        raise ConfigError(f"unknown weight_mode {weight_mode!r}")
+    weight = tc.sigmoid if weight_mode == "sigmoid" else float
     ratio = (fld.f_b - np.arange(len(fld.f_b))) / (fld.f_b - fld.f_a)
     w = np.array([weight(r) for r in ratio.tolist()])[:, None, None]
     out = np.empty(q_c.shape, tc.F32)
@@ -180,8 +157,6 @@ def q_dropout(q_injected: np.ndarray, q_c: np.ndarray, rate: float, rng: np.rand
     live query (consistency-favoring), else the injected one. Returns
     (result, kept_fraction) where kept_fraction is the live-query share.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigError(f"dropout rate must be in [0,1], got {rate}")
     q_injected = np.asarray(q_injected)
     q_c = np.asarray(q_c)
     if q_injected.shape != q_c.shape:
@@ -214,14 +189,15 @@ def select_q(
 ):
     """Dispatch one (timestep, layer) query decision.
 
-    t >= t_pres: preservation; below t_pres on injection layers: flow;
-    otherwise live queries pass through. Dropout applies to whichever
-    injection was chosen. Returns (q, QueryAudit).
+    t >= t_pres: preservation (the cached vanilla queries verbatim); below
+    t_pres on injection layers: flow; otherwise live queries pass through.
+    Dropout applies to whichever injection was chosen. Returns
+    (q, QueryAudit).
     """
     q_c = np.asarray(q_c)
     injection_layers = cfg.injection_layer_set()
     if cfg.t_pres is not None and t >= cfg.t_pres:
-        q_inj = q_preserve(q_c, cache, t, layer, cfg.t_pres)
+        q_inj = cache.get(t, layer)
         role = "vanilla"
     elif layer in injection_layers:
         q_inj = q_flow(q_c, cache.flow_field(t, layer, kf), cfg.q_weight_mode)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import ConfigError, IntegrityError
+from .errors import IntegrityError
 
 
 @dataclass
@@ -19,7 +19,6 @@ class CorrespondenceMap:
     """Per-patch (frame, patch) match into an anchor's full frame set."""
 
     target: tuple  # (shot, frame)
-    source: tuple  # anchor shot ids the features were concatenated from
     match_frame: np.ndarray  # int (P,)
     match_patch: np.ndarray  # int (P,)
     score: np.ndarray  # float (P,)
@@ -32,7 +31,6 @@ def build_correspondence(
     target_feats: np.ndarray,
     anchor_feats: np.ndarray,
     target: tuple = (0, 0),
-    source: tuple = (),
     map_id: int = 0,
 ) -> CorrespondenceMap:
     """Argmax-cosine match of each target patch against all (frame, patch)
@@ -41,8 +39,6 @@ def build_correspondence(
     """
     target_feats = np.asarray(target_feats)
     anchor_feats = np.asarray(anchor_feats)
-    if anchor_feats.ndim != 3 or anchor_feats.shape[0] == 0:
-        raise ConfigError(f"anchor features must be nonempty (F,P,d), got {anchor_feats.shape}")
     frames, patches, dim = anchor_feats.shape
     sims = np.clip(
         tc.cosine_matrix(target_feats, anchor_feats.reshape(frames * patches, dim)), -1.0, 1.0
@@ -52,7 +48,6 @@ def build_correspondence(
     score = sims[np.arange(sims.shape[0]), linear]
     return CorrespondenceMap(
         target=target,
-        source=tuple(source),
         match_frame=(linear // patches).astype(np.int64),
         match_patch=(linear % patches).astype(np.int64),
         score=score,
@@ -73,8 +68,6 @@ def inject_refinement(
 
     Background patches (mask False) and unmatched patches are bit-unchanged.
     """
-    if not 0.0 <= blend <= 1.0:
-        raise ConfigError(f"blend must be in [0,1], got {blend}")
     o_target = np.asarray(o_target)
     o_anchor = np.asarray(o_anchor)
     if tuple(o_anchor.shape) != corr.anchor_shape:

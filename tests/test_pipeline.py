@@ -5,7 +5,7 @@ import pytest
 
 from storyshots import attention, pipeline, query_control as qc
 from storyshots import tensor_core as tc
-from storyshots.errors import ConfigError, ReproducibilityError
+from storyshots.errors import ConfigError, NonFiniteError, ReproducibilityError
 
 SMALL_SPEC = dict(layers=2, patches_per_side=4, channels=8, frames=4)
 PROMPTS = [
@@ -260,6 +260,16 @@ class TestSample:
         cache = pipeline.run_vanilla(small_config(seed=3), "a red fox", PROMPTS).cache
         with pytest.raises(ReproducibilityError):
             pipeline.run_consistent(small_config(seed=4), "a red fox", PROMPTS, cache=cache)
+
+    def test_non_finite_latents_fail_the_pass(self):
+        cfg = small_config(cfg_scale=1.0e30, sampler_steps=2)
+        vanilla = pipeline.run_vanilla(cfg, "a red fox", PROMPTS)
+        run = pipeline.PipelineRun(
+            cfg, "a red fox", PROMPTS, pipeline.RunMode.CONSISTENT, cache=vanilla.cache
+        )
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="consistent pass"):
+            pipeline.sample(run)
+        assert run.outputs is None
 
     def test_vanilla_forbids_existing_cache(self):
         cache = qc.FeatureCache()

@@ -110,12 +110,14 @@ class TestCli:
     def test_manifest_matches_effective_config(self, io_paths):
         cfg, pro, out = io_paths
         cli.main(
-            ["--config", str(cfg), "--prompts", str(pro), "--out", str(out), "--seed", "9"]
+            ["--config", str(cfg), "--prompts", str(pro), "--out", str(out), "--seed", "9",
+             "--t-pres", "700", "--q-dropout", "0.4"]
         )
         manifest = json.loads((out / "fox" / "manifest.json").read_text())
         parsed = pipeline.StoryboardConfig.from_dict(manifest["config"])
         # flag overrides the config-file seed
         assert parsed.seed == 9 and manifest["seed"] == 9
+        assert manifest["config"]["t_pres"] == 700 and manifest["config"]["q_dropout"] == 0.4
         assert parsed.sampler_steps == SMALL_CONFIG["sampler_steps"]
         assert manifest["mode"] == "refined"
         assert set(manifest["pass_fingerprints"]) == {"vanilla", "consistent", "refined"}
@@ -264,8 +266,36 @@ class TestCli:
         assert names == ["latents_vanilla.tensor", "metrics.csv", "metrics.json", "slices"]
 
     def test_anchor_flag_parsing(self):
-        assert cli._parse_anchors("0,2") == (0, 2)
-        assert cli._parse_anchors(None) is None
+        assert cli._parse_flag("anchors", "0,2") == (0, 2)
+        assert cli._parse_flag("seed", "7") == 7 and cli._parse_flag("q_dropout", "0.4") == 0.4
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--seed", "1.5", "seed must be an integer, got '1.5'"),
+            ("--t-pres", "x", "t_pres must be an integer, got 'x'"),
+            ("--q-dropout", "half", "q_dropout must be a real, got 'half'"),
+        ],
+        ids=["seed", "t_pres", "q_dropout"],
+    )
+    def test_bad_value_flag_fails_the_run(self, io_paths, flag, text, message):
+        cfg, pro, out = io_paths
+        args = ["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]
+        assert cli.main(args) == 0  # an earlier success in the same --out
+        assert cli.main(args + [flag, text]) == 1
+        assert (out / "FAILED").read_text() == f"ConfigError: {message}\n"
+
+    def test_non_finite_pass_fails_the_run(self, tmp_path, capsys):
+        config = dict(SMALL_CONFIG, cfg_scale=1.0e30, sampler_steps=2)
+        cfg = write_yaml(tmp_path / "config.yaml", config)
+        pro = write_yaml(tmp_path / "prompts.yaml", PROMPT_DOC)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)])
+        assert rc == 1
+        assert (out / "FAILED").read_text().startswith("NonFiniteError: consistent pass")
+        assert [p.name for p in (out / "fox").glob("latents_*")] == ["latents_vanilla.tensor"]
+        assert "NonFiniteError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("anchors", ["a", "0,0", "-1", "0.5", ""])
     def test_bad_anchor_flag_fails_before_compute(self, io_paths, anchors):

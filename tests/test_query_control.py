@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from storyshots import pipeline, query_control as qc, tensor_core as tc
-from storyshots.errors import CacheMissError, ConfigError, WindowError
+from storyshots.errors import CacheMissError, ConfigError
 
 
 def exhaustive_match(query, keyframe):
@@ -84,32 +84,35 @@ class TestKeyframeIndex:
         assert kf.bracket(7) == (4, 7)
 
     def test_bracket_needs_two_keyframes(self):
-        with pytest.raises(ConfigError):
-            qc.KeyframeIndex.build(1, 4).bracket(0)
-
-    def test_invalid_spacing(self):
-        with pytest.raises(ConfigError):
-            qc.KeyframeIndex.build(8, 0)
+        # the config rejects query injection below two frames; from two frames
+        # on, every spacing gives the first and last frame as keyframes
+        for frames in range(2, 10):
+            for spacing in range(1, 12):
+                kfs = qc.KeyframeIndex.build(frames, spacing).keyframes
+                assert kfs[0] == 0 and kfs[-1] == frames - 1
 
 
 class TestQPreserve:
+    """select_q's preservation phase, t >= t_pres, which covers every layer,
+    not only the injection layers."""
+
+    def select(self, cache, t):
+        spec = pipeline.ToyModelSpec(layers=3, patches_per_side=2, channels=4, frames=4)
+        cfg = pipeline.StoryboardConfig(t_pres=750, injection_layers=(0,), model=spec, keyframe_spacing=2)
+        live = np.zeros((1, 4, 4, 4), dtype=np.float32)
+        return qc.select_q(t, 2, live, cache, qc.KeyframeIndex.build(4, 2), cfg, np.random.default_rng(0))
+
     def test_returns_cached_verbatim(self):
         cache = qc.FeatureCache()
-        cached = np.arange(8, dtype=np.float32).reshape(1, 1, 2, 4)
+        cached = np.arange(64, dtype=np.float32).reshape(1, 4, 4, 4)
         cache.put(800, 2, cached)
-        live = np.zeros_like(cached)
-        out = qc.q_preserve(live, cache, 800, 2, t_pres=750)
+        out, rec = self.select(cache, 800)
+        assert rec.role == "vanilla"
         assert np.array_equal(out, cached)
-
-    def test_below_window_rejected(self):
-        cache = qc.FeatureCache()
-        cache.put(700, 0, np.zeros((1, 1, 1, 1), dtype=np.float32))
-        with pytest.raises(WindowError):
-            qc.q_preserve(np.zeros((1, 1, 1, 1)), cache, 700, 0, t_pres=750)
 
     def test_cache_miss_hard_fails(self):
         with pytest.raises(CacheMissError):
-            qc.q_preserve(np.zeros((1, 1, 1, 1)), qc.FeatureCache(), 800, 0, t_pres=750)
+            self.select(qc.FeatureCache(), 800)
 
 
 class TestQFlow:
@@ -305,10 +308,6 @@ class TestQDropout:
         assert 0.37 <= kept1 <= 0.43
         assert kept1 == kept2
         assert np.array_equal(out1, out2)
-
-    def test_rate_out_of_range(self):
-        with pytest.raises(ConfigError):
-            qc.q_dropout(np.zeros((2, 2)), np.zeros((2, 2)), 1.5, np.random.default_rng(0))
 
 
 class TestSelectQ:

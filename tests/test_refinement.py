@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from storyshots import refinement as rf
-from storyshots.errors import ConfigError, IntegrityError
+from storyshots.errors import IntegrityError
 
 
 def exhaustive_correspondence(target, anchor):
@@ -70,10 +70,6 @@ class TestBuildCorrespondence:
         assert not corr.matched[0]
         assert corr.matched[1]
 
-    def test_empty_anchor_rejected(self):
-        with pytest.raises(ConfigError):
-            rf.build_correspondence(np.ones((2, 3)), np.zeros((0, 2, 3)))
-
 
 class TestInjectRefinement:
     def setup_method(self):
@@ -115,7 +111,3 @@ class TestInjectRefinement:
     def test_anchor_shape_integrity(self):
         with pytest.raises(IntegrityError):
             rf.inject_refinement(self.target, self.anchor[:1], self.corr, self.mask, 0.5)
-
-    def test_blend_range(self):
-        with pytest.raises(ConfigError):
-            rf.inject_refinement(self.target, self.anchor, self.corr, self.mask, 1.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from storyshots import subject_mask as sm
-from storyshots.errors import ConfigError, DimensionError, ScheduleRangeError
+from storyshots.errors import DimensionError
 
 
 def exhaustive_otsu(scores):
@@ -36,19 +36,6 @@ class TestNoiseSchedule:
         assert (np.diff(sched.alphas) <= 0).all()
         assert (sched.alphas > 0).all()
 
-    def test_rejects_bad_start(self):
-        with pytest.raises(ConfigError):
-            sm.NoiseSchedule(np.linspace(0.5, 0.1, 11), 10)
-
-    def test_rejects_increasing(self):
-        with pytest.raises(ConfigError):
-            sm.NoiseSchedule(np.linspace(1.0, 2.0, 11), 10)
-
-    def test_range_error(self):
-        sched = sm.NoiseSchedule.geometric(10)
-        with pytest.raises(ScheduleRangeError):
-            sched.alpha(11)
-
 
 class TestEstimateX0:
     def test_clean_limit(self):
@@ -69,7 +56,7 @@ class TestEstimateX0:
             assert np.abs(rec - x0).max() < 1e-5
 
     def test_hand_arithmetic(self):
-        sched = sm.NoiseSchedule(np.array([1.0, 0.25]), 1)
+        sched = sm.NoiseSchedule(np.array([1.0, 0.25]))
         out = sm.estimate_x0(
             np.array([1.0], dtype=np.float32), np.array([1.0], dtype=np.float32), 1, sched
         )
