@@ -420,7 +420,8 @@ class _StepHooks:
 
 def sample(run: PipelineRun) -> np.ndarray:
     """Deterministic denoising of a full run; fills run.outputs/audit/masks,
-    or raises NonFiniteError naming the pass if its latents are not finite."""
+    or raises NonFiniteError naming the pass and the first step whose latents
+    are not finite."""
     cfg = run.config
     spec = cfg.model
     shots = run.shots
@@ -451,35 +452,30 @@ def sample(run: PipelineRun) -> np.ndarray:
     x = _init_latents(cfg, shots)
     ts = cfg.timesteps()
     next_ts = ts[1:] + [0]
-    masks = None
     for t, t_next in zip(ts, next_ts):
-        if run.mode != RunMode.VANILLA:
+        sdsa_on = run.mode != RunMode.VANILLA and _in_window(cfg.sdsa_window, t)
+        refine_on = run.mode == RunMode.REFINED and _in_window(cfg.refine_window, t)
+        masks = None  # read only by SDSA and refinement
+        if sdsa_on or refine_on:
             e_probe = model.forward(x, run.prompts, cond=True, hooks=None)
-            x0_probe = subject_mask.estimate_x0(x, e_probe, t, sched)
-            masks = _build_masks(run, x0_probe)
-        hooks = _StepHooks(
-            run,
-            t,
-            masks,
-            topology,
-            kf,
-            sdsa_on=run.mode != RunMode.VANILLA and _in_window(cfg.sdsa_window, t),
-            refine_on=run.mode == RunMode.REFINED and _in_window(cfg.refine_window, t),
-        )
+            masks = _build_masks(run, subject_mask.estimate_x0(x, e_probe, t, sched))
+        hooks = _StepHooks(run, t, masks, topology, kf, sdsa_on, refine_on)
         e_cond = model.forward(x, run.prompts, cond=True, hooks=hooks.for_pass("cond"))
         e_uncond = model.forward(x, run.prompts, cond=False, hooks=hooks.for_pass("uncond"))
-        e = (
-            e_uncond.astype(np.float64)
-            + cfg.cfg_scale * (e_cond.astype(np.float64) - e_uncond.astype(np.float64))
-        ).astype(tc.F32)
-        x0 = subject_mask.estimate_x0(x, e, t, sched)
-        a_next = sched.alpha(t_next)
-        x = (
-            math.sqrt(a_next) * x0.astype(np.float64)
-            + math.sqrt(1.0 - a_next) * e.astype(np.float64)
-        ).astype(tc.F32)
-    if not np.isfinite(x).all():  # e.g. a cfg_scale large enough to overflow float32
-        raise NonFiniteError(f"{run.mode.value} pass produced non-finite latents")
+        # overflow (e.g. a large cfg_scale) is reported below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = (
+                e_uncond.astype(np.float64)
+                + cfg.cfg_scale * (e_cond.astype(np.float64) - e_uncond.astype(np.float64))
+            ).astype(tc.F32)
+            x0 = subject_mask.estimate_x0(x, e, t, sched)
+            a_next = sched.alpha(t_next)
+            x = (
+                math.sqrt(a_next) * x0.astype(np.float64)
+                + math.sqrt(1.0 - a_next) * e.astype(np.float64)
+            ).astype(tc.F32)
+        if not np.isfinite(x).all():
+            raise NonFiniteError(f"{run.mode.value} pass produced non-finite latents at t={t}")
     run.outputs = x
     # masks over the final clean latents, shared by all modes for metrics
     run.final_masks = _build_masks(run, x)

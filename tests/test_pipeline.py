@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from storyshots import attention, pipeline, query_control as qc
+from storyshots import attention, pipeline, query_control as qc, subject_mask
 from storyshots import tensor_core as tc
 from storyshots.errors import ConfigError, NonFiniteError, ReproducibilityError
 
@@ -224,6 +225,20 @@ class TestPlainAttentionChunks:
         assert np.array_equal(got, per_item_forward(model, x, PROMPTS))
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap owner.name (a method or classmethod) to log one entry per call."""
+    calls = []
+    method = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return method(*args, **kwargs)
+
+    is_class = isinstance(owner.__dict__[name], classmethod)
+    monkeypatch.setattr(owner, name, staticmethod(counted) if is_class else counted)
+    return calls
+
+
 class TestSample:
     def test_double_run_bit_identical(self):
         cfg = small_config()
@@ -261,15 +276,55 @@ class TestSample:
         with pytest.raises(ReproducibilityError):
             pipeline.run_consistent(small_config(seed=4), "a red fox", PROMPTS, cache=cache)
 
-    def test_non_finite_latents_fail_the_pass(self):
-        cfg = small_config(cfg_scale=1.0e30, sampler_steps=2)
-        vanilla = pipeline.run_vanilla(cfg, "a red fox", PROMPTS)
-        run = pipeline.PipelineRun(
-            cfg, "a red fox", PROMPTS, pipeline.RunMode.CONSISTENT, cache=vanilla.cache
-        )
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="consistent pass"):
-            pipeline.sample(run)
+    def test_non_finite_latents_fail_the_pass(self, monkeypatch):
+        # the guidance blend overflows at t = 750, the second of four steps
+        cfg = small_config(cfg_scale=1.0e30, sampler_steps=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vanilla = pipeline.run_vanilla(cfg, "a red fox", PROMPTS)
+            forwards = count_calls(monkeypatch, pipeline.ToyModel, "forward")
+            run = pipeline.PipelineRun(
+                cfg, "a red fox", PROMPTS, pipeline.RunMode.CONSISTENT, cache=vanilla.cache
+            )
+            with pytest.raises(NonFiniteError, match=r"^consistent pass .* at t=750$"):
+                pipeline.sample(run)
         assert run.outputs is None
+        # t = 1000: cond + uncond; t = 750: probe + cond + uncond; no later step
+        assert len(forwards) == 5 < 2 * 4 + 1
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            {},
+            dict(sdsa_window=(550, 750), refine_window=(700, 950)),
+            dict(sdsa_window=None),
+            dict(sdsa_window=None, refine_window=None),
+        ],
+        ids=["default", "overlapping", "refine_only", "none"],
+    )
+    def test_probe_runs_only_where_masks_are_read(self, monkeypatch, windows):
+        cfg = small_config(**windows)
+        ts = cfg.timesteps()
+
+        def steps_in(window):
+            return set() if window is None else {t for t in ts if window[0] <= t <= window[1]}
+
+        forwards = count_calls(monkeypatch, pipeline.ToyModel, "forward")
+        builds = count_calls(monkeypatch, subject_mask.SubjectMaskSet, "from_saliency")
+        sdsa, refine = steps_in(cfg.sdsa_window), steps_in(cfg.refine_window)
+        cache = None
+        for mode, probes in (
+            (pipeline.RunMode.VANILLA, 0),
+            (pipeline.RunMode.CONSISTENT, len(sdsa)),
+            (pipeline.RunMode.REFINED, len(sdsa | refine)),
+        ):
+            forwards.clear()
+            builds.clear()
+            run = pipeline.PipelineRun(cfg, "a red fox", PROMPTS, mode, cache=cache)
+            pipeline.sample(run)
+            cache = run.cache
+            assert len(forwards) == 2 * len(ts) + probes, mode
+            assert len(builds) == probes + 1, mode  # + final_masks
 
     def test_vanilla_forbids_existing_cache(self):
         cache = qc.FeatureCache()

@@ -290,8 +290,7 @@ class TestCli:
         cfg = write_yaml(tmp_path / "config.yaml", config)
         pro = write_yaml(tmp_path / "prompts.yaml", PROMPT_DOC)
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            rc = cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)])
+        rc = cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)])
         assert rc == 1
         assert (out / "FAILED").read_text().startswith("NonFiniteError: consistent pass")
         assert [p.name for p in (out / "fox").glob("latents_*")] == ["latents_vanilla.tensor"]
