@@ -61,7 +61,10 @@ def _effective_config(config_path, overrides: dict) -> pipeline.StoryboardConfig
     data = None
     if config_path is not None:
         with open(config_path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            try:
+                data = yaml.safe_load(fh)
+            except (yaml.YAMLError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"config file {config_path} is not valid YAML: {exc}") from None
     data = {} if data is None else data  # None: no file, or an empty one
     overrides = {k: _parse_flag(k, v) for k, v in overrides.items() if v is not None}
     if isinstance(data, dict):  # from_dict rejects any other document
@@ -110,10 +113,8 @@ def _write_metrics(out_dir: Path, run: pipeline.PipelineRun) -> None:
 
 
 def _write_audit(path: Path, audit) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in audit:
-            fh.write(json.dumps(record, separators=(",", ":")))
-            fh.write("\n")
+    text = "".join(json.dumps(record, separators=(",", ":")) + "\n" for record in audit)
+    tensor_core.write_atomic(path, text.encode("utf-8"))
 
 
 def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", overrides=None) -> int:

@@ -5,12 +5,14 @@ subject consistency, a block-matching motion proxy, and y-t slice extraction.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor_core as tc
 from .errors import ConfigError, DimensionError, InsufficientShotsError
 
 # --- consistency -----------------------------------------------------------
@@ -155,9 +157,7 @@ def write_pgm(path, image: np.ndarray) -> None:
         scaled = np.zeros_like(image)
     data = np.round(scaled).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes(order="C"))
+    tc.write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + data.tobytes(order="C"))
 
 
 # --- report output --------------------------------------------------------
@@ -165,13 +165,12 @@ def write_pgm(path, image: np.ndarray) -> None:
 def write_reports(path_csv, path_json, rows) -> None:
     """rows: iterable of (metric, mean, sem, n)."""
     rows = list(rows)
-    with open(path_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "sem", "n"])
-        writer.writerows(rows)
+    buf = io.StringIO()  # csv ends each row with \r\n
+    writer = csv.writer(buf)
+    writer.writerow(["metric", "mean", "sem", "n"])
+    writer.writerows(rows)
+    tc.write_atomic(path_csv, buf.getvalue().encode("utf-8"))
     payload = [
         {"metric": m, "mean": mean, "sem": sem, "n": n} for m, mean, sem, n in rows
     ]
-    with open(path_json, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    tc.write_atomic(path_json, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))

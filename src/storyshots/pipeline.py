@@ -329,13 +329,12 @@ class _StepHooks:
     """Per-timestep hook state shared by the conditional and unconditional
     passes, so refinement reuses the identical correspondence maps."""
 
-    def __init__(self, run, t, masks, topology, kf, sdsa_on, refine_on):
+    def __init__(self, run, t, masks, topology, sdsa_on, refine_on):
         self.run = run
         self.cfg = run.config
         self.t = t
         self.masks = masks
         self.topology = topology
-        self.kf = kf
         self.sdsa_on = sdsa_on
         self.refine_on = refine_on
         self.pass_tag = "cond"
@@ -358,7 +357,7 @@ class _StepHooks:
             return q
         # the same decision must feed both passes identically; cond only here
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7919, t, layer]))
-        q_out, rec = query_control.select_q(t, layer, q, run.cache, self.kf, cfg, rng)
+        q_out, rec = query_control.select_q(t, layer, q, run.cache, cfg, rng)
         run.audit.append(
             {
                 "event": "query",
@@ -445,10 +444,6 @@ def sample(run: PipelineRun) -> np.ndarray:
                 "cache fingerprint does not match this run's generators"
             )
 
-    kf = None
-    if run.mode != RunMode.VANILLA and cfg.q_injection:
-        kf = query_control.KeyframeIndex.build(spec.frames, cfg.keyframe_spacing)
-
     x = _init_latents(cfg, shots)
     ts = cfg.timesteps()
     next_ts = ts[1:] + [0]
@@ -459,7 +454,7 @@ def sample(run: PipelineRun) -> np.ndarray:
         if sdsa_on or refine_on:
             e_probe = model.forward(x, run.prompts, cond=True, hooks=None)
             masks = _build_masks(run, subject_mask.estimate_x0(x, e_probe, t, sched))
-        hooks = _StepHooks(run, t, masks, topology, kf, sdsa_on, refine_on)
+        hooks = _StepHooks(run, t, masks, topology, sdsa_on, refine_on)
         e_cond = model.forward(x, run.prompts, cond=True, hooks=hooks.for_pass("cond"))
         e_uncond = model.forward(x, run.prompts, cond=False, hooks=hooks.for_pass("uncond"))
         # overflow (e.g. a large cfg_scale) is reported below, not as numpy warnings

@@ -53,6 +53,9 @@ def parse_prompt_sets(data: dict) -> list:
 def load_prompts(path) -> list:
     """Load validated prompt sets in file order."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise PromptError(f"prompt file {path} is not valid YAML: {exc}") from None
     return parse_prompt_sets(data)
 

@@ -9,7 +9,6 @@ dropout can soften either injection.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -22,11 +21,11 @@ from .errors import CacheMissError, ConfigError
 @dataclass
 class FeatureCache:
     """(timestep, layer_id) -> cached vanilla-pass queries (S, F, P, d), and
-    the flow match fields computed from them, memoised per keyframe set."""
+    the flow match fields computed from them, memoised per keyframe spacing."""
 
     entries: dict = field(default_factory=dict)
     seed_fingerprint: str = ""
-    # (t, layer_id, keyframes) -> FlowField; put() drops its key's fields
+    # (t, layer_id, spacing) -> FlowField; put() drops its key's fields
     flow_fields: dict = field(default_factory=dict, repr=False)
 
     def put(self, t: int, layer_id: int, q: np.ndarray) -> None:
@@ -40,12 +39,12 @@ class FeatureCache:
         except KeyError:
             raise CacheMissError(f"no cached queries for (t={t}, layer={layer_id})")
 
-    def flow_field(self, t: int, layer_id: int, kf: KeyframeIndex) -> FlowField:
+    def flow_field(self, t: int, layer_id: int, spacing: int) -> FlowField:
         """The match field of the cached queries at (t, layer_id), computed on
         first use and kept until put() replaces those queries."""
-        key = (t, layer_id, tuple(kf.keyframes))
+        key = (t, layer_id, spacing)
         if key not in self.flow_fields:
-            self.flow_fields[key] = match_field(self.get(t, layer_id), kf)
+            self.flow_fields[key] = match_field(self.get(t, layer_id), spacing)
         return self.flow_fields[key]
 
     def __len__(self) -> int:
@@ -58,31 +57,13 @@ def fingerprint(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class KeyframeIndex:
-    keyframes: list  # strictly increasing, as build() makes them
-
-    @classmethod
-    def build(cls, frames: int, spacing: int) -> "KeyframeIndex":
-        kfs = list(range(0, max(frames - 1, 1), spacing))
-        if kfs[-1] != frames - 1:
-            kfs.append(frames - 1)
-        return cls(kfs)
-
-    def bracket(self, frame: int):
-        """Nearest keyframes (f_A, f_B) with f_A <= frame <= f_B, f_A < f_B.
-
-        A frame that is itself a keyframe acts as f_A with the next keyframe
-        as f_B; the final frame uses the preceding keyframe as f_A.
-        """
-        kfs = self.keyframes
-        if not kfs[0] <= frame <= kfs[-1]:
-            raise ConfigError(f"frame {frame} outside keyframe span {kfs[0]}..{kfs[-1]}")
-        if frame == kfs[-1]:
-            return kfs[-2], kfs[-1]
-        f_a = max(k for k in kfs if k <= frame)
-        f_b = min(k for k in kfs if k > frame)
-        return f_a, f_b
+def keyframe_brackets(frames: int, spacing: int):
+    """Each frame's nearest keyframes (f_a, f_b), f_a <= frame <= f_b and
+    f_a < f_b, as two int arrays (frames >= 2). Keyframes are the multiples of
+    spacing below the last frame, and the last frame; a keyframe acts as f_a,
+    and the last frame takes the keyframe before it as f_a."""
+    f_a = np.minimum(np.arange(frames), frames - 2) // spacing * spacing
+    return f_a, np.minimum(f_a + spacing, frames - 1)
 
 
 @dataclass
@@ -102,23 +83,24 @@ class FlowField:
     zero: np.ndarray
 
 
-def match_field(q_v: np.ndarray, kf: KeyframeIndex) -> FlowField:
+def match_field(q_v: np.ndarray, spacing: int) -> FlowField:
     """Match every vanilla query (S, F, P, d) against the vanilla queries of
     its frame's two bracketing keyframes, in the same shot.
 
     One cosine matmul per (shot, bracket) covers all of the bracket's frames
-    and both keyframes; argmax takes the first maximum, so ties break to the
-    lowest patch index.
+    and both keyframes; argmax takes the first maximum of the clipped
+    cosines, so ties break to the lowest patch index.
     """
     q_v = np.asarray(q_v)
     if q_v.ndim != 4:
         raise ConfigError(f"expected (S,F,P,d) vanilla queries, got {q_v.shape}")
     S, F, P, d = q_v.shape
-    f_a, f_b = np.array([kf.bracket(f) for f in range(F)]).T
+    f_a, f_b = keyframe_brackets(F, spacing)
     match_a = np.empty((S, F, P), np.min_scalar_type(P - 1))
     match_b = np.empty_like(match_a)
-    for (a, b), frames in itertools.groupby(range(F), kf.bracket):
-        span = list(frames)
+    for a in dict.fromkeys(f_a.tolist()):  # np.unique would import numpy.ma, +1 MB RSS
+        span = np.flatnonzero(f_a == a)
+        b = f_b[span[0]]
         for s in range(S):
             sims = tc.cosine_matrix(q_v[s, span].reshape(-1, d), q_v[s, [a, b]].reshape(-1, d))
             best = np.argmax(sims.reshape(len(span), P, 2, P), axis=-1)
@@ -178,15 +160,7 @@ class QueryAudit:
     dropout_kept_fraction: float = 0.0
 
 
-def select_q(
-    t: int,
-    layer: int,
-    q_c: np.ndarray,
-    cache,
-    kf: KeyframeIndex,
-    cfg,
-    rng: np.random.Generator,
-):
+def select_q(t: int, layer: int, q_c: np.ndarray, cache, cfg, rng: np.random.Generator):
     """Dispatch one (timestep, layer) query decision.
 
     t >= t_pres: preservation (the cached vanilla queries verbatim); below
@@ -200,7 +174,7 @@ def select_q(
         q_inj = cache.get(t, layer)
         role = "vanilla"
     elif layer in injection_layers:
-        q_inj = q_flow(q_c, cache.flow_field(t, layer, kf), cfg.q_weight_mode)
+        q_inj = q_flow(q_c, cache.flow_field(t, layer, cfg.keyframe_spacing), cfg.q_weight_mode)
         role = "flow"
     else:
         return q_c, QueryAudit(t, layer, "consistent", 0.0)

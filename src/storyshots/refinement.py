@@ -34,17 +34,15 @@ def build_correspondence(
     map_id: int = 0,
 ) -> CorrespondenceMap:
     """Argmax-cosine match of each target patch against all (frame, patch)
-    anchor features; ties break to the lowest linear index. Zero-norm target
-    vectors are left unmatched and flagged.
+    anchor features, by the rule match_field uses: ties break to the lowest
+    linear index, and zero target vectors are left unmatched and flagged.
     """
     target_feats = np.asarray(target_feats)
     anchor_feats = np.asarray(anchor_feats)
     frames, patches, dim = anchor_feats.shape
-    sims = np.clip(
-        tc.cosine_matrix(target_feats, anchor_feats.reshape(frames * patches, dim)), -1.0, 1.0
-    )
+    sims = tc.cosine_matrix(target_feats, anchor_feats.reshape(frames * patches, dim))
     linear = np.argmax(sims, axis=1)
-    matched = np.linalg.norm(target_feats.astype(np.float64), axis=1) > 0
+    matched = target_feats.any(axis=1)
     score = sims[np.arange(sims.shape[0]), linear]
     return CorrespondenceMap(
         target=target,

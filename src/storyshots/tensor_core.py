@@ -62,8 +62,11 @@ def _unit_rows(x) -> np.ndarray:
 
 def cosine_matrix(a, b) -> np.ndarray:
     """Float64 cosine similarity of every row of a (m, d) against every row
-    of b (n, d), unclipped. Zero-norm rows get similarity 0 against all."""
-    return _unit_rows(a) @ _unit_rows(b).T
+    of b (n, d), clipped to [-1, 1], so parallel rows score exactly 1 and
+    argmax ties among them break to the lowest index. Zero-norm rows get
+    similarity 0 against all."""
+    sims = _unit_rows(a) @ _unit_rows(b).T
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def sigmoid(x: float) -> float:
@@ -100,13 +103,20 @@ def save_tensor(path, arr: np.ndarray) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    """Read a save_tensor file; any header it would not write raises
+    DimensionError."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("dtype") != _HEADER_DTYPE or header.get("order") != _HEADER_ORDER:
-            raise DimensionError(f"unsupported tensor header in {os.fspath(path)}")
-        shape = tuple(int(s) for s in header["shape"])
         payload = fh.read()
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+        shape = tuple(header["shape"])
+        ok = header.get("dtype") == _HEADER_DTYPE and header.get("order") == _HEADER_ORDER
+        ok = ok and all(type(n) is int and n >= 0 for n in shape)
+    except (ValueError, KeyError, TypeError):  # decode and JSON errors are ValueErrors
+        ok = False
+    if not ok:
+        raise DimensionError(f"unsupported tensor header in {os.fspath(path)}")
     arr = np.frombuffer(payload, dtype="<f4")
     expected = int(np.prod(shape)) if shape else 1
     if arr.size != expected:

@@ -152,8 +152,7 @@ def test_acceptance_03_q_flow_matching_oracle():
             # distinct live rows make any wrong match show in the blend
             q_v = np.stack([keyframe, query, keyframe])
             q_c = live.standard_normal((3, p, d)).astype(np.float32)
-            kf = qc.KeyframeIndex.build(3, 2)
-            got = qc.q_flow(q_c[None], qc.match_field(q_v[None], kf), "linear")[0, 1]
+            got = qc.q_flow(q_c[None], qc.match_field(q_v[None], 2), "linear")[0, 1]
             match = exhaustive_match(query, keyframe)
             expected = (
                 0.5 * q_c[0][match].astype(np.float64) + 0.5 * q_c[2][match].astype(np.float64)
@@ -167,14 +166,13 @@ def test_acceptance_04_q_flow_blend_identities():
     def body():
         rng = np.random.default_rng(400)
         frames = 12
-        kf = qc.KeyframeIndex.build(frames, 4)
         q_v = rng.standard_normal((frames, 6, 4)).astype(np.float32)
         q_const = np.full((frames, 6, 4), 0.7, dtype=np.float32)
-        out = qc.q_flow(q_const[None], qc.match_field(q_v[None], kf))[0]
+        out = qc.q_flow(q_const[None], qc.match_field(q_v[None], 4))[0]
+        f_a, f_b = qc.keyframe_brackets(frames, 4)
         for f in range(frames):
             assert np.abs(out[f] - 0.7).max() < 1e-6
-            f_a, f_b = kf.bracket(f)
-            w = tc.sigmoid((f_b - f) / (f_b - f_a))
+            w = tc.sigmoid((f_b[f] - f) / (f_b[f] - f_a[f]))
             assert 0.5 <= w <= 0.731059 + 1e-6
 
     _check("04 q-flow blend identities and weight range", body)

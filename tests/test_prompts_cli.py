@@ -223,16 +223,17 @@ class TestCli:
             modes.append(run.mode)
             return real_sample(run)
 
-        def match_field(q_v, kf):
+        def match_field(q_v, spacing):
             calls.append(modes[-1])
-            return real_match_field(q_v, kf)
+            return real_match_field(q_v, spacing)
 
         monkeypatch.setattr(pipeline, "sample", sample)
         monkeypatch.setattr(query_control, "match_field", match_field)
         assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 0
         assert [m.value for m in modes] == ["vanilla", "consistent", "refined"]
         for mode in ("consistent", "refined"):
-            records = [json.loads(line) for line in (out / "fox" / f"audit_{mode}.jsonl").open()]
+            lines = (out / "fox" / f"audit_{mode}.jsonl").read_text().splitlines()
+            records = [json.loads(line) for line in lines]
             flows = [(r["t"], r["layer"]) for r in records if r.get("role") == "flow"]
             assert flows and len(set(flows)) == len(flows)
         assert calls == [pipeline.RunMode.CONSISTENT] * len(flows)
@@ -264,6 +265,44 @@ class TestCli:
         assert "disk full" in (out / "FAILED").read_text()
         names = sorted(p.name for p in (out / "fox").iterdir())
         assert names == ["latents_vanilla.tensor", "metrics.csv", "metrics.json", "slices"]
+
+    @pytest.mark.parametrize(
+        "name", ["audit_consistent.jsonl", "audit_refined.jsonl", "metrics.csv", "metrics.json", "shot_0.pgm"]
+    )
+    def test_failed_artifact_write_leaves_no_artifact(self, io_paths, monkeypatch, name):
+        cfg, pro, out = io_paths
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if str(dst).endswith(name):
+                raise OSError("disk full")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 1
+        assert "disk full" in (out / "FAILED").read_text()
+        names = {p.name for p in (out / "fox").rglob("*")}
+        assert name not in names and "manifest.json" not in names
+        assert not [n for n in names if n.endswith(".tmp")]
+
+    @pytest.mark.parametrize(
+        "which, data, error",
+        [
+            ("config", b"seed: [1\n", "ConfigError"),
+            ("prompts", b"fox: [\n", "PromptError"),
+            ("config", b"seed: \xff\n", "ConfigError"),  # not UTF-8
+            ("prompts", b"fox: \xff\n", "PromptError"),
+        ],
+        ids=["config", "prompts", "config-utf8", "prompts-utf8"],
+    )
+    def test_malformed_yaml_fails_the_run(self, io_paths, capsys, which, data, error):
+        cfg, pro, out = io_paths
+        (cfg if which == "config" else pro).write_bytes(data)
+        assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 1
+        assert (out / "FAILED").read_text().startswith(f"{error}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+        assert not list(out.rglob("latents_*.tensor"))
 
     def test_anchor_flag_parsing(self):
         assert cli._parse_flag("anchors", "0,2") == (0, 2)

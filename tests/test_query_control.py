@@ -20,26 +20,43 @@ def exhaustive_match(query, keyframe):
     return np.array(out)
 
 
-def oracle_flow(q_c, q_v, kf, frame, w):
+def oracle_bracket(frames, spacing, frame):
+    """Nearest keyframes (f_A, f_B) with f_A <= frame <= f_B, f_A < f_B, by
+    search over the keyframe list (every spacing-th frame below the last
+    frame, then the last frame); the final frame uses the preceding one."""
+    kfs = list(range(0, max(frames - 1, 1), spacing))
+    if kfs[-1] != frames - 1:
+        kfs.append(frames - 1)
+    if frame == kfs[-1]:
+        return kfs[-2], kfs[-1]
+    return max(k for k in kfs if k <= frame), min(k for k in kfs if k > frame)
+
+
+def brackets(frames, spacing):
+    """keyframe_brackets as a list of (f_a, f_b) per frame."""
+    return list(zip(*(a.tolist() for a in qc.keyframe_brackets(frames, spacing))))
+
+
+def oracle_flow(q_c, q_v, spacing, frame, w):
     """q_flow's blend with the exhaustive matches as its match field."""
-    f_a, f_b = kf.bracket(frame)
+    f_a, f_b = oracle_bracket(len(q_v), spacing, frame)
     ma = exhaustive_match(q_v[frame], q_v[f_a])
     mb = exhaustive_match(q_v[frame], q_v[f_b])
     return (w * q_c[f_a][ma].astype(np.float64) + (1 - w) * q_c[f_b][mb].astype(np.float64)).astype(np.float32)
 
 
-def flow_frame(q_c, q_v, kf, frame, weight_mode="sigmoid"):
+def flow_frame(q_c, q_v, spacing, frame, weight_mode="sigmoid"):
     """One shot's (F, P, d) queries through match_field + q_flow; returns the
     blend at `frame` and the patches the field flags as zero there."""
-    fld = qc.match_field(q_v[None], kf)
+    fld = qc.match_field(q_v[None], spacing)
     out = qc.q_flow(q_c[None], fld, weight_mode)
     return out[0, frame], np.flatnonzero(fld.zero[0, frame])
 
 
-def per_frame_flow(q_c, q_v, kf, frame, weight_mode):
+def per_frame_flow(q_c, q_v, spacing, frame, weight_mode):
     """Reference for one (F, P, d) shot and one frame: both matchings and the
     blend computed for that frame alone."""
-    f_a, f_b = kf.bracket(frame)
+    f_a, f_b = oracle_bracket(len(q_v), spacing, frame)
     ratio = (f_b - frame) / (f_b - f_a)
     w = tc.sigmoid(ratio) if weight_mode == "sigmoid" else ratio
     ma = np.argmax(tc.cosine_matrix(q_v[frame], q_v[f_a]), axis=1)
@@ -63,33 +80,39 @@ class TestFeatureCache:
 
 
 class TestKeyframeIndex:
+    """keyframe_brackets against the keyframe-list rule (oracle_bracket)."""
+
     def test_build_includes_endpoints(self):
-        kf = qc.KeyframeIndex.build(8, 4)
-        assert kf.keyframes == [0, 4, 7]
+        f_a, f_b = qc.keyframe_brackets(8, 4)
+        assert sorted({*f_a.tolist(), *f_b.tolist()}) == [0, 4, 7]
 
     def test_build_exact_multiple(self):
-        assert qc.KeyframeIndex.build(9, 4).keyframes == [0, 4, 8]
+        f_a, f_b = qc.keyframe_brackets(9, 4)
+        assert sorted({*f_a.tolist(), *f_b.tolist()}) == [0, 4, 8]
 
     def test_bracket_interior(self):
-        kf = qc.KeyframeIndex.build(8, 4)
-        assert kf.bracket(5) == (4, 7)
+        assert brackets(8, 4)[5] == (4, 7)
 
     def test_bracket_on_keyframe_uses_it_as_lower(self):
-        kf = qc.KeyframeIndex.build(8, 4)
-        assert kf.bracket(4) == (4, 7)
-        assert kf.bracket(0) == (0, 4)
+        assert brackets(8, 4)[4] == (4, 7)
+        assert brackets(8, 4)[0] == (0, 4)
 
     def test_bracket_last_frame(self):
-        kf = qc.KeyframeIndex.build(8, 4)
-        assert kf.bracket(7) == (4, 7)
+        assert brackets(8, 4)[7] == (4, 7)
 
     def test_bracket_needs_two_keyframes(self):
         # the config rejects query injection below two frames; from two frames
         # on, every spacing gives the first and last frame as keyframes
         for frames in range(2, 10):
             for spacing in range(1, 12):
-                kfs = qc.KeyframeIndex.build(frames, spacing).keyframes
-                assert kfs[0] == 0 and kfs[-1] == frames - 1
+                f_a, f_b = qc.keyframe_brackets(frames, spacing)
+                assert f_a[0] == 0 and f_b[-1] == frames - 1
+
+    def test_matches_keyframe_list_rule(self):
+        for frames in range(2, 40):
+            for spacing in range(1, 45):
+                expected = [oracle_bracket(frames, spacing, f) for f in range(frames)]
+                assert brackets(frames, spacing) == expected, (frames, spacing)
 
 
 class TestQPreserve:
@@ -100,7 +123,7 @@ class TestQPreserve:
         spec = pipeline.ToyModelSpec(layers=3, patches_per_side=2, channels=4, frames=4)
         cfg = pipeline.StoryboardConfig(t_pres=750, injection_layers=(0,), model=spec, keyframe_spacing=2)
         live = np.zeros((1, 4, 4, 4), dtype=np.float32)
-        return qc.select_q(t, 2, live, cache, qc.KeyframeIndex.build(4, 2), cfg, np.random.default_rng(0))
+        return qc.select_q(t, 2, live, cache, cfg, np.random.default_rng(0))
 
     def test_returns_cached_verbatim(self):
         cache = qc.FeatureCache()
@@ -121,8 +144,7 @@ class TestQFlow:
         F, P, d = 8, 6, 4
         q_v = rng.standard_normal((F, P, d)).astype(np.float32)
         q_c = rng.standard_normal((F, P, d)).astype(np.float32)
-        kf = qc.KeyframeIndex.build(F, 4)
-        out, skipped = flow_frame(q_c, q_v, kf, frame=4)
+        out, skipped = flow_frame(q_c, q_v, 4, frame=4)
         assert skipped.size == 0
         w = tc.sigmoid(1.0)
         match_b = exhaustive_match(q_v[4], q_v[7])
@@ -134,8 +156,7 @@ class TestQFlow:
         F, P, d = 6, 5, 3
         q_v = rng.standard_normal((F, P, d)).astype(np.float32)
         q_c = np.full((F, P, d), 1.5, dtype=np.float32)
-        kf = qc.KeyframeIndex.build(F, 2)
-        out, _ = flow_frame(q_c, q_v, kf, frame=3)
+        out, _ = flow_frame(q_c, q_v, 2, frame=3)
         assert np.abs(out - 1.5).max() < 1e-6
 
     @pytest.mark.parametrize("seed", range(10))
@@ -144,15 +165,15 @@ class TestQFlow:
         F, P, d = 6, 16, 8
         q_v = rng.standard_normal((F, P, d)).astype(np.float32)
         q_c = rng.standard_normal((F, P, d)).astype(np.float32)
-        kf = qc.KeyframeIndex.build(F, 2)
+        spacing = 2
         f = 3
-        f_a, f_b = kf.bracket(f)
-        out, _ = flow_frame(q_c, q_v, kf, frame=f)
-        expected = oracle_flow(q_c, q_v, kf, f, tc.sigmoid((f_b - f) / (f_b - f_a)))
+        f_a, f_b = oracle_bracket(F, spacing, f)
+        out, _ = flow_frame(q_c, q_v, spacing, frame=f)
+        expected = oracle_flow(q_c, q_v, spacing, f, tc.sigmoid((f_b - f) / (f_b - f_a)))
         assert np.array_equal(out, expected)
-        fld = qc.match_field(q_v[None], kf)
+        fld = qc.match_field(q_v[None], spacing)
         for g in range(F):
-            g_a, g_b = kf.bracket(g)
+            g_a, g_b = oracle_bracket(F, spacing, g)
             assert (fld.f_a[g], fld.f_b[g]) == (g_a, g_b)
             assert np.array_equal(fld.match_a[0, g], exhaustive_match(q_v[g], q_v[g_a]))
             assert np.array_equal(fld.match_b[0, g], exhaustive_match(q_v[g], q_v[g_b]))
@@ -163,10 +184,18 @@ class TestQFlow:
         keyframe = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 0.0]], dtype=np.float32)
         q_v = np.stack([keyframe, q, keyframe])
         q_c = np.random.default_rng(5).standard_normal((3, 3, 2)).astype(np.float32)
-        kf = qc.KeyframeIndex.build(3, 2)
-        out, _ = flow_frame(q_c, q_v, kf, frame=1, weight_mode="linear")
+        out, _ = flow_frame(q_c, q_v, 2, frame=1, weight_mode="linear")
         expected = (0.5 * q_c[0, 1].astype(np.float64) + 0.5 * q_c[2, 1].astype(np.float64)).astype(np.float32)
         assert np.array_equal(out[0], expected)
+
+    def test_parallel_candidates_of_different_scale_tie(self):
+        # unclipped, x against 5x reads 1.0000000000000002 and x against x 1.0
+        x = np.float32([0.03895462676882744, 1.1896648406982422])
+        keyframe = np.stack([x, x * np.float32(5)])
+        q_v = np.stack([keyframe, np.stack([x, -x]), keyframe])[None]
+        fld = qc.match_field(q_v, 2)
+        assert fld.match_a[0, 1, 0] == 0 and fld.match_b[0, 1, 0] == 0
+        assert fld.match_a[0, 1, 1] == 0 and fld.match_b[0, 1, 1] == 0
 
     def test_zero_query_keeps_live(self):
         rng = np.random.default_rng(2)
@@ -174,15 +203,13 @@ class TestQFlow:
         q_v = rng.standard_normal((F, P, d)).astype(np.float32)
         q_v[1, 2] = 0.0
         q_c = rng.standard_normal((F, P, d)).astype(np.float32)
-        kf = qc.KeyframeIndex.build(F, 3)
-        out, skipped = flow_frame(q_c, q_v, kf, frame=1)
+        out, skipped = flow_frame(q_c, q_v, 3, frame=1)
         assert list(skipped) == [2]
         assert np.array_equal(out[2], q_c[1, 2])
 
     def test_interior_weight_range(self):
-        kf = qc.KeyframeIndex.build(12, 4)
         for f in range(12):
-            f_a, f_b = kf.bracket(f)
+            f_a, f_b = oracle_bracket(12, 4, f)
             w = tc.sigmoid((f_b - f) / (f_b - f_a))
             assert 0.5 <= w <= 0.731059 + 1e-6
 
@@ -191,12 +218,12 @@ class TestQFlow:
         F, P, d = 6, 8, 4
         q_v = rng.standard_normal((F, P, d)).astype(np.float32)
         q_c = rng.standard_normal((F, P, d)).astype(np.float32)
-        kf = qc.KeyframeIndex.build(F, 2)
+        spacing = 2
         f = 1
-        f_a, f_b = kf.bracket(f)
+        f_a, f_b = oracle_bracket(F, spacing, f)
         ma = exhaustive_match(q_v[f], q_v[f_a])
         mb = exhaustive_match(q_v[f], q_v[f_b])
-        out, _ = flow_frame(q_c, q_v, kf, frame=f)
+        out, _ = flow_frame(q_c, q_v, spacing, frame=f)
         for p in range(P):
             bound = max(np.linalg.norm(q_c[f_a, ma[p]]), np.linalg.norm(q_c[f_b, mb[p]]))
             assert np.linalg.norm(out[p]) <= bound + 1e-6
@@ -206,9 +233,9 @@ class TestQFlow:
         F, P, d = 5, 4, 3
         q_v = rng.standard_normal((F, P, d)).astype(np.float32)
         q_c = rng.standard_normal((F, P, d)).astype(np.float32)
-        kf = qc.KeyframeIndex.build(F, 4)
-        out, _ = flow_frame(q_c, q_v, kf, frame=2, weight_mode="linear")
-        assert np.abs(out - oracle_flow(q_c, q_v, kf, 2, 2 / 4)).max() < 1e-6
+        spacing = 4
+        out, _ = flow_frame(q_c, q_v, spacing, frame=2, weight_mode="linear")
+        assert np.abs(out - oracle_flow(q_c, q_v, spacing, 2, 2 / 4)).max() < 1e-6
 
     @pytest.mark.parametrize("weight_mode", ["sigmoid", "linear"])
     def test_batched_equals_stacked_per_frame(self, weight_mode):
@@ -219,13 +246,13 @@ class TestQFlow:
         q_v[2, 4, 7] = 0.0  # zero query on a keyframe: similarity 0 against it
         q_v[:, :, -1] = 2.0 * q_v[:, :, 0]  # tied candidates in every keyframe
         q_c = rng.standard_normal((S, F, P, d)).astype(np.float32)
-        kf = qc.KeyframeIndex.build(F, 3)
-        fld = qc.match_field(q_v, kf)
+        spacing = 3
+        fld = qc.match_field(q_v, spacing)
         assert fld.match_a.dtype == np.uint8 and fld.match_b.dtype == np.uint8
         got = qc.q_flow(q_c, fld, weight_mode)
         for s in range(S):
             for f in range(F):
-                out, ma, mb, zero = per_frame_flow(q_c[s], q_v[s], kf, f, weight_mode)
+                out, ma, mb, zero = per_frame_flow(q_c[s], q_v[s], spacing, f, weight_mode)
                 assert got[s, f].tobytes() == out.tobytes()
                 assert np.array_equal(fld.match_a[s, f], ma)
                 assert np.array_equal(fld.match_b[s, f], mb)
@@ -233,12 +260,12 @@ class TestQFlow:
         assert fld.zero[1, 3, 4] and np.array_equal(got[1, 3, 4], q_c[1, 3, 4])
 
     def test_shape_mismatch_rejected(self):
-        kf = qc.KeyframeIndex.build(4, 2)
-        fld = qc.match_field(np.ones((2, 4, 3, 2), dtype=np.float32), kf)
+        spacing = 2
+        fld = qc.match_field(np.ones((2, 4, 3, 2), dtype=np.float32), spacing)
         with pytest.raises(ConfigError):
             qc.q_flow(np.ones((2, 4, 5, 2), dtype=np.float32), fld)
         with pytest.raises(ConfigError):
-            qc.match_field(np.ones((4, 3, 2), dtype=np.float32), kf)
+            qc.match_field(np.ones((4, 3, 2), dtype=np.float32), spacing)
 
 
 class TestFlowFieldMemo:
@@ -250,20 +277,20 @@ class TestFlowFieldMemo:
 
     def test_field_is_memoised(self):
         cache, _ = self.make_cache()
-        kf = qc.KeyframeIndex.build(8, 4)
-        fld = cache.flow_field(500, 1, kf)
-        assert cache.flow_field(500, 1, kf) is fld
+        spacing = 4
+        fld = cache.flow_field(500, 1, spacing)
+        assert cache.flow_field(500, 1, spacing) is fld
         with pytest.raises(CacheMissError):
-            cache.flow_field(400, 1, kf)
+            cache.flow_field(400, 1, spacing)
 
     def test_put_invalidates_field(self):
         cache, rng = self.make_cache()
-        kf = qc.KeyframeIndex.build(8, 4)
-        old = cache.flow_field(500, 1, kf)
+        spacing = 4
+        old = cache.flow_field(500, 1, spacing)
         q_new = rng.standard_normal((2, 8, 6, 4)).astype(np.float32)
         cache.put(500, 1, q_new)
-        new = cache.flow_field(500, 1, kf)
-        fresh = qc.match_field(q_new, kf)
+        new = cache.flow_field(500, 1, spacing)
+        fresh = qc.match_field(q_new, spacing)
         assert np.array_equal(new.match_a, fresh.match_a)
         assert np.array_equal(new.match_b, fresh.match_b)
         assert not np.array_equal(new.match_a, old.match_a)
@@ -271,18 +298,18 @@ class TestFlowFieldMemo:
     def test_put_keeps_other_fields(self):
         cache, rng = self.make_cache()
         cache.put(500, 2, rng.standard_normal((2, 8, 6, 4)).astype(np.float32))
-        kf = qc.KeyframeIndex.build(8, 4)
-        kept = cache.flow_field(500, 2, kf)
+        spacing = 4
+        kept = cache.flow_field(500, 2, spacing)
         cache.put(500, 1, rng.standard_normal((2, 8, 6, 4)).astype(np.float32))
-        assert cache.flow_field(500, 2, kf) is kept
+        assert cache.flow_field(500, 2, spacing) is kept
 
     def test_other_keyframe_spacing_gets_fresh_field(self):
         cache, _ = self.make_cache()
-        kf4, kf2 = qc.KeyframeIndex.build(8, 4), qc.KeyframeIndex.build(8, 2)
-        cache.flow_field(500, 1, kf4)
-        fld = cache.flow_field(500, 1, kf2)
-        assert list(fld.f_a) == [kf2.bracket(f)[0] for f in range(8)]
-        assert np.array_equal(fld.match_b, qc.match_field(cache.get(500, 1), kf2).match_b)
+        cache.flow_field(500, 1, 4)
+        fld = cache.flow_field(500, 1, 2)
+        assert list(fld.f_a) == [oracle_bracket(8, 2, f)[0] for f in range(8)]
+        assert np.array_equal(fld.match_b, qc.match_field(cache.get(500, 1), 2).match_b)
+        assert set(cache.flow_fields) == {(500, 1, 4), (500, 1, 2)}
 
 
 class TestQDropout:
@@ -324,23 +351,22 @@ class TestSelectQ:
         for t in (300, 749, 750):
             for layer in (0, 1):
                 cache.put(t, layer, rng.standard_normal((1, 4, 4, 4)).astype(np.float32))
-        kf = qc.KeyframeIndex.build(4, 2)
-        return cfg, q, cache, kf
+        return cfg, q, cache
 
     def test_boundary_is_preservation(self):
-        cfg, q, cache, kf = self.make_setup()
-        out, rec = qc.select_q(750, 0, q, cache, kf, cfg, np.random.default_rng(0))
+        cfg, q, cache = self.make_setup()
+        out, rec = qc.select_q(750, 0, q, cache, cfg, np.random.default_rng(0))
         assert rec.role == "vanilla"
         assert np.array_equal(out, cache.get(750, 0))
 
     def test_below_boundary_is_flow(self):
-        cfg, q, cache, kf = self.make_setup()
-        _, rec = qc.select_q(749, 0, q, cache, kf, cfg, np.random.default_rng(0))
+        cfg, q, cache = self.make_setup()
+        _, rec = qc.select_q(749, 0, q, cache, cfg, np.random.default_rng(0))
         assert rec.role == "flow"
 
     def test_non_injection_layer_passes_through(self):
-        cfg, q, cache, kf = self.make_setup(injection_layers=(0,))
-        out, rec = qc.select_q(300, 1, q, cache, kf, cfg, np.random.default_rng(0))
+        cfg, q, cache = self.make_setup(injection_layers=(0,))
+        out, rec = qc.select_q(300, 1, q, cache, cfg, np.random.default_rng(0))
         assert rec.role == "consistent"
         assert out is q
 

@@ -122,6 +122,11 @@ class TestCosineSim:
     def test_analytic(self):
         assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1 / math.sqrt(2), abs=1e-5)
 
+    def test_parallel_rows_of_different_scale_score_exactly_one(self):
+        x = np.float32([0.03895462676882744, 1.1896648406982422])
+        sims = tc.cosine_matrix(x[None], np.stack([x, x * np.float32(5), -x]))
+        assert sims.tolist() == [[1.0, 1.0, -1.0]]
+
     def test_both_zero(self):
         # zero rows are similar to nothing, themselves included
         assert cosine([0.0, 0.0], [0.0, 0.0]) == 0.0
@@ -220,6 +225,27 @@ class TestDumpLoad:
             tc.save_tensor(path, np.ones((4, 4), dtype=np.float32))
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == old
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"\xff\xfe",  # not UTF-8
+            b"{shape",  # not JSON
+            b"[4]",  # JSON, not an object
+            b'{"dtype":"f32","order":"row-major"}',  # no shape
+            b'{"shape":"ab","dtype":"f32","order":"row-major"}',  # shape not integers
+            b'{"shape":[4],"dtype":"f64","order":"row-major"}',  # another dtype
+            b'{"shape":[1e999],"dtype":"f32","order":"row-major"}',  # infinite dimension
+            b'{"shape":[2.5,1.6],"dtype":"f32","order":"row-major"}',  # fractional dimensions
+            b'{"shape":[-2,-2],"dtype":"f32","order":"row-major"}',  # negative dimensions
+        ],
+        ids=["utf8", "json", "list", "no-shape", "shape-text", "dtype", "inf", "fraction", "negative"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.tensor"
+        path.write_bytes(header + b"\n" + b"\x00" * 16)
+        with pytest.raises(DimensionError, match="unsupported tensor header"):
+            tc.load_tensor(path)
 
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "bad.tensor"
