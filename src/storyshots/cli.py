@@ -13,12 +13,10 @@ import traceback
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import metrics_viz, pipeline, prompts, tensor_core
 from .errors import ConfigError, StoryshotsError
 
-DEFAULT_FLOW_THRESHOLD = 0.5
 SLICE_BLOCK_SIZE = 4
 SLICE_SEARCH_RADIUS = 2
 
@@ -58,13 +56,7 @@ def _parse_flag(name: str, text: str):
 
 def _effective_config(config_path, overrides: dict) -> pipeline.StoryboardConfig:
     """The config file with the flag values that were given laid over it."""
-    data = None
-    if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                data = yaml.safe_load(fh)
-            except (yaml.YAMLError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"config file {config_path} is not valid YAML: {exc}") from None
+    data = None if config_path is None else prompts.read_yaml(config_path, ConfigError, "config")
     data = {} if data is None else data  # None: no file, or an empty one
     overrides = {k: _parse_flag(k, v) for k, v in overrides.items() if v is not None}
     if isinstance(data, dict):  # from_dict rejects any other document
@@ -92,15 +84,12 @@ def _write_metrics(out_dir: Path, run: pipeline.PipelineRun) -> None:
             ("set_consistency", report.set_consistency, report.set_consistency_sem, report.pair_count)
         )
         rows.append(("subject_consistency", report.subject_consistency, 0.0, run.shots))
-    scores = []
-    for s in range(run.shots):
-        score, _ = metrics_viz.dynamic_degree(
-            videos[s],
-            DEFAULT_FLOW_THRESHOLD,
-            block_size=SLICE_BLOCK_SIZE,
-            search_radius=SLICE_SEARCH_RADIUS,
+    scores = [
+        metrics_viz.dynamic_degree(
+            videos[s], block_size=SLICE_BLOCK_SIZE, search_radius=SLICE_SEARCH_RADIUS
         )
-        scores.append(score)
+        for s in range(run.shots)
+    ]
     sem = float(np.std(scores, ddof=1) / math.sqrt(len(scores))) if len(scores) > 1 else 0.0
     rows.append(("dynamic_degree", float(np.mean(scores)), sem, len(scores)))
     metrics_viz.write_reports(out_dir / "metrics.csv", out_dir / "metrics.json", rows)

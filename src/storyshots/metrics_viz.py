@@ -82,19 +82,13 @@ def set_consistency(frames: np.ndarray, masks) -> ConsistencyReport:
 
 # --- motion proxy ---------------------------------------------------------
 
-def dynamic_degree(
-    video: np.ndarray,
-    flow_threshold: float,
-    block_size: int = 8,
-    search_radius: int = 4,
-):
+def dynamic_degree(video: np.ndarray, block_size: int = 8, search_radius: int = 4) -> float:
     """Mean block-matching displacement magnitude between adjacent frames.
 
     Exhaustive +-search_radius search per block, minimum sum-of-absolute-
     differences; ties break to the smaller magnitude, then lexicographic
     (dy, dx). Blocks are placed on an interior grid with a search_radius
-    margin so every candidate displacement stays in frame. Returns
-    (score, dynamic) where dynamic means score > flow_threshold.
+    margin so every candidate displacement stays in frame.
     """
     video = np.asarray(video, dtype=np.float64)
     if video.ndim != 3 or video.shape[0] < 2:
@@ -128,8 +122,7 @@ def dynamic_degree(
                     if best is None or key < best:
                         best = key
                 magnitudes.append(best[1])
-    score = float(np.mean(magnitudes))
-    return score, score > flow_threshold
+    return float(np.mean(magnitudes))
 
 
 # --- y-t slices -----------------------------------------------------------

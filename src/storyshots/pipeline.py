@@ -35,8 +35,10 @@ class ToyModelSpec:
     weight_seed: int = 7
 
     def __post_init__(self):
+        # Otsu thresholds each frame's masks over at least two patches
+        lows = {"weight_seed": 0, "patches_per_side": 2}
         for f in fields(self):
-            v, low = getattr(self, f.name), 0 if f.name == "weight_seed" else 1
+            v, low = getattr(self, f.name), lows.get(f.name, 1)
             _require(f"model.{f.name}", f"an integer >= {low}", v, _int_in(v, low))
 
     @property
@@ -255,9 +257,8 @@ class ToyModel:
             v = tc.matmul(h, w.w_v)
             if hooks is not None:
                 q = hooks.substitute_q(l, q)
-            feats = attention.AttnFeatures(q, k, v)
             if hooks is not None and hooks.sdsa_on:
-                h_attn = hooks.extended_attention(l, feats)
+                h_attn = hooks.extended_attention(l, q, k, v)
             else:
                 # plain attention over the flattened (shot, frame) items
                 qi, ki, vi = (a.reshape(-1, *a.shape[2:]) for a in (q, k, v))
@@ -371,9 +372,9 @@ class _StepHooks:
 
     # -- extended attention --
 
-    def extended_attention(self, layer: int, feats) -> np.ndarray:
+    def extended_attention(self, layer: int, q, k, v) -> np.ndarray:
         out = attention.extended_attention(
-            feats, self.masks, self.topology.key_shots, self.cfg.attend_middle_frame
+            q, k, v, self.masks.masks, self.topology.key_shots, self.cfg.attend_middle_frame
         )
         if self.pass_tag == "cond":
             self.run.audit.append({"event": "sdsa", "t": self.t, "layer": layer})

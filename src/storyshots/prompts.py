@@ -24,6 +24,11 @@ class ShotPromptSet:
             raise PromptError(f"prompt set {self.name!r}: subject must be nonempty")
         if not self.settings:
             raise PromptError(f"prompt set {self.name!r}: needs at least one setting")
+        # str() would read a null as the text "None"
+        if self.style is None:
+            raise PromptError(f"prompt set {self.name!r}: field 'style' is null")
+        if None in self.settings:
+            raise PromptError(f"prompt set {self.name!r}: field 'settings' has a null entry")
         self.subject = str(self.subject)
         self.style = str(self.style)
         self.settings = [str(s) for s in self.settings]
@@ -50,12 +55,20 @@ def parse_prompt_sets(data: dict) -> list:
     return sets
 
 
+def read_yaml(path, error: type, kind: str):
+    """The YAML document in the `kind` file at path. A file that cannot be
+    read, is not UTF-8 or is not valid YAML raises error, an input error
+    that fails a run without a traceback."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {kind} file {path}: {exc.strerror or exc}") from None
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise error(f"{kind} file {path} is not valid YAML: {exc}") from None
+
+
 def load_prompts(path) -> list:
     """Load validated prompt sets in file order."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
-            raise PromptError(f"prompt file {path} is not valid YAML: {exc}") from None
-    return parse_prompt_sets(data)
+    return parse_prompt_sets(read_yaml(path, PromptError, "prompt"))
 

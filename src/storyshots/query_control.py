@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import CacheMissError, ConfigError
+from .errors import CacheMissError
 
 
 @dataclass
@@ -91,9 +91,6 @@ def match_field(q_v: np.ndarray, spacing: int) -> FlowField:
     and both keyframes; argmax takes the first maximum of the clipped
     cosines, so ties break to the lowest patch index.
     """
-    q_v = np.asarray(q_v)
-    if q_v.ndim != 4:
-        raise ConfigError(f"expected (S,F,P,d) vanilla queries, got {q_v.shape}")
     S, F, P, d = q_v.shape
     f_a, f_b = keyframe_brackets(F, spacing)
     match_a = np.empty((S, F, P), np.min_scalar_type(P - 1))
@@ -118,9 +115,6 @@ def q_flow(q_c: np.ndarray, fld: FlowField, weight_mode: str = "sigmoid") -> np.
     when weight_mode == "linear"); queries the field flags as zero keep
     their live value.
     """
-    q_c = np.asarray(q_c)
-    if q_c.ndim != 4 or q_c.shape[:3] != fld.zero.shape:
-        raise ConfigError(f"live queries {q_c.shape} do not fit a {fld.zero.shape} match field")
     weight = tc.sigmoid if weight_mode == "sigmoid" else float
     ratio = (fld.f_b - np.arange(len(fld.f_b))) / (fld.f_b - fld.f_a)
     w = np.array([weight(r) for r in ratio.tolist()])[:, None, None]
@@ -139,10 +133,6 @@ def q_dropout(q_injected: np.ndarray, q_c: np.ndarray, rate: float, rng: np.rand
     live query (consistency-favoring), else the injected one. Returns
     (result, kept_fraction) where kept_fraction is the live-query share.
     """
-    q_injected = np.asarray(q_injected)
-    q_c = np.asarray(q_c)
-    if q_injected.shape != q_c.shape:
-        raise ConfigError(f"shape mismatch {q_injected.shape} vs {q_c.shape}")
     if rate == 0.0:
         return q_injected, 0.0
     if rate == 1.0:

@@ -37,12 +37,10 @@ class NoiseSchedule:
 
 @dataclass
 class SubjectMaskSet:
-    """Boolean subject masks per (shot, frame, patch), with the saliency and
-    thresholds that produced them kept for audit."""
+    """Boolean subject masks per (shot, frame, patch), with the frames whose
+    Otsu threshold fell back to an empty mask."""
 
     masks: np.ndarray  # bool (S, F, P)
-    thresholds: np.ndarray  # float (S, F)
-    saliency: np.ndarray  # float (S, F, P)
     fallback: np.ndarray = field(default=None)  # bool (S, F)
 
     def __post_init__(self):
@@ -52,20 +50,15 @@ class SubjectMaskSet:
 
     @classmethod
     def from_saliency(cls, saliency: np.ndarray) -> "SubjectMaskSet":
-        saliency = np.asarray(saliency)
-        if saliency.ndim != 3:
-            raise DimensionError(f"expected (S,F,P) saliency, got {saliency.shape}")
         shots, frames, _ = saliency.shape
-        thresholds = np.zeros((shots, frames))
         fallback = np.zeros((shots, frames), dtype=bool)
         masks = np.zeros(saliency.shape, dtype=bool)
         for s in range(shots):
             for f in range(frames):
                 thr, fallback[s, f] = otsu_threshold(saliency[s, f])
-                thresholds[s, f] = thr
                 # compare against the Python float: float32 saliency stays float32
                 masks[s, f] = saliency[s, f] > thr
-        return cls(masks, thresholds, saliency, fallback)
+        return cls(masks, fallback)
 
 
 def estimate_x0(x: np.ndarray, e_t: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:

@@ -1,11 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from storyshots import attention, pipeline, tensor_core as tc
-from storyshots.errors import ConfigError, DegenerateRowError, DimensionError
-from storyshots.subject_mask import SubjectMaskSet
+from storyshots.errors import DegenerateRowError, DimensionError
 
 
 def random_weights(rng, d):
@@ -15,21 +15,16 @@ def random_weights(rng, d):
 
 
 def random_feats(rng, shots, frames, patches, d):
+    """(q, k, v), each (shots, frames, patches, d)."""
     shape = (shots, frames, patches, d)
-    return attention.AttnFeatures(
-        rng.standard_normal(shape).astype(np.float32),
-        rng.standard_normal(shape).astype(np.float32),
-        rng.standard_normal(shape).astype(np.float32),
-    )
+    return SimpleNamespace(**{n: rng.standard_normal(shape).astype(np.float32) for n in "qkv"})
 
 
-def mask_set(masks):
-    masks = np.asarray(masks, dtype=bool)
-    return SubjectMaskSet(
-        masks=masks,
-        thresholds=np.zeros(masks.shape[:2]),
-        saliency=masks.astype(np.float32),
-    )
+def sdsa(feats, masks, frame, shot, key_shots, attend_middle_frame=False):
+    """framewise_sdsa of one frame, (P, d)."""
+    return attention.framewise_sdsa(
+        feats.q, feats.k, feats.v, masks, np.array([frame]), shot, key_shots, attend_middle_frame
+    )[0]
 
 
 def dense_masked_oracle(q, k, v, allowed):
@@ -95,8 +90,8 @@ class TestFramewiseSdsa:
     def test_single_shot_matches_self_attention(self):
         rng = np.random.default_rng(3)
         feats = random_feats(rng, 1, 2, 6, 4)
-        masks = mask_set(np.ones((1, 2, 6)))
-        h = attention.framewise_sdsa(feats, masks, frame=1, shot=0)
+        masks = np.ones((1, 2, 6), dtype=bool)
+        h = sdsa(feats, masks, frame=1, shot=0, key_shots=[0])
         expected, _ = attention.masked_attention(
             feats.q[0, 1], feats.k[0, 1], feats.v[0, 1],
             np.ones((6, 6), dtype=bool),
@@ -106,8 +101,8 @@ class TestFramewiseSdsa:
     def test_all_foreign_masks_false_reduces_to_self(self):
         rng = np.random.default_rng(4)
         feats = random_feats(rng, 3, 2, 6, 4)
-        masks = mask_set(np.zeros((3, 2, 6)))
-        h = attention.framewise_sdsa(feats, masks, frame=0, shot=1)
+        masks = np.zeros((3, 2, 6), dtype=bool)
+        h = sdsa(feats, masks, frame=0, shot=1, key_shots=[0, 1, 2])
         expected, _ = attention.masked_attention(feats.q[1, 0], feats.k[1, 0], feats.v[1, 0])
         assert np.abs(h - expected).max() < 1e-6
 
@@ -115,29 +110,29 @@ class TestFramewiseSdsa:
         rng = np.random.default_rng(5)
         N, F, P, d = 3, 4, 16, 8
         feats = random_feats(rng, N, F, P, d)
-        masks = mask_set(rng.random((N, F, P)) < 0.5)
+        masks = rng.random((N, F, P)) < 0.5
         for shot in range(N):
             f = 2
             k_ext = np.concatenate([feats.k[j, f] for j in range(N)])
             v_ext = np.concatenate([feats.v[j, f] for j in range(N)])
             row = np.concatenate(
-                [np.ones(P, dtype=bool) if j == shot else masks.masks[j, f] for j in range(N)]
+                [np.ones(P, dtype=bool) if j == shot else masks[j, f] for j in range(N)]
             )
             allowed = np.broadcast_to(row, (P, N * P))
-            h = attention.framewise_sdsa(feats, masks, frame=f, shot=shot)
+            h = sdsa(feats, masks, frame=f, shot=shot, key_shots=range(N))
             expected = dense_masked_oracle(feats.q[shot, f], k_ext, v_ext, allowed)
             assert np.abs(h - expected).max() < 1e-6
 
     def test_framewise_locality_exact(self):
         rng = np.random.default_rng(6)
         feats = random_feats(rng, 2, 4, 8, 4)
-        masks = mask_set(rng.random((2, 4, 8)) < 0.6)
-        before = attention.framewise_sdsa(feats, masks, frame=1, shot=0)
+        masks = rng.random((2, 4, 8)) < 0.6
+        before = sdsa(feats, masks, frame=1, shot=0, key_shots=[0, 1])
         # perturb every other frame's K/V in every shot
         for g in (0, 2, 3):
             feats.k[:, g] += 5.0
             feats.v[:, g] -= 3.0
-        after = attention.framewise_sdsa(feats, masks, frame=1, shot=0)
+        after = sdsa(feats, masks, frame=1, shot=0, key_shots=[0, 1])
         assert np.array_equal(before, after)
 
     def test_masked_keys_get_zero_weight_and_rows_sum_to_one(self):
@@ -146,7 +141,6 @@ class TestFramewiseSdsa:
         feats = random_feats(rng, N, F, P, d)
         m = np.zeros((N, F, P), dtype=bool)
         m[1, 0, :2] = True
-        masks = mask_set(m)
         k_ext = np.concatenate([feats.k[j, 0] for j in range(N)])
         v_ext = np.concatenate([feats.v[j, 0] for j in range(N)])
         row = np.concatenate([np.ones(P, dtype=bool), m[1, 0]])
@@ -158,9 +152,9 @@ class TestFramewiseSdsa:
     def test_query_pass_through(self):
         rng = np.random.default_rng(8)
         feats = random_feats(rng, 2, 2, 4, 4)
-        masks = mask_set(np.ones((2, 2, 4)))
+        masks = np.ones((2, 2, 4), dtype=bool)
         q_before = feats.q.copy()
-        attention.framewise_sdsa(feats, masks, frame=0, shot=0)
+        sdsa(feats, masks, frame=0, shot=0, key_shots=[0, 1])
         assert np.array_equal(feats.q, q_before)
 
     def test_degenerate_mask_rejected(self):
@@ -231,46 +225,29 @@ class TestBatchedKernel:
     def test_frame_group_equals_per_frame_calls(self, middle):
         rng = np.random.default_rng(18)
         feats = random_feats(rng, 3, 5, 6, 4)
-        masks = mask_set(rng.random((3, 5, 6)) < 0.5)
+        masks = rng.random((3, 5, 6)) < 0.5
         group = [0, 1, 3, 4]  # every frame but the middle one
         for shot, key_shots in ((0, [0, 1]), (2, [0, 1, 2])):
             h = attention.framewise_sdsa(
-                feats, masks, np.array(group), shot, key_shots, attend_middle_frame=middle
+                feats.q, feats.k, feats.v, masks, np.array(group), shot, key_shots, middle
             )
             assert h.shape == (len(group), 6, 4)
             for i, f in enumerate(group):
-                expected = attention.framewise_sdsa(
-                    feats, masks, f, shot, key_shots, attend_middle_frame=middle
-                )
-                assert np.array_equal(h[i], expected)
-
-    def test_group_mixing_middle_frame_rejected(self):
-        rng = np.random.default_rng(19)
-        feats = random_feats(rng, 2, 4, 3, 2)
-        masks = mask_set(np.ones((2, 4, 3)))
-        with pytest.raises(ConfigError):
-            attention.framewise_sdsa(feats, masks, np.array([1, 2]), 0, attend_middle_frame=True)
+                assert np.array_equal(h[i], sdsa(feats, masks, f, shot, key_shots, middle))
 
 
 class TestSubBatchedAttention:
     def test_full_chunk_equals_unbatched(self):
         rng = np.random.default_rng(9)
         feats = random_feats(rng, 2, 3, 5, 4)
-        masks = mask_set(rng.random((2, 3, 5)) < 0.5)
+        masks = rng.random((2, 3, 5)) < 0.5
         for middle in (False, True):
-            full = attention.extended_attention(feats, masks, attend_middle_frame=middle)
+            full = attention.extended_attention(
+                feats.q, feats.k, feats.v, masks, lambda s: [0, 1], middle
+            )
             expected = np.stack(
-                [
-                    np.stack(
-                        [
-                            attention.framewise_sdsa(
-                                feats, masks, f, s, attend_middle_frame=middle
-                            )
-                            for f in range(3)
-                        ]
-                    )
-                    for s in range(2)
-                ]
+                [np.stack([sdsa(feats, masks, f, s, [0, 1], middle) for f in range(3)])
+                 for s in range(2)]
             )
             assert np.array_equal(full, expected)
 

@@ -11,12 +11,7 @@ from storyshots.subject_mask import SubjectMaskSet
 
 
 def mask_set(masks):
-    masks = np.asarray(masks, dtype=bool)
-    return SubjectMaskSet(
-        masks=masks,
-        thresholds=np.zeros(masks.shape[:2]),
-        saliency=masks.astype(np.float32),
-    )
+    return SubjectMaskSet(masks=np.asarray(masks, dtype=bool))
 
 
 def double_loop_oracle(frames, masks):
@@ -87,34 +82,26 @@ def shifted_video(rng, n_frames, size, shift):
 class TestDynamicDegree:
     def test_static_video(self):
         video = np.tile(np.random.default_rng(0).random((1, 24, 24)), (4, 1, 1))
-        score, dynamic = mv.dynamic_degree(video, 0.5)
-        assert score == 0.0
-        assert not dynamic
+        assert mv.dynamic_degree(video) == 0.0
 
     @pytest.mark.parametrize("shift", [1, 2, 3, 4])
     def test_recovers_global_shift(self, shift):
         video = shifted_video(np.random.default_rng(shift), 4, 40, shift)
-        score, _ = mv.dynamic_degree(video, 0.5)
-        assert abs(score - shift) <= 0.5
-
-    def test_threshold_zero_flags_any_motion(self):
-        video = shifted_video(np.random.default_rng(9), 3, 40, 2)
-        _, dynamic = mv.dynamic_degree(video, 0.0)
-        assert dynamic
+        assert abs(mv.dynamic_degree(video) - shift) <= 0.5
 
     def test_monotone_in_shift(self):
         rng = np.random.default_rng(10)
-        s1, _ = mv.dynamic_degree(shifted_video(rng, 4, 40, 1), 0.5)
-        s2, _ = mv.dynamic_degree(shifted_video(rng, 4, 40, 2), 0.5)
+        s1 = mv.dynamic_degree(shifted_video(rng, 4, 40, 1))
+        s2 = mv.dynamic_degree(shifted_video(rng, 4, 40, 2))
         assert s2 >= s1
 
     def test_frame_too_small(self):
         with pytest.raises(ConfigError):
-            mv.dynamic_degree(np.zeros((2, 4, 4)), 0.5, block_size=8)
+            mv.dynamic_degree(np.zeros((2, 4, 4)), block_size=8)
 
     def test_single_frame_rejected(self):
         with pytest.raises(DimensionError):
-            mv.dynamic_degree(np.zeros((1, 32, 32)), 0.5)
+            mv.dynamic_degree(np.zeros((1, 32, 32)))
 
 
 class TestYtSlice:

@@ -119,6 +119,12 @@ class TestStoryboardConfig:
         with pytest.raises(ConfigError, match=f"model.{field}"):
             pipeline.ToyModelSpec(**{field: -1})
 
+    def test_one_patch_per_side_rejected(self):
+        # Otsu needs two patches per frame
+        with pytest.raises(ConfigError, match="model.patches_per_side must be an integer >= 2"):
+            pipeline.ToyModelSpec(patches_per_side=1)
+        pipeline.ToyModelSpec(patches_per_side=2)
+
     def test_field_bounds_accepted(self):
         small_config(subject_channel=7, refine_blend=1.0, keyframe_spacing=1, sub_batch=1)
         small_config(cfg_scale=2, q_dropout=1, alpha_min=0.5, sdsa_window=(0, 1000), anchors=(4,))
@@ -255,17 +261,16 @@ class TestSample:
         consistent = pipeline.run_consistent(cfg, "a red fox", PROMPTS)
         assert vanilla.outputs.tobytes() == consistent.outputs.tobytes()
 
-    def test_sub_batch_transparent(self):
+    def test_plain_attention_chunking_transparent(self, monkeypatch):
         cfg = small_config()
-        cache = pipeline.run_vanilla(cfg, "a red fox", PROMPTS).cache
         outs = []
-        for sb in (1, 2, 8, None):
-            cfg_sb = small_config(sub_batch=sb)
-            outs.append(
-                pipeline.run_consistent(cfg_sb, "a red fox", PROMPTS, cache=cache).outputs
-            )
+        for items in (1, 2, 5, 12):  # (shot, frame) items of 16 patches per plain-attention call
+            monkeypatch.setattr(pipeline, "LOGITS_BUDGET_BYTES", items * 8 * 16 * 16)
+            v = pipeline.run_vanilla(cfg, "a red fox", PROMPTS)
+            c = pipeline.run_consistent(cfg, "a red fox", PROMPTS, cache=v.cache)
+            outs.append(v.outputs.tobytes() + c.outputs.tobytes())
         for other in outs[1:]:
-            assert outs[0].tobytes() == other.tobytes()
+            assert outs[0] == other
 
     def test_consistent_requires_cache(self):
         with pytest.raises(ConfigError):

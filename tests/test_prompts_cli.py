@@ -66,6 +66,16 @@ class TestPromptSets:
         with pytest.raises(PromptError):
             prompts.ShotPromptSet(name, "a dog", ["x"], "ink")
 
+    @pytest.mark.parametrize(
+        "style, settings, field",
+        [(None, ["a", "b"], "'style'"), ("ink", ["a", None], "'settings'")],
+        ids=["style", "settings"],
+    )
+    def test_null_field_rejected(self, style, settings, field):
+        entry = {"subject": "a fox", "style": style, "settings": settings}
+        with pytest.raises(PromptError, match=f"field {field} .*null"):
+            prompts.parse_prompt_sets({"n": entry})
+
     def test_load_dump_round_trip(self, tmp_path):
         path = write_yaml(tmp_path / "p.yaml", PROMPT_DOC)
         loaded = prompts.load_prompts(path)
@@ -292,12 +302,18 @@ class TestCli:
             ("prompts", b"fox: [\n", "PromptError"),
             ("config", b"seed: \xff\n", "ConfigError"),  # not UTF-8
             ("prompts", b"fox: \xff\n", "PromptError"),
+            ("config", None, "ConfigError"),  # no such file
+            ("prompts", None, "PromptError"),
         ],
-        ids=["config", "prompts", "config-utf8", "prompts-utf8"],
+        ids=["config", "prompts", "config-utf8", "prompts-utf8", "config-missing", "prompts-missing"],
     )
     def test_malformed_yaml_fails_the_run(self, io_paths, capsys, which, data, error):
         cfg, pro, out = io_paths
-        (cfg if which == "config" else pro).write_bytes(data)
+        path = cfg if which == "config" else pro
+        if data is None:
+            path.unlink()
+        else:
+            path.write_bytes(data)
         assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 1
         assert (out / "FAILED").read_text().startswith(f"{error}: ")
         err = capsys.readouterr().err

@@ -169,7 +169,8 @@ class TestSubjectMaskSet:
         ms = sm.SubjectMaskSet.from_saliency(sal)
         for s in range(2):
             for f in range(3):
-                assert np.array_equal(ms.masks[s, f], sal[s, f] > ms.thresholds[s, f])
+                thr, _ = sm.otsu_threshold(sal[s, f])
+                assert np.array_equal(ms.masks[s, f], sal[s, f] > thr)
 
     def test_nondegenerate_masks(self):
         rng = np.random.default_rng(4)
