@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics_viz, pipeline, prompts, tensor_core
-from .errors import ConfigError, StoryshotsError
+from .errors import ConfigError, PromptError, StoryshotsError
 
 SLICE_BLOCK_SIZE = 4
 SLICE_SEARCH_RADIUS = 2
@@ -121,13 +121,16 @@ def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", ov
                 f"metrics need frames >= 2 and patches_per_side >= {min_side}, "
                 f"got {config.model.frames} frames of side {side}"
             )
-        prompt_sets = prompts.load_prompts(prompts_path)
+        # parse and hash the same bytes: the file is read once
+        prompt_bytes = prompts.read_bytes(prompts_path, PromptError, "prompt")
+        prompt_sets = prompts.load_prompts(prompts_path, prompt_bytes)
+        prompt_hash = hashlib.sha256(prompt_bytes).hexdigest()
         if mode not in _MODE_SEQUENCE:
             raise StoryshotsError(f"unknown mode {mode!r}")
         for prompt_set in prompt_sets:
             set_dir = out_dir / prompt_set.name
             set_dir.mkdir(exist_ok=True)
-            _run_prompt_set(config, prompt_set, mode, set_dir, _file_hash(prompts_path))
+            _run_prompt_set(config, prompt_set, mode, set_dir, prompt_hash)
     except Exception as exc:
         (out_dir / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

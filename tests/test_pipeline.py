@@ -307,8 +307,9 @@ class TestSample:
         ],
         ids=["default", "overlapping", "refine_only", "none"],
     )
-    def test_probe_runs_only_where_masks_are_read(self, monkeypatch, windows):
-        cfg = small_config(**windows)
+    @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
+    def test_probe_runs_only_where_masks_are_read(self, monkeypatch, windows, cfg_scale):
+        cfg = small_config(cfg_scale=cfg_scale, **windows)
         ts = cfg.timesteps()
 
         def steps_in(window):
@@ -318,18 +319,78 @@ class TestSample:
         builds = count_calls(monkeypatch, subject_mask.SubjectMaskSet, "from_saliency")
         sdsa, refine = steps_in(cfg.sdsa_window), steps_in(cfg.refine_window)
         cache = None
-        for mode, probes in (
-            (pipeline.RunMode.VANILLA, 0),
-            (pipeline.RunMode.CONSISTENT, len(sdsa)),
-            (pipeline.RunMode.REFINED, len(sdsa | refine)),
+        for mode, probes, refine_steps in (
+            (pipeline.RunMode.VANILLA, 0, 0),
+            (pipeline.RunMode.CONSISTENT, len(sdsa), 0),
+            (pipeline.RunMode.REFINED, len(sdsa | refine), len(refine)),
         ):
             forwards.clear()
             builds.clear()
             run = pipeline.PipelineRun(cfg, "a red fox", PROMPTS, mode, cache=cache)
             pipeline.sample(run)
             cache = run.cache
-            assert len(forwards) == 2 * len(ts) + probes, mode
+            # at scale 1 the unconditional forward runs only at refinement steps
+            uncond = len(ts) if cfg_scale != 1 else refine_steps
+            assert len(forwards) == len(ts) + uncond + probes, mode
             assert len(builds) == probes + 1, mode  # + final_masks
+
+    def test_scale_one_guidance_is_the_conditional_estimate(self, monkeypatch):
+        # The old blend fl32(u + 1.0 * (c - u)) is not e_cond for every float32
+        # pair (signed zeros, |u| >= 2^29 |c|), so check it on every step of
+        # the README run: equal there at each step means equal trajectories.
+        forward = pipeline.ToyModel.forward
+        steps, uncond = [], []  # guided conditional forwards; unconditional ones
+
+        def recording(model, x, prompts, cond, hooks=None):
+            e = forward(model, x, prompts, cond, hooks)
+            if not cond:
+                uncond.append(hooks.t)
+            elif hooks is not None:  # not a mask probe
+                steps.append((model, x, prompts, hooks, e))
+            return e
+
+        monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
+        shot_prompts = PROMPTS + [
+            "a red fox walking through fog, watercolor",
+            "a red fox sleeping under stars, watercolor",
+        ]
+        for seed in range(3):
+            cfg = pipeline.StoryboardConfig(sampler_steps=10, seed=seed)
+            ts = cfg.timesteps()
+            cache = None
+            for mode in pipeline.RunMode:
+                steps.clear()
+                uncond.clear()
+                run = pipeline.PipelineRun(cfg, "a red fox", shot_prompts, mode, cache=cache)
+                pipeline.sample(run)
+                cache = run.cache
+                assert [hooks.t for _, _, _, hooks, _ in steps] == ts
+                refine_on = mode == pipeline.RunMode.REFINED
+                assert uncond == [t for t in ts if refine_on and 590 <= t <= 950]
+                for model, x, prompts, hooks, c in steps:
+                    u = forward(model, x, prompts, False, hooks.for_pass("uncond"))
+                    u64 = u.astype(np.float64)
+                    e = (u64 + 1.0 * (c.astype(np.float64) - u64)).astype(np.float32)
+                    assert e.tobytes() == c.tobytes(), (seed, mode, hooks.t)
+
+    def test_unconditional_forward_runs_every_step_above_scale_one(self, monkeypatch):
+        cfg = small_config(cfg_scale=2.0)
+        forward = pipeline.ToyModel.forward
+        uncond = []
+
+        def recording(model, x, prompts, cond, hooks=None):
+            if not cond:
+                uncond.append(hooks.t)
+            return forward(model, x, prompts, cond, hooks)
+
+        monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
+        cache = None
+        for mode in pipeline.RunMode:
+            uncond.clear()
+            run = pipeline.PipelineRun(cfg, "a red fox", PROMPTS, mode, cache=cache)
+            pipeline.sample(run)
+            cache = run.cache
+            assert uncond == cfg.timesteps(), mode
 
     def test_vanilla_forbids_existing_cache(self):
         cache = qc.FeatureCache()

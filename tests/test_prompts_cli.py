@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -74,6 +75,21 @@ class TestPromptSets:
     def test_null_field_rejected(self, style, settings, field):
         entry = {"subject": "a fox", "style": style, "settings": settings}
         with pytest.raises(PromptError, match=f"field {field} .*null"):
+            prompts.parse_prompt_sets({"n": entry})
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"subject": ["a", "fox"], "style": "ink", "settings": ["a"]}, "'subject'"),
+            ({"subject": "a fox", "style": {"k": 1}, "settings": ["a"]}, "'style'"),
+            ({"subject": "a fox", "style": "ink", "settings": [["a", "b"], "c"]}, "'settings'"),
+            ({"subject": "a fox", "style": "ink", "settings": ["c", {"k": 1}]}, "'settings'"),
+        ],
+        ids=["subject-list", "style-mapping", "settings-list", "settings-mapping"],
+    )
+    def test_non_scalar_field_rejected(self, entry, field):
+        # str() used to turn these into their Python repr inside the prompt
+        with pytest.raises(PromptError, match=f"field {field} must be text"):
             prompts.parse_prompt_sets({"n": entry})
 
     def test_load_dump_round_trip(self, tmp_path):
@@ -319,6 +335,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ") and "Traceback" not in err
         assert not list(out.rglob("latents_*.tensor"))
+
+    def test_prompt_hash_is_of_the_parsed_bytes(self, io_paths, monkeypatch):
+        cfg, pro, out = io_paths
+        parsed = pro.read_bytes()
+        load_prompts = prompts.load_prompts
+
+        def load_then_replace(*args):
+            sets = load_prompts(*args)
+            pro.write_bytes(parsed + b"# replaced after loading\n")
+            return sets
+
+        monkeypatch.setattr(prompts, "load_prompts", load_then_replace)
+        args = ["--config", str(cfg), "--prompts", str(pro), "--out", str(out), "--mode", "vanilla"]
+        assert cli.main(args) == 0
+        manifest = json.loads((out / "fox" / "manifest.json").read_text())
+        assert manifest["prompt_file_hash"] == hashlib.sha256(parsed).hexdigest()
 
     def test_anchor_flag_parsing(self):
         assert cli._parse_flag("anchors", "0,2") == (0, 2)
