@@ -78,16 +78,16 @@ def framewise_sdsa(q, k, v, masks, frames, shot: int, key_shots, attend_middle_f
     return h
 
 
-def extended_attention(q, k, v, masks, key_shots_for, attend_middle_frame: bool) -> np.ndarray:
+def extended_attention(q, k, v, masks, anchors, attend_middle_frame: bool) -> np.ndarray:
     """framewise_sdsa over every (shot, frame) item of (S, F, P, d) q, k, v,
-    with key_shots_for(shot) as each shot's key shots: one call per shot and
-    group of frames sharing a key layout (with attend_middle_frame the middle
-    frame is a group of its own)."""
+    with the anchor shots plus the shot itself as each shot's key shots: one
+    call per shot and group of frames sharing a key layout (with
+    attend_middle_frame the middle frame is a group of its own)."""
     frames = np.arange(q.shape[1])
     at_mid = (frames == frames.size // 2) & attend_middle_frame
     out = np.empty_like(q)
     for s in range(q.shape[0]):
-        ks = key_shots_for(s)
+        ks = sorted({*anchors, s})
         for g in (frames[at_mid], frames[~at_mid]):
             if g.size:
                 out[s, g] = framewise_sdsa(q, k, v, masks, g, s, ks, attend_middle_frame)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics_viz, pipeline, prompts, tensor_core
+from . import metrics_viz, pipeline, prompts, subject_mask, tensor_core
 from .errors import ConfigError, PromptError, StoryshotsError
 
 SLICE_BLOCK_SIZE = 4
@@ -64,10 +64,6 @@ def _effective_config(config_path, overrides: dict) -> pipeline.StoryboardConfig
     return pipeline.StoryboardConfig.from_dict(data)
 
 
-def _file_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _shot_videos(latents: np.ndarray, channel: int, patches_per_side: int) -> np.ndarray:
     shots, frames = latents.shape[:2]
     side = patches_per_side
@@ -79,7 +75,8 @@ def _write_metrics(out_dir: Path, run: pipeline.PipelineRun) -> None:
     videos = _shot_videos(run.outputs, cfg.subject_channel, cfg.model.patches_per_side)
     rows = []
     if run.shots >= 2:
-        report = metrics_viz.set_consistency(run.outputs, run.final_masks)
+        masks = subject_mask.build_masks(run.outputs, cfg.subject_channel)
+        report = metrics_viz.set_consistency(run.outputs, masks)
         rows.append(
             ("set_consistency", report.set_consistency, report.set_consistency_sem, report.pair_count)
         )
@@ -149,13 +146,10 @@ def _run_prompt_set(config, prompt_set, mode, set_dir: Path, prompt_hash: str) -
     cache = None
     last_run = None
     for run_mode in _MODE_SEQUENCE[mode]:
-        run = pipeline.PipelineRun(
-            config, prompt_set.subject, shot_prompts, run_mode, cache=cache
-        )
+        run = pipeline.PipelineRun(config, shot_prompts, run_mode, cache=cache)
         pipeline.sample(run)
         dump_path = set_dir / f"latents_{run_mode.value}.tensor"
-        tensor_core.save_tensor(dump_path, run.outputs)
-        pass_fingerprints[run_mode.value] = _file_hash(dump_path)
+        pass_fingerprints[run_mode.value] = tensor_core.save_tensor(dump_path, run.outputs)
         if run_mode == pipeline.RunMode.VANILLA:
             cache = run.cache
         else:

@@ -186,17 +186,6 @@ def _from_known_keys(cls, d):
     return cls(**d)
 
 
-@dataclass
-class AttentionTopology:
-    anchors: tuple
-
-    def key_shots(self, shot: int) -> list:
-        return sorted({*self.anchors, shot})
-
-    def refine_sources(self, shot: int) -> list:
-        return sorted(a for a in self.anchors if a != shot)
-
-
 def _in_window(window, t: int) -> bool:
     return window is not None and window[0] <= t <= window[1]
 
@@ -256,9 +245,9 @@ class ToyModel:
             k = tc.matmul(h, w.w_k)
             v = tc.matmul(h, w.w_v)
             if hooks is not None:
-                q = hooks.substitute_q(l, q)
+                q = hooks.substitute_q(l, q, cond)
             if hooks is not None and hooks.sdsa_on:
-                h_attn = hooks.extended_attention(l, q, k, v)
+                h_attn = hooks.extended_attention(l, q, k, v, cond)
             else:
                 # plain attention over the flattened (shot, frame) items
                 qi, ki, vi = (a.reshape(-1, *a.shape[2:]) for a in (q, k, v))
@@ -271,7 +260,7 @@ class ToyModel:
                 h_attn = h_attn.reshape(q.shape)
             o = tc.matmul(h_attn, w.w_o)
             if hooks is not None:
-                o = hooks.inject_o(l, o)
+                o = hooks.inject_o(l, o, cond)
             h = h + o
         return tc.matmul(h, self.w_out)
 
@@ -281,13 +270,11 @@ class ToyModel:
 @dataclass
 class PipelineRun:
     config: StoryboardConfig
-    subject: str
     prompts: list
     mode: RunMode
     cache: query_control.FeatureCache | None = None
     outputs: np.ndarray | None = None
     audit: list = field(default_factory=list)
-    final_masks: subject_mask.SubjectMaskSet | None = None
     fingerprint: str = ""
     # correspondence-map ids, numbered from 1 in build order within this run
     map_ids: itertools.count = field(default_factory=lambda: itertools.count(1), repr=False)
@@ -321,34 +308,24 @@ def _init_latents(config: StoryboardConfig, shots: int) -> np.ndarray:
     return np.stack(per_shot)
 
 
-def _build_masks(run: PipelineRun, x0: np.ndarray) -> subject_mask.SubjectMaskSet:
-    sal = subject_mask.saliency(x0, run.subject, run.config.subject_channel)
-    return subject_mask.SubjectMaskSet.from_saliency(sal)
-
-
 class _StepHooks:
     """Per-timestep hook state shared by the conditional and unconditional
     passes, so refinement reuses the identical correspondence maps."""
 
-    def __init__(self, run, t, masks, topology, sdsa_on, refine_on):
+    def __init__(self, run, t, masks, anchors, sdsa_on, refine_on):
         self.run = run
         self.cfg = run.config
         self.t = t
         self.masks = masks
-        self.topology = topology
+        self.anchors = anchors
         self.sdsa_on = sdsa_on
         self.refine_on = refine_on
-        self.pass_tag = "cond"
         self.refine_handles: dict = {}
-
-    def for_pass(self, tag: str) -> "_StepHooks":
-        self.pass_tag = tag
-        return self
 
     # -- query substitution (conditional pass only) --
 
-    def substitute_q(self, layer: int, q: np.ndarray) -> np.ndarray:
-        if self.pass_tag != "cond":
+    def substitute_q(self, layer: int, q: np.ndarray, cond: bool) -> np.ndarray:
+        if not cond:
             return q
         run, cfg, t = self.run, self.cfg, self.t
         if run.mode == RunMode.VANILLA:
@@ -362,8 +339,8 @@ class _StepHooks:
         run.audit.append(
             {
                 "event": "query",
-                "t": rec.t,
-                "layer": rec.layer,
+                "t": t,
+                "layer": layer,
                 "role": rec.role,
                 "dropout_kept_fraction": rec.dropout_kept_fraction,
             }
@@ -372,30 +349,30 @@ class _StepHooks:
 
     # -- extended attention --
 
-    def extended_attention(self, layer: int, q, k, v) -> np.ndarray:
+    def extended_attention(self, layer: int, q, k, v, cond: bool) -> np.ndarray:
         out = attention.extended_attention(
-            q, k, v, self.masks.masks, self.topology.key_shots, self.cfg.attend_middle_frame
+            q, k, v, self.masks.masks, self.anchors, self.cfg.attend_middle_frame
         )
-        if self.pass_tag == "cond":
+        if cond:
             self.run.audit.append({"event": "sdsa", "t": self.t, "layer": layer})
         return out
 
     # -- refinement injection --
 
-    def inject_o(self, layer: int, o: np.ndarray) -> np.ndarray:
+    def inject_o(self, layer: int, o: np.ndarray, cond: bool) -> np.ndarray:
         cfg = self.cfg
         if not self.refine_on or layer not in cfg.refine_layer_set():
             return o
         out = o.copy()
         map_ids = []
         for s in range(o.shape[0]):
-            sources = self.topology.refine_sources(s)
+            sources = sorted(a for a in self.anchors if a != s)
             if not sources:
                 continue
             anchor_feats = np.concatenate([o[a] for a in sources], axis=0)
             for f in range(o.shape[1]):
                 key = (layer, s, f)
-                if self.pass_tag == "cond":
+                if cond:
                     corr = refinement.build_correspondence(
                         o[s, f], anchor_feats, target=(s, f), map_id=next(self.run.map_ids)
                     )
@@ -411,7 +388,7 @@ class _StepHooks:
                 "event": "refinement",
                 "t": self.t,
                 "layer": layer,
-                "pass": self.pass_tag,
+                "pass": "cond" if cond else "uncond",
                 "map_ids": map_ids,
             }
         )
@@ -419,7 +396,7 @@ class _StepHooks:
 
 
 def sample(run: PipelineRun) -> np.ndarray:
-    """Deterministic denoising of a full run; fills run.outputs/audit/masks,
+    """Deterministic denoising of a full run; fills run.outputs and run.audit,
     or raises NonFiniteError naming the pass and the first step whose latents
     are not finite."""
     cfg = run.config
@@ -427,7 +404,7 @@ def sample(run: PipelineRun) -> np.ndarray:
     shots = run.shots
     if shots < 1:
         raise ConfigError("run needs at least one prompt")
-    topology = AttentionTopology(cfg.anchor_list(shots))
+    anchors = cfg.anchor_list(shots)
     model = ToyModel(spec)
     sched = subject_mask.NoiseSchedule.geometric(cfg.total_steps, cfg.alpha_min)
     fp = run_fingerprint(cfg, run.prompts)
@@ -454,16 +431,17 @@ def sample(run: PipelineRun) -> np.ndarray:
         masks = None  # read only by SDSA and refinement
         if sdsa_on or refine_on:
             e_probe = model.forward(x, run.prompts, cond=True, hooks=None)
-            masks = _build_masks(run, subject_mask.estimate_x0(x, e_probe, t, sched))
-        hooks = _StepHooks(run, t, masks, topology, sdsa_on, refine_on)
-        e_cond = model.forward(x, run.prompts, cond=True, hooks=hooks.for_pass("cond"))
+            x0_probe = subject_mask.estimate_x0(x, e_probe, t, sched)
+            masks = subject_mask.build_masks(x0_probe, cfg.subject_channel)
+        hooks = _StepHooks(run, t, masks, anchors, sdsa_on, refine_on)
+        e_cond = model.forward(x, run.prompts, cond=True, hooks=hooks)
         # At scale 1 guidance is defined as e_cond (README), so there the
         # unconditional forward runs only for the "uncond" refinement records
         # it writes to the refined audit. That audit is a recorded benchmark
         # reference: dropping the records, and this forward, waits for the
         # next re-recording of the references.
         if cfg.cfg_scale != 1 or refine_on:
-            e_uncond = model.forward(x, run.prompts, cond=False, hooks=hooks.for_pass("uncond"))
+            e_uncond = model.forward(x, run.prompts, cond=False, hooks=hooks)
         # overflow (e.g. a large cfg_scale) is reported below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.cfg_scale == 1:
@@ -482,24 +460,22 @@ def sample(run: PipelineRun) -> np.ndarray:
         if not np.isfinite(x).all():
             raise NonFiniteError(f"{run.mode.value} pass produced non-finite latents at t={t}")
     run.outputs = x
-    # masks over the final clean latents, shared by all modes for metrics
-    run.final_masks = _build_masks(run, x)
     return x
 
 
-def run_vanilla(config: StoryboardConfig, subject: str, prompts) -> PipelineRun:
-    run = PipelineRun(config, subject, list(prompts), RunMode.VANILLA)
+def run_vanilla(config: StoryboardConfig, prompts) -> PipelineRun:
+    run = PipelineRun(config, list(prompts), RunMode.VANILLA)
     sample(run)
     return run
 
 
-def run_consistent(config, subject, prompts, cache=None) -> PipelineRun:
-    run = PipelineRun(config, subject, list(prompts), RunMode.CONSISTENT, cache=cache)
+def run_consistent(config, prompts, cache=None) -> PipelineRun:
+    run = PipelineRun(config, list(prompts), RunMode.CONSISTENT, cache=cache)
     sample(run)
     return run
 
 
-def run_refined(config, subject, prompts, cache=None) -> PipelineRun:
-    run = PipelineRun(config, subject, list(prompts), RunMode.REFINED, cache=cache)
+def run_refined(config, prompts, cache=None) -> PipelineRun:
+    run = PipelineRun(config, list(prompts), RunMode.REFINED, cache=cache)
     sample(run)
     return run

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,22 +23,19 @@ class ShotPromptSet:
             raise PromptError(f"prompt set name {self.name!r} must be one plain path component")
         if not self.settings:
             raise PromptError(f"prompt set {self.name!r}: needs at least one setting")
-        # str() would read a null as the text "None", a list or mapping as its repr
+        # in the prompt a null would read as the text "None", a list or mapping as its repr
         for name, values in (("subject", [self.subject]), ("style", [self.style]),
                              ("settings", self.settings)):
             for v in values:
                 if v is None:
                     raise PromptError(f"prompt set {self.name!r}: field {name!r} has a null value")
-                if not isinstance(v, (str, int, float, datetime.date)):
+                if not isinstance(v, str):
                     raise PromptError(
-                        f"prompt set {self.name!r}: field {name!r} must be text, a number or "
-                        f"a date, got a {type(v).__name__}"
+                        f"prompt set {self.name!r}: field {name!r} must be text, "
+                        f"got a {type(v).__name__}"
                     )
-        if not self.subject or not str(self.subject).strip():
+        if not self.subject.strip():
             raise PromptError(f"prompt set {self.name!r}: subject must be nonempty")
-        self.subject = str(self.subject)
-        self.style = str(self.style)
-        self.settings = [str(s) for s in self.settings]
 
     @property
     def full_prompts(self) -> list:
@@ -72,19 +68,30 @@ def read_bytes(path, error: type, kind: str) -> bytes:
         raise error(f"cannot read {kind} file {path}: {exc.strerror or exc}") from None
 
 
-def read_yaml(path, error: type, kind: str, data: bytes | None = None):
-    """The YAML document in the `kind` file at path, parsed from data (the
-    file's bytes) or, when data is None, from a fresh read. A file that
-    cannot be read, is not UTF-8 or is not valid YAML raises error."""
+class _TextLoader(yaml.SafeLoader):
+    """SafeLoader that reads every plain scalar as its text, except the null
+    forms (`~`, `null`, an empty value): YAML 1.1 would turn a prompt's `no`,
+    `on` or `0x10` into False, True or 16."""
+
+    yaml_implicit_resolvers = {
+        first: [(tag, regexp) for tag, regexp in resolvers if tag == "tag:yaml.org,2002:null"]
+        for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+    }
+
+
+def read_yaml(path, error: type, kind: str, data: bytes | None = None, loader=yaml.SafeLoader):
+    """The YAML document in the `kind` file at path, parsed by loader from
+    data (the file's bytes) or, when data is None, from a fresh read. A file
+    that cannot be read, is not UTF-8 or is not valid YAML raises error."""
     if data is None:
         data = read_bytes(path, error, kind)
     try:
-        return yaml.safe_load(data.decode("utf-8"))
+        return yaml.load(data.decode("utf-8"), Loader=loader)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise error(f"{kind} file {path} is not valid YAML: {exc}") from None
 
 
 def load_prompts(path, data: bytes | None = None) -> list:
     """Load validated prompt sets in file order, from data when the file's
-    bytes were already read."""
-    return parse_prompt_sets(read_yaml(path, PromptError, "prompt", data))
+    bytes were already read. Every field is read as the text written."""
+    return parse_prompt_sets(read_yaml(path, PromptError, "prompt", data, _TextLoader))

@@ -144,8 +144,6 @@ def q_dropout(q_injected: np.ndarray, q_c: np.ndarray, rate: float, rng: np.rand
 
 @dataclass
 class QueryAudit:
-    t: int
-    layer: int
     role: str
     dropout_kept_fraction: float = 0.0
 
@@ -167,7 +165,7 @@ def select_q(t: int, layer: int, q_c: np.ndarray, cache, cfg, rng: np.random.Gen
         q_inj = q_flow(q_c, cache.flow_field(t, layer, cfg.keyframe_spacing), cfg.q_weight_mode)
         role = "flow"
     else:
-        return q_c, QueryAudit(t, layer, "consistent", 0.0)
+        return q_c, QueryAudit("consistent", 0.0)
 
     q_out, kept = q_dropout(q_inj, q_c, cfg.q_dropout, rng)
-    return q_out, QueryAudit(t, layer, role, kept)
+    return q_out, QueryAudit(role, kept)

@@ -74,15 +74,23 @@ def estimate_x0(x: np.ndarray, e_t: np.ndarray, t: int, sched: NoiseSchedule) ->
 
 # --- segmenter -----------------------------------------------------------
 
-def saliency(x0_hat: np.ndarray, prompt_subject: str, channel: int = 0) -> np.ndarray:
+def saliency(x0_hat: np.ndarray, channel: int = 0) -> np.ndarray:
     """Stub segmenter over (..., P, C): squared magnitude of one latent channel,
     normalized per frame by its peak over the patch axis (all-zero frames
-    give zeros)."""
+    give zeros). It takes no subject text because it reads none; a
+    text-prompted segmenter would add that parameter with the code that
+    reads it."""
     x0_hat = np.asarray(x0_hat, dtype=np.float64)
     energy = x0_hat[..., channel] ** 2
     peak = energy.max(axis=-1, keepdims=True)
     out = np.divide(energy, peak, out=np.zeros_like(energy), where=peak != 0)
     return out.astype(tc.F32)
+
+
+def build_masks(x0_hat: np.ndarray, channel: int) -> SubjectMaskSet:
+    """Subject masks of (S, F, P, C) clean latents: saliency of the channel,
+    Otsu-thresholded per (shot, frame)."""
+    return SubjectMaskSet.from_saliency(saliency(x0_hat, channel))
 
 
 # --- Otsu thresholding ----------------------------------------------------

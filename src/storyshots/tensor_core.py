@@ -7,6 +7,7 @@ back to float32 so results are reproducible bit-for-bit across runs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -91,15 +92,17 @@ def write_atomic(path, data: bytes) -> None:
             os.unlink(tmp)
 
 
-def save_tensor(path, arr: np.ndarray) -> None:
+def save_tensor(path, arr: np.ndarray) -> str:
     """Write a self-describing tensor file atomically: JSON header line + LE
-    f32 payload."""
+    f32 payload. Returns the sha256 hex digest of the bytes written."""
     arr = as_f32(arr)
     header = json.dumps(
         {"shape": list(arr.shape), "dtype": _HEADER_DTYPE, "order": _HEADER_ORDER},
         separators=(",", ":"),
     )
-    write_atomic(path, header.encode("utf-8") + b"\n" + arr.astype("<f4", copy=False).tobytes())
+    data = header.encode("utf-8") + b"\n" + arr.astype("<f4", copy=False).tobytes()
+    write_atomic(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def load_tensor(path) -> np.ndarray:

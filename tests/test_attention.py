@@ -243,7 +243,7 @@ class TestSubBatchedAttention:
         masks = rng.random((2, 3, 5)) < 0.5
         for middle in (False, True):
             full = attention.extended_attention(
-                feats.q, feats.k, feats.v, masks, lambda s: [0, 1], middle
+                feats.q, feats.k, feats.v, masks, (0, 1), middle
             )
             expected = np.stack(
                 [np.stack([sdsa(feats, masks, f, s, [0, 1], middle) for f in range(3)])

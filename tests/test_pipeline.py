@@ -139,7 +139,7 @@ class TestStoryboardConfig:
         with pytest.raises(ConfigError, match="frames"):
             pipeline.StoryboardConfig.from_dict({"model": {"frames": 1}})
         cfg = small_config(model=one, q_injection=False)
-        assert pipeline.run_consistent(cfg, "a red fox", PROMPTS).outputs.shape[1] == 1
+        assert pipeline.run_consistent(cfg, PROMPTS).outputs.shape[1] == 1
 
     def test_from_dict_layer_lists(self):
         cfg = pipeline.StoryboardConfig.from_dict({"refine_layers": [3], "injection_layers": [0]})
@@ -153,30 +153,43 @@ class TestStoryboardConfig:
             pipeline.StoryboardConfig.from_dict({"refine_layers": [9]})
 
 
-def topology(shots, anchors):
-    """The topology sample() builds: anchors validated by the config."""
-    return pipeline.AttentionTopology(small_config(anchors=anchors).anchor_list(shots))
+def assert_key_shots(anchors, key_shots):
+    """extended_attention over 3 shots gives shot s the keys of key_shots[s]."""
+    rng = np.random.default_rng(30)
+    q, k, v = (rng.standard_normal((3, 4, 5, 2)).astype(np.float32) for _ in range(3))
+    masks = rng.random((3, 4, 5)) < 0.5
+    out = attention.extended_attention(q, k, v, masks, anchors, False)
+    for s, ks in enumerate(key_shots):
+        want = attention.framewise_sdsa(q, k, v, masks, np.arange(4), s, ks, False)
+        assert np.array_equal(out[s], want), s
+
+
+def refinement_map_counts(anchors) -> set:
+    """Map ids per refinement audit record of a refined pass over 3 shots."""
+    cfg = small_config(anchors=anchors)
+    cache = pipeline.run_vanilla(cfg, PROMPTS).cache
+    run = pipeline.run_refined(cfg, PROMPTS, cache=cache)
+    return {len(r["map_ids"]) for r in run.audit if r["event"] == "refinement"}
 
 
 class TestAnchorTopology:
     def test_follower_spans_self_plus_anchors(self):
-        topo = topology(3, (0, 1))
-        assert topo.key_shots(2) == [0, 1, 2]
-        assert topo.key_shots(0) == [0, 1]
+        assert_key_shots((0, 1), [[0, 1], [0, 1], [0, 1, 2]])
+        assert_key_shots((2,), [[0, 2], [1, 2], [2]])
 
     def test_all_anchor_clique(self):
-        topo = topology(3, (0, 1, 2))
-        for s in range(3):
-            assert topo.key_shots(s) == [0, 1, 2]
+        assert_key_shots((0, 1, 2), [[0, 1, 2]] * 3)
 
     def test_refine_sources_exclude_self(self):
-        topo = topology(3, (0, 1))
-        assert topo.refine_sources(0) == [1]
-        assert topo.refine_sources(2) == [0, 1]
+        # anchor 0 has no source but itself, so it gets no map; with two
+        # anchors each has the other, and every (shot, frame) gets one
+        frames = SMALL_SPEC["frames"]
+        assert refinement_map_counts((0,)) == {(len(PROMPTS) - 1) * frames}
+        assert refinement_map_counts((0, 1)) == {len(PROMPTS) * frames}
 
     def test_empty_anchors_rejected(self):
-        with pytest.raises(ConfigError):
-            topology(3, ())
+        with pytest.raises(ConfigError, match="anchors"):
+            pipeline.StoryboardConfig(anchors=())
 
 
 class TestToyModel:
@@ -248,17 +261,17 @@ def count_calls(monkeypatch, owner, name) -> list:
 class TestSample:
     def test_double_run_bit_identical(self):
         cfg = small_config()
-        v1 = pipeline.run_vanilla(cfg, "a red fox", PROMPTS)
-        v2 = pipeline.run_vanilla(cfg, "a red fox", PROMPTS)
+        v1 = pipeline.run_vanilla(cfg, PROMPTS)
+        v2 = pipeline.run_vanilla(cfg, PROMPTS)
         assert v1.outputs.tobytes() == v2.outputs.tobytes()
-        r1 = pipeline.run_refined(cfg, "a red fox", PROMPTS, cache=v1.cache)
-        r2 = pipeline.run_refined(cfg, "a red fox", PROMPTS, cache=v2.cache)
+        r1 = pipeline.run_refined(cfg, PROMPTS, cache=v1.cache)
+        r2 = pipeline.run_refined(cfg, PROMPTS, cache=v2.cache)
         assert r1.outputs.tobytes() == r2.outputs.tobytes()
 
     def test_empty_windows_equal_vanilla(self):
         cfg = small_config(sdsa_window=None, refine_window=None, q_injection=False)
-        vanilla = pipeline.run_vanilla(cfg, "a red fox", PROMPTS)
-        consistent = pipeline.run_consistent(cfg, "a red fox", PROMPTS)
+        vanilla = pipeline.run_vanilla(cfg, PROMPTS)
+        consistent = pipeline.run_consistent(cfg, PROMPTS)
         assert vanilla.outputs.tobytes() == consistent.outputs.tobytes()
 
     def test_plain_attention_chunking_transparent(self, monkeypatch):
@@ -266,30 +279,30 @@ class TestSample:
         outs = []
         for items in (1, 2, 5, 12):  # (shot, frame) items of 16 patches per plain-attention call
             monkeypatch.setattr(pipeline, "LOGITS_BUDGET_BYTES", items * 8 * 16 * 16)
-            v = pipeline.run_vanilla(cfg, "a red fox", PROMPTS)
-            c = pipeline.run_consistent(cfg, "a red fox", PROMPTS, cache=v.cache)
+            v = pipeline.run_vanilla(cfg, PROMPTS)
+            c = pipeline.run_consistent(cfg, PROMPTS, cache=v.cache)
             outs.append(v.outputs.tobytes() + c.outputs.tobytes())
         for other in outs[1:]:
             assert outs[0] == other
 
     def test_consistent_requires_cache(self):
         with pytest.raises(ConfigError):
-            pipeline.run_consistent(small_config(), "a red fox", PROMPTS)
+            pipeline.run_consistent(small_config(), PROMPTS)
 
     def test_fingerprint_mismatch_rejected(self):
-        cache = pipeline.run_vanilla(small_config(seed=3), "a red fox", PROMPTS).cache
+        cache = pipeline.run_vanilla(small_config(seed=3), PROMPTS).cache
         with pytest.raises(ReproducibilityError):
-            pipeline.run_consistent(small_config(seed=4), "a red fox", PROMPTS, cache=cache)
+            pipeline.run_consistent(small_config(seed=4), PROMPTS, cache=cache)
 
     def test_non_finite_latents_fail_the_pass(self, monkeypatch):
         # the guidance blend overflows at t = 750, the second of four steps
         cfg = small_config(cfg_scale=1.0e30, sampler_steps=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vanilla = pipeline.run_vanilla(cfg, "a red fox", PROMPTS)
+            vanilla = pipeline.run_vanilla(cfg, PROMPTS)
             forwards = count_calls(monkeypatch, pipeline.ToyModel, "forward")
             run = pipeline.PipelineRun(
-                cfg, "a red fox", PROMPTS, pipeline.RunMode.CONSISTENT, cache=vanilla.cache
+                cfg, PROMPTS, pipeline.RunMode.CONSISTENT, cache=vanilla.cache
             )
             with pytest.raises(NonFiniteError, match=r"^consistent pass .* at t=750$"):
                 pipeline.sample(run)
@@ -326,13 +339,13 @@ class TestSample:
         ):
             forwards.clear()
             builds.clear()
-            run = pipeline.PipelineRun(cfg, "a red fox", PROMPTS, mode, cache=cache)
+            run = pipeline.PipelineRun(cfg, PROMPTS, mode, cache=cache)
             pipeline.sample(run)
             cache = run.cache
             # at scale 1 the unconditional forward runs only at refinement steps
             uncond = len(ts) if cfg_scale != 1 else refine_steps
             assert len(forwards) == len(ts) + uncond + probes, mode
-            assert len(builds) == probes + 1, mode  # + final_masks
+            assert len(builds) == probes, mode
 
     def test_scale_one_guidance_is_the_conditional_estimate(self, monkeypatch):
         # The old blend fl32(u + 1.0 * (c - u)) is not e_cond for every float32
@@ -361,14 +374,14 @@ class TestSample:
             for mode in pipeline.RunMode:
                 steps.clear()
                 uncond.clear()
-                run = pipeline.PipelineRun(cfg, "a red fox", shot_prompts, mode, cache=cache)
+                run = pipeline.PipelineRun(cfg, shot_prompts, mode, cache=cache)
                 pipeline.sample(run)
                 cache = run.cache
                 assert [hooks.t for _, _, _, hooks, _ in steps] == ts
                 refine_on = mode == pipeline.RunMode.REFINED
                 assert uncond == [t for t in ts if refine_on and 590 <= t <= 950]
                 for model, x, prompts, hooks, c in steps:
-                    u = forward(model, x, prompts, False, hooks.for_pass("uncond"))
+                    u = forward(model, x, prompts, False, hooks)
                     u64 = u.astype(np.float64)
                     e = (u64 + 1.0 * (c.astype(np.float64) - u64)).astype(np.float32)
                     assert e.tobytes() == c.tobytes(), (seed, mode, hooks.t)
@@ -387,7 +400,7 @@ class TestSample:
         cache = None
         for mode in pipeline.RunMode:
             uncond.clear()
-            run = pipeline.PipelineRun(cfg, "a red fox", PROMPTS, mode, cache=cache)
+            run = pipeline.PipelineRun(cfg, PROMPTS, mode, cache=cache)
             pipeline.sample(run)
             cache = run.cache
             assert uncond == cfg.timesteps(), mode
@@ -396,27 +409,27 @@ class TestSample:
         cache = qc.FeatureCache()
         cache.put(0, 0, np.zeros((1, 1, 1, 1), dtype=np.float32))
         run = pipeline.PipelineRun(
-            small_config(), "a red fox", PROMPTS, pipeline.RunMode.VANILLA, cache=cache
+            small_config(), PROMPTS, pipeline.RunMode.VANILLA, cache=cache
         )
         with pytest.raises(ConfigError):
             pipeline.sample(run)
 
     def test_refined_pass_same_with_fresh_or_shared_flow_fields(self):
         cfg = small_config()
-        cache = pipeline.run_vanilla(cfg, "a red fox", PROMPTS).cache
+        cache = pipeline.run_vanilla(cfg, PROMPTS).cache
         fresh = qc.FeatureCache(dict(cache.entries), cache.seed_fingerprint)
-        pipeline.run_consistent(cfg, "a red fox", PROMPTS, cache=cache)
+        pipeline.run_consistent(cfg, PROMPTS, cache=cache)
         assert cache.flow_fields and not fresh.flow_fields
-        shared = pipeline.run_refined(cfg, "a red fox", PROMPTS, cache=cache)
-        alone = pipeline.run_refined(cfg, "a red fox", PROMPTS, cache=fresh)
+        shared = pipeline.run_refined(cfg, PROMPTS, cache=cache)
+        alone = pipeline.run_refined(cfg, PROMPTS, cache=fresh)
         assert shared.outputs.tobytes() == alone.outputs.tobytes()
         assert json.dumps(shared.audit) == json.dumps(alone.audit)
         assert fresh.flow_fields.keys() == cache.flow_fields.keys()
 
     def test_window_gating_in_audit(self):
         cfg = small_config()
-        cache = pipeline.run_vanilla(cfg, "a red fox", PROMPTS).cache
-        run = pipeline.run_refined(cfg, "a red fox", PROMPTS, cache=cache)
+        cache = pipeline.run_vanilla(cfg, PROMPTS).cache
+        run = pipeline.run_refined(cfg, PROMPTS, cache=cache)
         ts = cfg.timesteps()
         layers = cfg.model.layers
         queries = [r for r in run.audit if r["event"] == "query"]
@@ -434,8 +447,8 @@ class TestSample:
 
     def test_refinement_maps_shared_across_passes(self):
         cfg = small_config()
-        cache = pipeline.run_vanilla(cfg, "a red fox", PROMPTS).cache
-        run = pipeline.run_refined(cfg, "a red fox", PROMPTS, cache=cache)
+        cache = pipeline.run_vanilla(cfg, PROMPTS).cache
+        run = pipeline.run_refined(cfg, PROMPTS, cache=cache)
         refine = [r for r in run.audit if r["event"] == "refinement"]
         by_step = {}
         for rec in refine:
@@ -450,25 +463,19 @@ class TestSample:
             "a red fox digging a burrow, watercolor",
         ]
         cfg = small_config()
-        v2 = pipeline.run_vanilla(cfg, "a red fox", PROMPTS[:2])
-        r2 = pipeline.run_refined(cfg, "a red fox", PROMPTS[:2], cache=v2.cache)
+        v2 = pipeline.run_vanilla(cfg, PROMPTS[:2])
+        r2 = pipeline.run_refined(cfg, PROMPTS[:2], cache=v2.cache)
         for followers in (1, 2):
             prompts = PROMPTS[:2] + extra[:followers]
-            v = pipeline.run_vanilla(cfg, "a red fox", prompts)
-            r = pipeline.run_refined(cfg, "a red fox", prompts, cache=v.cache)
+            v = pipeline.run_vanilla(cfg, prompts)
+            r = pipeline.run_refined(cfg, prompts, cache=v.cache)
             assert r.outputs[:2].tobytes() == r2.outputs[:2].tobytes()
-
-    def test_final_masks_present_in_all_modes(self):
-        cfg = small_config()
-        run = pipeline.run_vanilla(cfg, "a red fox", PROMPTS)
-        assert run.final_masks is not None
-        assert run.final_masks.masks.shape == (3, 4, 16)
 
     def test_middle_frame_flag_changes_output(self):
         cfg = small_config(q_injection=False, refine_window=None)
-        base = pipeline.run_consistent(cfg, "a red fox", PROMPTS)
+        base = pipeline.run_consistent(cfg, PROMPTS)
         cfg_mid = small_config(
             q_injection=False, refine_window=None, attend_middle_frame=True
         )
-        mid = pipeline.run_consistent(cfg_mid, "a red fox", PROMPTS)
+        mid = pipeline.run_consistent(cfg_mid, PROMPTS)
         assert not np.array_equal(base.outputs, mid.outputs)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -92,6 +93,30 @@ class TestPromptSets:
         with pytest.raises(PromptError, match=f"field {field} must be text"):
             prompts.parse_prompt_sets({"n": entry})
 
+    def test_scalars_kept_as_written(self, tmp_path):
+        # YAML 1.1 would read these as True, False, 16, 1.5 and a date
+        path = tmp_path / "p.yaml"
+        path.write_text(
+            "yes:\n  subject: a fox\n  style: no\n  settings: [on, 0x10, 1.50, 2024-01-01]\n"
+        )
+        (ps,) = prompts.load_prompts(path)
+        assert ps.name == "yes"
+        assert ps.full_prompts == [
+            "a fox on, no", "a fox 0x10, no", "a fox 1.50, no", "a fox 2024-01-01, no"
+        ]
+
+    @pytest.mark.parametrize("style", ["~", "null", ""])
+    def test_null_style_in_file_rejected(self, tmp_path, style):
+        # the text loader keeps YAML's null forms
+        path = tmp_path / "p.yaml"
+        path.write_text(f"fox:\n  subject: a fox\n  style: {style}\n  settings: [a]\n")
+        with pytest.raises(PromptError, match="field 'style' has a null value"):
+            prompts.load_prompts(path)
+
+    def test_non_text_field_rejected(self):
+        with pytest.raises(PromptError, match="field 'settings' must be text, got a int"):
+            prompts.ShotPromptSet("n", "a dog", ["x", 16], "ink")
+
     def test_load_dump_round_trip(self, tmp_path):
         path = write_yaml(tmp_path / "p.yaml", PROMPT_DOC)
         loaded = prompts.load_prompts(path)
@@ -147,6 +172,32 @@ class TestCli:
         assert parsed.sampler_steps == SMALL_CONFIG["sampler_steps"]
         assert manifest["mode"] == "refined"
         assert set(manifest["pass_fingerprints"]) == {"vanilla", "consistent", "refined"}
+
+    def test_config_scalars_keep_yaml_types(self, tmp_path):
+        # only prompt files are read as text; a config's `no` is still False
+        path = tmp_path / "config.yaml"
+        path.write_text("q_injection: no\nattend_middle_frame: on\n")
+        cfg = cli._effective_config(path, {})
+        assert cfg.q_injection is False and cfg.attend_middle_frame is True
+
+    def test_latents_hashed_from_the_bytes_written(self, io_paths, monkeypatch):
+        cfg, pro, out = io_paths
+        read_bytes = pathlib.Path.read_bytes
+        read = []
+
+        def logged(path):
+            read.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", logged)
+        assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 0
+        assert not [name for name in read if name.startswith("latents_")], read
+        monkeypatch.undo()
+        manifest = json.loads((out / "fox" / "manifest.json").read_text())
+        assert set(manifest["pass_fingerprints"]) == {"vanilla", "consistent", "refined"}
+        for mode, digest in manifest["pass_fingerprints"].items():
+            data = (out / "fox" / f"latents_{mode}.tensor").read_bytes()
+            assert digest == hashlib.sha256(data).hexdigest(), mode
 
     def test_vanilla_mode_writes_only_vanilla(self, io_paths):
         cfg, pro, out = io_paths

@@ -80,19 +80,19 @@ class TestSaliency:
     def test_zero_channel_gives_zero(self):
         x0 = np.zeros((8, 4), dtype=np.float32)
         x0[:, 1:] = 1.0  # energy elsewhere must not matter
-        out = sm.saliency(x0, "a fox")
+        out = sm.saliency(x0)
         assert np.array_equal(out, np.zeros(8, dtype=np.float32))
 
     def test_one_hot_argmax(self):
         x0 = np.zeros((8, 4), dtype=np.float32)
         x0[5, 0] = 2.0
-        out = sm.saliency(x0, "a fox")
+        out = sm.saliency(x0)
         assert np.argmax(out) == 5
         assert out[5] == pytest.approx(1.0)
 
     def test_range(self):
         rng = np.random.default_rng(2)
-        out = sm.saliency(rng.standard_normal((32, 6)).astype(np.float32), "x")
+        out = sm.saliency(rng.standard_normal((32, 6)).astype(np.float32))
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_batched_equals_stacked_frames(self):
@@ -100,8 +100,8 @@ class TestSaliency:
         x0 = rng.standard_normal((3, 4, 16, 5)).astype(np.float32)
         x0[1, 2] = 0.0  # all-zero frame
         x0[2, 0, 7, 1] = np.nan  # NaN in the scored channel
-        out = sm.saliency(x0, "x", channel=1)
-        stacked = np.stack([[sm.saliency(x0[s, f], "x", channel=1) for f in range(4)]
+        out = sm.saliency(x0, channel=1)
+        stacked = np.stack([[sm.saliency(x0[s, f], channel=1) for f in range(4)]
                             for s in range(3)])
         assert out.dtype == stacked.dtype == np.float32
         assert np.array_equal(out, stacked, equal_nan=True)
@@ -113,7 +113,7 @@ class TestSaliency:
     def test_custom_channel(self):
         x0 = np.zeros((4, 3), dtype=np.float32)
         x0[2, 1] = 1.0
-        out = sm.saliency(x0, "x", channel=1)
+        out = sm.saliency(x0, channel=1)
         assert np.argmax(out) == 2
 
 
