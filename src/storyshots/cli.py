@@ -6,29 +6,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import traceback
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics_viz, pipeline, prompts, subject_mask, tensor_core
 from .errors import ConfigError, PromptError, StoryshotsError
 
-SLICE_BLOCK_SIZE = 4
-SLICE_SEARCH_RADIUS = 2
-
-_MODE_SEQUENCE = {
-    "vanilla": [pipeline.RunMode.VANILLA],
-    "consistent": [pipeline.RunMode.VANILLA, pipeline.RunMode.CONSISTENT],
-    "refined": [
-        pipeline.RunMode.VANILLA,
-        pipeline.RunMode.CONSISTENT,
-        pipeline.RunMode.REFINED,
-    ],
-}
 # what _run_prompt_set writes into a set directory, removed before a re-run
 _SET_ARTIFACTS = ("latents_*.tensor", "audit_*.jsonl", "metrics.*", "manifest.json", "slices/shot_*.pgm")
 
@@ -64,15 +49,10 @@ def _effective_config(config_path, overrides: dict) -> pipeline.StoryboardConfig
     return pipeline.StoryboardConfig.from_dict(data)
 
 
-def _shot_videos(latents: np.ndarray, channel: int, patches_per_side: int) -> np.ndarray:
-    shots, frames = latents.shape[:2]
-    side = patches_per_side
-    return latents[..., channel].reshape(shots, frames, side, side)
-
-
 def _write_metrics(out_dir: Path, run: pipeline.PipelineRun) -> None:
     cfg = run.config
-    videos = _shot_videos(run.outputs, cfg.subject_channel, cfg.model.patches_per_side)
+    side = cfg.model.patches_per_side
+    videos = run.outputs[..., cfg.subject_channel].reshape(run.shots, cfg.model.frames, side, side)
     rows = []
     if run.shots >= 2:
         masks = subject_mask.build_masks(run.outputs, cfg.subject_channel)
@@ -81,14 +61,9 @@ def _write_metrics(out_dir: Path, run: pipeline.PipelineRun) -> None:
             ("set_consistency", report.set_consistency, report.set_consistency_sem, report.pair_count)
         )
         rows.append(("subject_consistency", report.subject_consistency, 0.0, run.shots))
-    scores = [
-        metrics_viz.dynamic_degree(
-            videos[s], block_size=SLICE_BLOCK_SIZE, search_radius=SLICE_SEARCH_RADIUS
-        )
-        for s in range(run.shots)
-    ]
-    sem = float(np.std(scores, ddof=1) / math.sqrt(len(scores))) if len(scores) > 1 else 0.0
-    rows.append(("dynamic_degree", float(np.mean(scores)), sem, len(scores)))
+    # through the module attribute, so a wrapped dynamic_degree sees every call
+    scores = [metrics_viz.dynamic_degree(videos[s]) for s in range(run.shots)]
+    rows.append(("dynamic_degree", *metrics_viz.mean_sem(scores), run.shots))
     metrics_viz.write_reports(out_dir / "metrics.csv", out_dir / "metrics.json", rows)
 
     slice_dir = out_dir / "slices"
@@ -112,7 +87,8 @@ def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", ov
     try:
         config = _effective_config(config_path, overrides or {})
         # dynamic_degree needs two frames and one search block per frame
-        side, min_side = config.model.patches_per_side, SLICE_BLOCK_SIZE + 2 * SLICE_SEARCH_RADIUS
+        side = config.model.patches_per_side
+        min_side = metrics_viz.BLOCK_SIZE + 2 * metrics_viz.SEARCH_RADIUS
         if config.model.frames < 2 or side < min_side:
             raise ConfigError(
                 f"metrics need frames >= 2 and patches_per_side >= {min_side}, "
@@ -122,12 +98,15 @@ def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", ov
         prompt_bytes = prompts.read_bytes(prompts_path, PromptError, "prompt")
         prompt_sets = prompts.load_prompts(prompts_path, prompt_bytes)
         prompt_hash = hashlib.sha256(prompt_bytes).hexdigest()
-        if mode not in _MODE_SEQUENCE:
+        # a mode runs every pass declared up to its own, in declaration order
+        passes = list(pipeline.RunMode)
+        if mode not in [p.value for p in passes]:
             raise StoryshotsError(f"unknown mode {mode!r}")
+        passes = passes[: passes.index(pipeline.RunMode(mode)) + 1]
         for prompt_set in prompt_sets:
             set_dir = out_dir / prompt_set.name
             set_dir.mkdir(exist_ok=True)
-            _run_prompt_set(config, prompt_set, mode, set_dir, prompt_hash)
+            _run_prompt_set(config, prompt_set, passes, set_dir, prompt_hash)
     except Exception as exc:
         (out_dir / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -137,7 +116,7 @@ def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", ov
     return 0
 
 
-def _run_prompt_set(config, prompt_set, mode, set_dir: Path, prompt_hash: str) -> None:
+def _run_prompt_set(config, prompt_set, passes, set_dir: Path, prompt_hash: str) -> None:
     for pattern in _SET_ARTIFACTS:
         for stale in set_dir.glob(pattern):
             stale.unlink()
@@ -145,7 +124,7 @@ def _run_prompt_set(config, prompt_set, mode, set_dir: Path, prompt_hash: str) -
     pass_fingerprints = {}
     cache = None
     last_run = None
-    for run_mode in _MODE_SEQUENCE[mode]:
+    for run_mode in passes:
         run = pipeline.PipelineRun(config, shot_prompts, run_mode, cache=cache)
         pipeline.sample(run)
         dump_path = set_dir / f"latents_{run_mode.value}.tensor"
@@ -160,7 +139,7 @@ def _run_prompt_set(config, prompt_set, mode, set_dir: Path, prompt_hash: str) -
         "config": config.to_dict(),
         "prompt_file_hash": prompt_hash,
         "seed": config.seed,
-        "mode": mode,
+        "mode": last_run.mode.value,
         "run_fingerprint": last_run.fingerprint,
         "pass_fingerprints": pass_fingerprints,
     }
@@ -182,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # value flags stay text here: run_storyboard converts them, so bad text fails the run
     parser.add_argument("--seed", default=None)
-    parser.add_argument("--mode", choices=sorted(_MODE_SEQUENCE), default="refined")
+    parser.add_argument("--mode", choices=[m.value for m in pipeline.RunMode], default="refined")
     parser.add_argument("--t-pres", default=None, dest="t_pres")
     parser.add_argument("--q-dropout", default=None, dest="q_dropout")
     parser.add_argument("--anchors", default=None, help="comma-separated shot ids")

@@ -33,9 +33,5 @@ class IntegrityError(StoryshotsError, RuntimeError):
     """A correspondence map was used against a mismatched anchor."""
 
 
-class InsufficientShotsError(ConfigError):
-    """A metric requires more shots than were provided."""
-
-
 class PromptError(ConfigError):
     """Prompt file failed validation."""

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import ConfigError, DimensionError, InsufficientShotsError
 
 # --- consistency -----------------------------------------------------------
 
@@ -44,13 +43,9 @@ class ConsistencyReport:
 def set_consistency(frames: np.ndarray, masks) -> ConsistencyReport:
     """Mean pairwise cosine similarity of masked frame features across all
     cross-shot pairs, plus the mean adjacent-frame similarity within shots.
+    Needs two or more shots: with one there is no cross-shot pair.
     """
-    frames = np.asarray(frames)
-    if frames.ndim != 4:
-        raise DimensionError(f"expected (S,F,P,c) frames, got {frames.shape}")
     shots, n_frames = frames.shape[:2]
-    if shots < 2:
-        raise InsufficientShotsError(f"set consistency needs >= 2 shots, got {shots}")
 
     feats = np.zeros((shots, n_frames, frames.shape[3]))
     for s in range(shots):
@@ -63,8 +58,7 @@ def set_consistency(frames: np.ndarray, masks) -> ConsistencyReport:
             for s2 in range(s1 + 1, shots):
                 for f2 in range(n_frames):
                     sims.append(_pair_cos(feats[s1, f1], feats[s2, f2]))
-    sims = np.asarray(sims)
-    sem = float(sims.std(ddof=1) / math.sqrt(sims.size)) if sims.size > 1 else 0.0
+    mean, sem = mean_sem(sims)
 
     within = [
         _pair_cos(feats[s, f], feats[s, f + 1])
@@ -73,16 +67,31 @@ def set_consistency(frames: np.ndarray, masks) -> ConsistencyReport:
     ]
     subject = float(np.mean(within)) if within else 1.0
     return ConsistencyReport(
-        set_consistency=float(sims.mean()),
+        set_consistency=mean,
         set_consistency_sem=sem,
         subject_consistency=subject,
-        pair_count=sims.size,
+        pair_count=len(sims),
     )
+
+
+def mean_sem(values) -> tuple:
+    """(mean, standard error of the mean) of a sample; one value has SEM 0."""
+    values = np.asarray(values, dtype=np.float64)
+    sem = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(values.mean()), sem
 
 
 # --- motion proxy ---------------------------------------------------------
 
-def dynamic_degree(video: np.ndarray, block_size: int = 8, search_radius: int = 4) -> float:
+# the block size and search radius the CLI scores every shot with: a frame
+# needs a side of at least BLOCK_SIZE + 2 * SEARCH_RADIUS to hold one block
+BLOCK_SIZE = 4
+SEARCH_RADIUS = 2
+
+
+def dynamic_degree(
+    video: np.ndarray, block_size: int = BLOCK_SIZE, search_radius: int = SEARCH_RADIUS
+) -> float:
     """Mean block-matching displacement magnitude between adjacent frames.
 
     Exhaustive +-search_radius search per block, minimum sum-of-absolute-
@@ -91,17 +100,9 @@ def dynamic_degree(video: np.ndarray, block_size: int = 8, search_radius: int = 
     margin so every candidate displacement stays in frame.
     """
     video = np.asarray(video, dtype=np.float64)
-    if video.ndim != 3 or video.shape[0] < 2:
-        raise DimensionError(f"expected (F>=2, H, W) video, got {video.shape}")
     n_frames, height, width = video.shape
-    if height < block_size or width < block_size:
-        raise ConfigError(f"frame {height}x{width} smaller than block size {block_size}")
-    ys = list(range(search_radius, height - block_size - search_radius + 1, block_size))
-    xs = list(range(search_radius, width - block_size - search_radius + 1, block_size))
-    if not ys or not xs:
-        raise ConfigError(
-            f"frame {height}x{width} too small for block {block_size} with radius {search_radius}"
-        )
+    ys = range(search_radius, height - block_size - search_radius + 1, block_size)
+    xs = range(search_radius, width - block_size - search_radius + 1, block_size)
 
     offsets = [
         (dy, dx)
@@ -133,8 +134,6 @@ def yt_slice(video: np.ndarray):
     Returns (slice, column).
     """
     video = np.asarray(video)
-    if video.ndim != 3:
-        raise DimensionError(f"expected (F,H,W) video, got {video.shape}")
     variance = video.astype(np.float64).var(axis=0).sum(axis=0)  # per column
     column = int(np.argmax(variance))
     return video[:, :, column].T.copy(), column

@@ -50,9 +50,6 @@ class ToyModelSpec:
         # the last layer stands in for the coarsest-resolution attention
         return self.layers - 1
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class StoryboardConfig:
@@ -291,7 +288,7 @@ def run_fingerprint(config: StoryboardConfig, prompts) -> str:
             "T": config.total_steps,
             "sampler_steps": config.sampler_steps,
             "alpha_min": config.alpha_min,
-            "model": config.model.to_dict(),
+            "model": asdict(config.model),
             "prompts": list(prompts),
         }
     )

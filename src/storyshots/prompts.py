@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,9 @@ class ShotPromptSet:
     style: str
 
     def __post_init__(self):
-        # the name becomes one directory under --out
+        # the name becomes one directory under --out; a null one would read as "None"
+        if not isinstance(self.name, str):
+            raise PromptError(f"prompt set name {self.name!r} must be text")
         if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
             raise PromptError(f"prompt set name {self.name!r} must be one plain path component")
         if not self.settings:
@@ -55,7 +58,7 @@ def parse_prompt_sets(data: dict) -> list:
         settings = entry["settings"]
         if not isinstance(settings, list):
             raise PromptError(f"prompt set {name!r}: field 'settings' must be a list")
-        sets.append(ShotPromptSet(str(name), entry["subject"], settings, entry["style"]))
+        sets.append(ShotPromptSet(name, entry["subject"], settings, entry["style"]))
     return sets
 
 
@@ -68,18 +71,43 @@ def read_bytes(path, error: type, kind: str) -> bytes:
         raise error(f"cannot read {kind} file {path}: {exc.strerror or exc}") from None
 
 
-class _TextLoader(yaml.SafeLoader):
-    """SafeLoader that reads every plain scalar as its text, except the null
-    forms (`~`, `null`, an empty value): YAML 1.1 would turn a prompt's `no`,
-    `on` or `0x10` into False, True or 16."""
+_MERGE = "tag:yaml.org,2002:merge"
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key written twice in one mapping, where
+    YAML would keep the last value. A merge key (`<<`) still merges, and a
+    key written next to it overrides the merged one."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == _MERGE:
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                break  # super() reports the unhashable key
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"repeated key {key!r}", key_node.start_mark
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+class _TextLoader(_UniqueKeyLoader):
+    """_UniqueKeyLoader that reads every plain scalar as its text, except the
+    null forms (`~`, `null`, an empty value) and the merge key: YAML 1.1 would
+    turn a prompt's `no`, `on` or `0x10` into False, True or 16."""
 
     yaml_implicit_resolvers = {
-        first: [(tag, regexp) for tag, regexp in resolvers if tag == "tag:yaml.org,2002:null"]
+        first: [(tag, regexp) for tag, regexp in resolvers
+                if tag in ("tag:yaml.org,2002:null", _MERGE)]
         for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
     }
 
 
-def read_yaml(path, error: type, kind: str, data: bytes | None = None, loader=yaml.SafeLoader):
+def read_yaml(path, error: type, kind: str, data: bytes | None = None, loader=_UniqueKeyLoader):
     """The YAML document in the `kind` file at path, parsed by loader from
     data (the file's bytes) or, when data is None, from a fresh read. A file
     that cannot be read, is not UTF-8 or is not valid YAML raises error."""

@@ -63,10 +63,6 @@ class SubjectMaskSet:
 
 def estimate_x0(x: np.ndarray, e_t: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
     """Invert one forward-noising step: (x - sqrt(1 - a_t) * e_t) / sqrt(a_t)."""
-    x = np.asarray(x)
-    e_t = np.asarray(e_t)
-    if x.shape != e_t.shape:
-        raise DimensionError(f"x shape {x.shape} != noise shape {e_t.shape}")
     a = sched.alpha(t)
     x0 = (x.astype(np.float64) - math.sqrt(1.0 - a) * e_t.astype(np.float64)) / math.sqrt(a)
     return x0.astype(tc.F32)

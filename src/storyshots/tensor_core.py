@@ -22,17 +22,8 @@ _HEADER_DTYPE = "f32"
 _HEADER_ORDER = "row-major"
 
 
-def as_f32(x) -> np.ndarray:
-    """Coerce to a C-contiguous float32 array."""
-    return np.ascontiguousarray(x, dtype=F32)
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., k) @ (k, n) row projection, float64 accumulation, float32 result."""
-    if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul shape mismatch: {tuple(a.shape)} x {tuple(b.shape)}"
-        )
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
 
 
@@ -95,7 +86,7 @@ def write_atomic(path, data: bytes) -> None:
 def save_tensor(path, arr: np.ndarray) -> str:
     """Write a self-describing tensor file atomically: JSON header line + LE
     f32 payload. Returns the sha256 hex digest of the bytes written."""
-    arr = as_f32(arr)
+    arr = np.ascontiguousarray(arr, dtype=F32)
     header = json.dumps(
         {"shape": list(arr.shape), "dtype": _HEADER_DTYPE, "order": _HEADER_ORDER},
         separators=(",", ":"),

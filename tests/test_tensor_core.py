@@ -39,10 +39,6 @@ class TestMatmul:
         b = rng.standard_normal((5, 3)).astype(np.float32)
         assert np.abs(tc.matmul(a, b) - naive_matmul(a, b)).max() < 1e-6
 
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            tc.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
     def test_associativity(self):
         rng = np.random.default_rng(1)
         a, b, c = (rng.standard_normal((4, 4)).astype(np.float32) for _ in range(3))
