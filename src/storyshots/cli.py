@@ -11,7 +11,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import metrics_viz, pipeline, prompts, subject_mask, tensor_core
+from . import metrics_viz, pipeline, prompts, query_control, subject_mask, tensor_core
 from .errors import ConfigError, PromptError, StoryshotsError
 
 # what _run_prompt_set writes into a set directory, removed before a re-run
@@ -122,7 +122,8 @@ def _run_prompt_set(config, prompt_set, passes, set_dir: Path, prompt_hash: str)
             stale.unlink()
     shot_prompts = prompt_set.full_prompts
     pass_fingerprints = {}
-    cache = None
+    # the vanilla queries are cached only for a later pass that injects them
+    cache = query_control.FeatureCache() if len(passes) > 1 and config.q_injection else None
     last_run = None
     for run_mode in passes:
         run = pipeline.PipelineRun(config, shot_prompts, run_mode, cache=cache)

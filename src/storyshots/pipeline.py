@@ -326,7 +326,8 @@ class _StepHooks:
             return q
         run, cfg, t = self.run, self.cfg, self.t
         if run.mode == RunMode.VANILLA:
-            run.cache.put(t, layer, q)
+            if run.cache is not None:
+                run.cache.put(t, layer, q)
             return q
         if not cfg.q_injection:
             return q
@@ -408,9 +409,11 @@ def sample(run: PipelineRun) -> np.ndarray:
     run.fingerprint = fp
 
     if run.mode == RunMode.VANILLA:
-        if run.cache is not None and len(run.cache):
-            raise ConfigError("vanilla run must start with an empty cache")
-        run.cache = query_control.FeatureCache(seed_fingerprint=fp)
+        # the caller gives a cache only when a later pass reads it
+        if run.cache is not None:
+            if len(run.cache):
+                raise ConfigError("vanilla run must start with an empty cache")
+            run.cache.seed_fingerprint = fp
     elif cfg.q_injection:
         if run.cache is None or not len(run.cache):
             raise ConfigError(f"{run.mode.value} run requires a vanilla feature cache")
@@ -461,7 +464,7 @@ def sample(run: PipelineRun) -> np.ndarray:
 
 
 def run_vanilla(config: StoryboardConfig, prompts) -> PipelineRun:
-    run = PipelineRun(config, list(prompts), RunMode.VANILLA)
+    run = PipelineRun(config, list(prompts), RunMode.VANILLA, cache=query_control.FeatureCache())
     sample(run)
     return run
 

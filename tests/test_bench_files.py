@@ -2,11 +2,15 @@
 its workload, command, host and claimed metric, and for each run pair both
 sides correct and carrying every end-to-end metric BENCHMARK.json declares.
 Optional `controls` entries (pairs on other workloads, to show that nothing
-moved there) are held to the same rule.
+moved there) are held to the same rule. The claimed metric must meet the
+claim rule: at least ten pairs, the change better in nine of every ten (in
+the direction BENCHMARK.json gives; a tie counts for neither side), and the
+medians apart by more than the parent's quartile spread.
 """
 
 import json
 import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 
@@ -48,3 +53,19 @@ def test_bench_file_is_complete(path):
     check_pairs(bench, path.name)
     for j, control in enumerate(bench.get("controls", [])):
         check_pairs(control, (path.name, "controls", j))
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_bench_file_meets_the_claim_rule(path):
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    claim, pairs = bench["claim"], bench["pairs"]
+    assert len(pairs) >= 10, path.name
+    # +1 where lower is better: gain > 0 means the change beat the parent
+    sign = 1 if BETTER[claim] == "lower" else -1
+    parent = [pair["parent"]["metrics"][claim]["value"] for pair in pairs]
+    change = [pair["change"]["metrics"][claim]["value"] for pair in pairs]
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    assert 10 * wins >= 9 * len(pairs), (path.name, wins, len(pairs))
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gain = sign * (statistics.median(parent) - statistics.median(change))
+    assert gain > q3 - q1, (path.name, gain, q3 - q1)

@@ -335,7 +335,7 @@ class TestSample:
         forwards = count_calls(monkeypatch, pipeline.ToyModel, "forward")
         builds = count_calls(monkeypatch, subject_mask.SubjectMaskSet, "from_saliency")
         sdsa, refine = steps_in(cfg.sdsa_window), steps_in(cfg.refine_window)
-        cache = None
+        cache = qc.FeatureCache()
         for mode, probes in (
             (pipeline.RunMode.VANILLA, 0),
             (pipeline.RunMode.CONSISTENT, len(sdsa)),
@@ -370,7 +370,7 @@ class TestSample:
         for seed in range(3):
             cfg = pipeline.StoryboardConfig(sampler_steps=10, seed=seed)
             ts = cfg.timesteps()
-            cache = None
+            cache = qc.FeatureCache()
             for mode in pipeline.RunMode:
                 steps.clear()
                 uncond.clear()
@@ -448,7 +448,7 @@ class TestSample:
             return forward(model, x, prompts, cond, hooks)
 
         monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
-        cache = None
+        cache = qc.FeatureCache()
         for mode in pipeline.RunMode:
             uncond.clear()
             run = pipeline.PipelineRun(cfg, PROMPTS, mode, cache=cache)
@@ -464,6 +464,25 @@ class TestSample:
         )
         with pytest.raises(ConfigError):
             pipeline.sample(run)
+
+    def test_vanilla_without_a_cache_caches_nothing(self):
+        cfg = small_config()
+        run = pipeline.PipelineRun(cfg, PROMPTS, pipeline.RunMode.VANILLA)
+        pipeline.sample(run)
+        assert run.cache is None
+        assert run.outputs.tobytes() == pipeline.run_vanilla(cfg, PROMPTS).outputs.tobytes()
+        consistent = pipeline.PipelineRun(cfg, PROMPTS, pipeline.RunMode.CONSISTENT, cache=run.cache)
+        with pytest.raises(ConfigError, match="requires a vanilla feature cache"):
+            pipeline.sample(consistent)
+
+    def test_vanilla_fills_the_cache_it_is_given(self):
+        cfg = small_config()
+        cache = qc.FeatureCache()
+        run = pipeline.PipelineRun(cfg, PROMPTS, pipeline.RunMode.VANILLA, cache=cache)
+        pipeline.sample(run)
+        assert run.cache is cache
+        assert len(cache) == cfg.sampler_steps * cfg.model.layers
+        assert cache.seed_fingerprint == run.fingerprint
 
     def test_refined_pass_same_with_fresh_or_shared_flow_fields(self):
         cfg = small_config()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def write_yaml(path, data):
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(data, fh, sort_keys=False)
     return path
+
+
+def count_puts(monkeypatch) -> list:
+    """Log the (t, layer) of every FeatureCache.put."""
+    puts = []
+    put = query_control.FeatureCache.put
+
+    def logged(cache, t, layer_id, q):
+        puts.append((t, layer_id))
+        return put(cache, t, layer_id, q)
+
+    monkeypatch.setattr(query_control.FeatureCache, "put", logged)
+    return puts
 
 
 class TestPromptSets:
@@ -357,6 +371,80 @@ class TestCli:
             flows = [(r["t"], r["layer"]) for r in records if r.get("role") == "flow"]
             assert flows and len(set(flows)) == len(flows)
         assert calls == [pipeline.RunMode.CONSISTENT] * len(flows)
+
+    @pytest.mark.parametrize(
+        "mode, q_injection", [("vanilla", True), ("refined", False)],
+        ids=["vanilla", "refined-no-injection"],
+    )
+    def test_no_query_cache_without_a_reader(self, tmp_path, monkeypatch, mode, q_injection):
+        # no later pass reads the vanilla queries, so none is cached; every
+        # artifact equals the library chain's, whose vanilla pass does cache
+        config = dict(SMALL_CONFIG, q_injection=q_injection)
+        cfg_path = write_yaml(tmp_path / "config.yaml", config)
+        pro = write_yaml(tmp_path / "prompts.yaml", PROMPT_DOC)
+        puts = count_puts(monkeypatch)
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg_path), "--prompts", str(pro), "--out", str(out), "--mode", mode]
+        assert cli.main(argv) == 0
+        assert puts == []
+        monkeypatch.undo()
+
+        cfg = pipeline.StoryboardConfig.from_dict(config)
+        shot_prompts = prompts.load_prompts(pro)[0].full_prompts
+        lib = tmp_path / "library"
+        lib.mkdir()
+        run = pipeline.run_vanilla(cfg, shot_prompts)
+        assert len(run.cache) == cfg.sampler_steps * cfg.model.layers
+        fingerprints = {"vanilla": tensor_core.save_tensor(lib / "latents_vanilla.tensor", run.outputs)}
+        cache = run.cache
+        order = list(pipeline.RunMode)
+        for run_mode in order[1 : order.index(pipeline.RunMode(mode)) + 1]:
+            run = pipeline.PipelineRun(cfg, shot_prompts, run_mode, cache=cache)
+            pipeline.sample(run)
+            path = lib / f"latents_{run_mode.value}.tensor"
+            fingerprints[run_mode.value] = tensor_core.save_tensor(path, run.outputs)
+            cli._write_audit(lib / f"audit_{run_mode.value}.jsonl", run.audit)
+        cli._write_metrics(lib, run)
+
+        set_dir = out / "fox"
+        written = sorted(p.relative_to(set_dir) for p in set_dir.rglob("*") if p.is_file())
+        expected = sorted(p.relative_to(lib) for p in lib.rglob("*") if p.is_file())
+        assert written == sorted(expected + [pathlib.Path("manifest.json")])
+        for name in expected:
+            assert (set_dir / name).read_bytes() == (lib / name).read_bytes(), name
+        manifest = json.loads((set_dir / "manifest.json").read_text())
+        assert manifest["pass_fingerprints"] == fingerprints
+        assert manifest["run_fingerprint"] == run.fingerprint
+
+    @pytest.mark.parametrize("mode", ["consistent", "refined"])
+    def test_injecting_run_caches_every_step_and_layer(self, io_paths, monkeypatch, mode):
+        cfg, pro, out = io_paths
+        puts = count_puts(monkeypatch)
+        argv = ["--config", str(cfg), "--prompts", str(pro), "--out", str(out), "--mode", mode]
+        assert cli.main(argv) == 0
+        assert len(puts) == SMALL_CONFIG["sampler_steps"] * SMALL_CONFIG["model"]["layers"]
+        assert len(set(puts)) == len(puts)
+
+    def test_vanilla_run_traces_less_than_its_query_cache(self, tmp_path):
+        # the default model at 20 steps: caching the vanilla queries would take
+        # steps x layers x one (shots, frames, patches, channels) float32 array
+        settings = PROMPT_DOC["fox"]["settings"] + ["walking through fog", "sleeping under stars"]
+        pro = write_yaml(tmp_path / "prompts.yaml", {"fox": dict(PROMPT_DOC["fox"], settings=settings)})
+        cfg_path = write_yaml(tmp_path / "config.yaml", {"sampler_steps": 20})
+        spec = pipeline.ToyModelSpec()
+        cache_bytes = 20 * spec.layers * len(settings) * spec.frames * spec.patches * spec.channels * 4
+        argv = ["--config", str(cfg_path), "--prompts", str(pro), "--out", str(tmp_path / "out"),
+                "--mode", "vanilla"]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rc = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < cache_bytes, (peak, cache_bytes)
 
     def test_refined_audit_byte_identical_across_runs(self, io_paths, tmp_path):
         cfg, pro, _ = io_paths
