@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import DegenerateRowError, DimensionError
 
 # Additive logit penalty standing in for -inf; masked weights are zeroed
 # exactly after the softmax so no NaN can appear.
@@ -30,23 +29,15 @@ class LayerWeights:
 def masked_attention(q, k, v, allowed=None):
     """Core kernel: softmax(q kᵀ/√d + logmask) · v with exact zeroing of masked
     weights, over any leading batch axes; allowed broadcasts to the logits
-    (..., Pq, Pk). Each item gets the IEEE ops of a lone call, in one float64
-    logits buffer updated in place and returned as the weights. Returns
-    (h, weights); h is float32, pre output-projection.
+    (..., Pq, Pk) and opens a key in every row. Each item gets the IEEE ops of
+    a lone call, in one float64 logits buffer updated in place and returned
+    as the weights. Returns (h, weights); h is float32, pre output-projection.
     """
     d = np.shape(q)[-1]
     logits = np.matmul(np.asarray(q, np.float64), np.swapaxes(np.asarray(k, np.float64), -1, -2))
     logits /= math.sqrt(d)
     if allowed is not None:
         allowed = np.asarray(allowed, dtype=bool)
-        try:
-            np.broadcast_to(allowed, logits.shape)
-        except ValueError:
-            raise DimensionError(
-                f"mask shape {allowed.shape} does not match logits {logits.shape}"
-            ) from None
-        if not allowed.any(axis=-1).all():
-            raise DegenerateRowError("extended mask row has no allowed key")
         logits += np.where(allowed, 0.0, MASK_LOGIT)
     weights = tc.softmax(logits, out=logits)
     if allowed is not None:

@@ -21,16 +21,8 @@ class NonFiniteError(StoryshotsError, FloatingPointError):
     """A pass produced latents that are not all finite."""
 
 
-class CacheMissError(StoryshotsError, KeyError):
-    """Requested (timestep, layer) entry was never cached."""
-
-
 class ReproducibilityError(StoryshotsError, RuntimeError):
     """RNG fingerprints of dependent passes do not match."""
-
-
-class IntegrityError(StoryshotsError, RuntimeError):
-    """A correspondence map was used against a mismatched anchor."""
 
 
 class PromptError(ConfigError):

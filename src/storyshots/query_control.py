@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import CacheMissError
 
 
 @dataclass
@@ -25,23 +24,20 @@ class FeatureCache:
 
     entries: dict = field(default_factory=dict)
     seed_fingerprint: str = ""
-    # (t, layer_id, spacing) -> FlowField; put() drops its key's fields
+    # (t, layer_id, spacing) -> FlowField; a vanilla pass puts each key once,
+    # into an empty cache, and only later passes build fields
     flow_fields: dict = field(default_factory=dict, repr=False)
 
     def put(self, t: int, layer_id: int, q: np.ndarray) -> None:
         self.entries[(t, layer_id)] = np.array(q, dtype=tc.F32, copy=True)
-        for key in [k for k in self.flow_fields if k[:2] == (t, layer_id)]:
-            del self.flow_fields[key]
 
     def get(self, t: int, layer_id: int) -> np.ndarray:
-        try:
-            return self.entries[(t, layer_id)]
-        except KeyError:
-            raise CacheMissError(f"no cached queries for (t={t}, layer={layer_id})")
+        return self.entries[(t, layer_id)]
 
     def flow_field(self, t: int, layer_id: int, spacing: int) -> FlowField:
         """The match field of the cached queries at (t, layer_id), computed on
-        first use and kept until put() replaces those queries."""
+        first use and kept for the cache's life: the vanilla pass has put every
+        entry before a later pass asks for a field."""
         key = (t, layer_id, spacing)
         if key not in self.flow_fields:
             self.flow_fields[key] = match_field(self.get(t, layer_id), spacing)

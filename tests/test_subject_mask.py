@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from storyshots import subject_mask as sm
-from storyshots.errors import DimensionError
 
 
 def exhaustive_otsu(scores):
@@ -151,10 +150,6 @@ class TestOtsu:
         scaled = 2.5 * scores + 0.75
         thr2, _ = sm.otsu_threshold(scaled)
         assert np.array_equal(scores > thr, scaled > thr2)
-
-    def test_too_few_scores(self):
-        with pytest.raises(DimensionError):
-            sm.otsu_threshold(np.array([1.0]))
 
 
 class TestSubjectMaskSet:
