@@ -98,6 +98,10 @@ def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", ov
         prompt_bytes = prompts.read_bytes(prompts_path, PromptError, "prompt")
         prompt_sets = prompts.load_prompts(prompts_path, prompt_bytes)
         prompt_hash = hashlib.sha256(prompt_bytes).hexdigest()
+        # the anchors are the one config check that needs a set's shot count:
+        # check every set before any set's first pass
+        for prompt_set in prompt_sets:
+            config.anchor_list(len(prompt_set.settings))
         # a mode runs every pass declared up to its own, in declaration order
         passes = list(pipeline.RunMode)
         if mode not in [p.value for p in passes]:

@@ -9,16 +9,12 @@ class DimensionError(StoryshotsError, ValueError):
     """Operand shapes are incompatible."""
 
 
-class DegenerateRowError(StoryshotsError, ValueError):
-    """A softmax row has no finite logit to normalize over."""
-
-
 class ConfigError(StoryshotsError, ValueError):
     """Invalid configuration value or combination."""
 
 
 class NonFiniteError(StoryshotsError, FloatingPointError):
-    """A pass produced latents that are not all finite."""
+    """A value that must be finite is not: a pass's latents or a softmax row max."""
 
 
 class ReproducibilityError(StoryshotsError, RuntimeError):

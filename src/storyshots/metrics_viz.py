@@ -6,27 +6,19 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor_core as tc
 
 # --- consistency -----------------------------------------------------------
 
-def masked_mean_extractor(frame: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Stub extractor: mean-pool the background-zeroed patch features."""
-    frame = np.asarray(frame, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    zeroed = frame * mask[:, None]
-    return zeroed.mean(axis=0)
-
-
-def _pair_cos(a: np.ndarray, b: np.ndarray) -> float:
-    na = math.sqrt(float(a @ a))
-    nb = math.sqrt(float(b @ b))
+def _pair_cos(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
@@ -43,28 +35,21 @@ class ConsistencyReport:
 def set_consistency(frames: np.ndarray, masks) -> ConsistencyReport:
     """Mean pairwise cosine similarity of masked frame features across all
     cross-shot pairs, plus the mean adjacent-frame similarity within shots.
-    Needs two or more shots: with one there is no cross-shot pair.
+    A frame's feature is the mean over its patches with the background
+    zeroed. Needs two or more shots: with one there is no cross-shot pair.
     """
     shots, n_frames = frames.shape[:2]
+    feats = (frames.astype(np.float64) * masks.masks[..., None]).mean(axis=2)
+    ids = list(itertools.product(range(shots), range(n_frames)))
+    norms = {p: math.sqrt(float(feats[p] @ feats[p])) for p in ids}
 
-    feats = np.zeros((shots, n_frames, frames.shape[3]))
-    for s in range(shots):
-        for f in range(n_frames):
-            feats[s, f] = masked_mean_extractor(frames[s, f], masks.masks[s, f])
+    def cos(p, q):
+        return _pair_cos(feats[p], feats[q], norms[p], norms[q])
 
-    sims = []
-    for s1 in range(shots):
-        for f1 in range(n_frames):
-            for s2 in range(s1 + 1, shots):
-                for f2 in range(n_frames):
-                    sims.append(_pair_cos(feats[s1, f1], feats[s2, f2]))
+    # mean_sem sums in list order, so the pair order (s1, f1, s2 > s1, f2) is in the bytes
+    sims = [cos(p, q) for p in ids for q in ids if q[0] > p[0]]
     mean, sem = mean_sem(sims)
-
-    within = [
-        _pair_cos(feats[s, f], feats[s, f + 1])
-        for s in range(shots)
-        for f in range(n_frames - 1)
-    ]
+    within = [cos((s, f), (s, f + 1)) for s, f in ids if f + 1 < n_frames]
     subject = float(np.mean(within)) if within else 1.0
     return ConsistencyReport(
         set_consistency=mean,
@@ -101,29 +86,25 @@ def dynamic_degree(
     """
     video = np.asarray(video, dtype=np.float64)
     n_frames, height, width = video.shape
-    ys = range(search_radius, height - block_size - search_radius + 1, block_size)
-    xs = range(search_radius, width - block_size - search_radius + 1, block_size)
+    r, b = search_radius, block_size
+    ys = np.arange(r, height - b - r + 1, b)[:, None]
+    xs = np.arange(r, width - b - r + 1, b)[None, :]
+    # in tie-break order, so argmin's first least SAD is the tie-break's pick
+    offsets = sorted(
+        ((dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1)),
+        key=lambda o: (math.hypot(*o), o),
+    )
+    dys, dxs = (np.array(d)[:, None, None] for d in zip(*offsets))
+    offset_norms = np.array([math.hypot(dy, dx) for dy, dx in offsets])
 
-    offsets = [
-        (dy, dx)
-        for dy in range(-search_radius, search_radius + 1)
-        for dx in range(-search_radius, search_radius + 1)
-    ]
+    windows = sliding_window_view(video, (b, b), axis=(1, 2))  # [f, y, x] is a block
     magnitudes = []
-    for f in range(n_frames - 1):
-        cur, nxt = video[f], video[f + 1]
-        for y0 in ys:
-            for x0 in xs:
-                block = cur[y0 : y0 + block_size, x0 : x0 + block_size]
-                best = None
-                for dy, dx in offsets:
-                    window = nxt[y0 + dy : y0 + dy + block_size, x0 + dx : x0 + dx + block_size]
-                    sad = float(np.abs(block - window).sum())
-                    key = (sad, math.hypot(dy, dx), dy, dx)
-                    if best is None or key < best:
-                        best = key
-                magnitudes.append(best[1])
-    return float(np.mean(magnitudes))
+    for f in range(n_frames - 1):  # one frame pair's candidates at a time
+        blocks = windows[f][ys, xs]  # (blocks_y, blocks_x, b, b)
+        candidates = windows[f + 1][ys + dys, xs + dxs]  # (offsets, blocks_y, blocks_x, b, b)
+        sad = np.abs(candidates - blocks).sum(axis=(-2, -1))
+        magnitudes.append(offset_norms[sad.argmin(axis=0)].ravel())
+    return float(np.mean(np.concatenate(magnitudes)))
 
 
 # --- y-t slices -----------------------------------------------------------

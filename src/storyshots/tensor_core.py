@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import DegenerateRowError, DimensionError
+from .errors import DimensionError, NonFiniteError
 
 F32 = np.float32
 
@@ -31,15 +31,14 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis in float64 with per-row max subtraction,
     written to out (which may be logits itself) when given, as in numpy.
 
-    Accepts -inf entries as masking sentinels; a row that is entirely -inf
-    is degenerate and rejected. NaN or +inf anywhere in a row shows in its max.
+    Accepts -inf entries as masking sentinels. Every row max must be finite:
+    NaN or +inf anywhere in a row, or a row that is entirely -inf, raises
+    NonFiniteError.
     """
     logits = np.asarray(logits, dtype=np.float64)
     m = logits.max(axis=-1, keepdims=True)
-    if np.isnan(m).any() or (m == np.inf).any():
-        raise DimensionError("softmax input must be finite (only -inf allowed)")
-    if (m == -np.inf).any():
-        raise DegenerateRowError("softmax row is entirely -inf")
+    if not np.isfinite(m).all():
+        raise NonFiniteError("softmax needs a finite max in every row (-inf only as a mask)")
     w = np.subtract(logits, m, out=out)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)

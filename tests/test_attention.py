@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from storyshots import attention, pipeline, tensor_core as tc
-from storyshots.errors import DimensionError
+from storyshots.errors import NonFiniteError
 
 
 def random_weights(rng, d):
@@ -192,7 +192,7 @@ class TestBatchedKernel:
         for bad in (np.nan, np.inf):
             q_bad = q.copy()
             q_bad[2, 1, 0] = bad
-            with pytest.raises(DimensionError):
+            with pytest.raises(NonFiniteError):
                 attention.masked_attention(q_bad, k, v)
 
     def test_mask_shape_mismatch_rejected(self):

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,118 @@ def double_loop_oracle(frames, masks):
                     na, nb = np.linalg.norm(a), np.linalg.norm(b)
                     sims.append(0.0 if na == 0 or nb == 0 else float(a @ b / (na * nb)))
     return float(np.mean(sims)), len(sims)
+
+
+def reference_set_consistency(frames, masks):
+    """The per-frame extractor and per-pair cosine that the array pass in
+    mv.set_consistency replaced; its outputs are the reference bytes."""
+
+    def extract(frame, mask):
+        return (np.asarray(frame, dtype=np.float64) * np.asarray(mask, dtype=bool)[:, None]).mean(axis=0)
+
+    def pair_cos(a, b):
+        na = math.sqrt(float(a @ a))
+        nb = math.sqrt(float(b @ b))
+        if na == 0.0 or nb == 0.0:
+            return 0.0
+        return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+
+    shots, n_frames = frames.shape[:2]
+    feats = np.zeros((shots, n_frames, frames.shape[3]))
+    for s in range(shots):
+        for f in range(n_frames):
+            feats[s, f] = extract(frames[s, f], masks[s, f])
+    sims = []
+    for s1 in range(shots):
+        for f1 in range(n_frames):
+            for s2 in range(s1 + 1, shots):
+                for f2 in range(n_frames):
+                    sims.append(pair_cos(feats[s1, f1], feats[s2, f2]))
+    within = [pair_cos(feats[s, f], feats[s, f + 1]) for s in range(shots) for f in range(n_frames - 1)]
+    mean, sem = mv.mean_sem(sims)
+    return mean, sem, float(np.mean(within)) if within else 1.0, len(sims)
+
+
+def consistency_case(kind):
+    rng = np.random.default_rng(len(kind))
+    if kind == "tie_heavy_integers":
+        frames = rng.integers(-1, 2, (3, 4, 8, 3)).astype(np.float32)
+        masks = rng.random((3, 4, 8)) < 0.5
+    elif kind == "all_false_frames":  # zero-norm features score 0 against all
+        frames = rng.standard_normal((4, 3, 9, 5)).astype(np.float32)
+        masks = rng.random((4, 3, 9)) < 0.6
+        masks[0, 1] = False
+        masks[2] = False
+    elif kind == "identical_frames":  # parallel features clip to 1
+        frames = np.tile(rng.standard_normal((1, 1, 6, 7)), (3, 4, 1, 1)).astype(np.float32)
+        frames[2] = rng.standard_normal((4, 6, 7))
+        masks = np.tile(rng.random((1, 1, 6)) < 0.7, (3, 4, 1))
+    else:  # the CLI's shape: 5 shots x 8 frames x 64 patches x 16 channels
+        frames = rng.standard_normal((5, 8, 64, 16)).astype(np.float32)
+        masks = rng.random((5, 8, 64)) < 0.3
+    return frames, masks
+
+
+def reference_dynamic_degree(video, block_size, search_radius):
+    """The per-block scan over every offset that the array search in
+    mv.dynamic_degree replaced; its outputs are the reference bytes."""
+    video = np.asarray(video, dtype=np.float64)
+    n_frames, height, width = video.shape
+    ys = range(search_radius, height - block_size - search_radius + 1, block_size)
+    xs = range(search_radius, width - block_size - search_radius + 1, block_size)
+    offsets = [
+        (dy, dx)
+        for dy in range(-search_radius, search_radius + 1)
+        for dx in range(-search_radius, search_radius + 1)
+    ]
+    magnitudes = []
+    for f in range(n_frames - 1):
+        cur, nxt = video[f], video[f + 1]
+        for y0 in ys:
+            for x0 in xs:
+                block = cur[y0 : y0 + block_size, x0 : x0 + block_size]
+                best = None
+                for dy, dx in offsets:
+                    window = nxt[y0 + dy : y0 + dy + block_size, x0 + dx : x0 + dx + block_size]
+                    sad = float(np.abs(block - window).sum())
+                    key = (sad, math.hypot(dy, dx), dy, dx)
+                    if best is None or key < best:
+                        best = key
+                magnitudes.append(best[1])
+    return float(np.mean(magnitudes))
+
+
+# (block size, search radius); (4, 2) is the CLI's
+BLOCK_RADIUS = [(2, 3), (3, 1), (4, 2), (5, 2), (8, 4), (16, 2)]
+
+
+def motion_videos(block, radius):
+    """Videos where many offsets tie on SAD: small-integer content, with
+    non-square frames and a repeated frame among them."""
+    rng = np.random.default_rng(10 * block + radius)
+    side = block + 2 * radius
+    sparse = (rng.random((4, side + block, side + 2 * block)) < 0.2).astype(np.float32)
+    levels = rng.integers(0, 3, (3, side + 2 * block + 1, side + block)).astype(np.float32)
+    repeated = np.concatenate([levels[:1], levels[:1], levels[1:]])
+    return [sparse, levels, repeated]
+
+
+class TestReferenceBytes:
+    @pytest.mark.parametrize(
+        "kind", ["tie_heavy_integers", "all_false_frames", "identical_frames", "cli_shape"]
+    )
+    def test_set_consistency_equals_reference(self, kind):
+        frames, masks = consistency_case(kind)
+        report = mv.set_consistency(frames, mask_set(masks))
+        got = (report.set_consistency, report.set_consistency_sem,
+               report.subject_consistency, report.pair_count)
+        assert got == reference_set_consistency(frames, masks)
+
+    @pytest.mark.parametrize("block, radius", BLOCK_RADIUS)
+    def test_dynamic_degree_equals_reference(self, block, radius):
+        for video in motion_videos(block, radius):
+            expected = reference_dynamic_degree(video, block, radius)
+            assert mv.dynamic_degree(video, block, radius) == expected
 
 
 class TestSetConsistency:

@@ -575,6 +575,15 @@ class TestCli:
         assert (out / "FAILED").read_text().startswith("ConfigError: anchors")
         assert not list(out.rglob("latents_*.tensor"))
 
+    def test_anchor_outside_a_later_set_fails_before_compute(self, tmp_path):
+        short = dict(PROMPT_DOC["fox"], settings=PROMPT_DOC["fox"]["settings"][:2])
+        pro = write_yaml(tmp_path / "prompts.yaml", {**PROMPT_DOC, "pair": short})
+        cfg = write_yaml(tmp_path / "config.yaml", dict(SMALL_CONFIG, anchors=[0, 2]))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 1
+        assert (out / "FAILED").read_text().startswith("ConfigError: anchors (0, 2)")
+        assert not list(out.rglob("latents_*.tensor"))
+
     def test_audit_lines_are_json(self, io_paths):
         cfg, pro, out = io_paths
         cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)])

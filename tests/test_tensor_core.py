@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storyshots import tensor_core as tc
-from storyshots.errors import DegenerateRowError, DimensionError
+from storyshots.errors import DimensionError, NonFiniteError
 
 
 def naive_matmul(a, b):
@@ -72,7 +72,7 @@ class TestSoftmaxRows:
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-6
 
     def test_all_minus_inf_row(self):
-        with pytest.raises(DegenerateRowError):
+        with pytest.raises(NonFiniteError):
             tc.softmax(np.full((1, 3), -np.inf))
 
     def test_shift_invariance(self):
@@ -82,9 +82,9 @@ class TestSoftmaxRows:
         assert np.abs(tc.softmax(x) - tc.softmax(shifted)).max() < 1e-6
 
     def test_rejects_nan_and_plus_inf(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(NonFiniteError):
             tc.softmax(np.array([[np.nan, 0.0]]))
-        with pytest.raises(DimensionError):
+        with pytest.raises(NonFiniteError):
             tc.softmax(np.array([[np.inf, 0.0]]))
 
     def test_out_in_place_equals_fresh_result(self):
@@ -95,11 +95,6 @@ class TestSoftmaxRows:
         out = tc.softmax(x, out=x)
         assert out is x
         assert np.array_equal(x, expected)
-
-    def test_nan_rejected_before_all_minus_inf_row(self):
-        x = np.array([[-np.inf, -np.inf], [np.nan, 0.0]])
-        with pytest.raises(DimensionError):
-            tc.softmax(x)
 
 
 def cosine(a, b) -> float:
