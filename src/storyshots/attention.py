@@ -13,8 +13,9 @@ import numpy as np
 
 from . import tensor_core as tc
 
-# Additive logit penalty standing in for -inf; masked weights are zeroed
-# exactly after the softmax so no NaN can appear.
+# Additive logit penalty standing in for -inf, so no NaN can appear. Its
+# entries fall below tc.EXP_ZERO and get weight +0.0 from the softmax, unless
+# a row is all masked; masked weights are zeroed after it in either case.
 MASK_LOGIT = -1e30
 
 
@@ -41,7 +42,7 @@ def masked_attention(q, k, v, allowed=None):
         logits += np.where(allowed, 0.0, MASK_LOGIT)
     weights = tc.softmax(logits, out=logits)
     if allowed is not None:
-        np.copyto(weights, 0.0, where=~allowed)
+        weights *= allowed  # weights are finite and >= +0, so masked ones become +0.0
     h = np.matmul(weights, np.asarray(v, np.float64)).astype(tc.F32)
     return h, weights
 

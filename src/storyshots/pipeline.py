@@ -368,11 +368,12 @@ class _StepHooks:
             if not sources:
                 continue
             anchor_feats = np.concatenate([o[a] for a in sources], axis=0)
+            units = tc.unit_rows(anchor_feats) if cond else None
             for f in range(o.shape[1]):
                 key = (layer, s, f)
                 if cond:
                     corr = refinement.build_correspondence(
-                        o[s, f], anchor_feats, target=(s, f), map_id=next(self.run.map_ids)
+                        o[s, f], units, target=(s, f), map_id=next(self.run.map_ids)
                     )
                     self.refine_handles[key] = corr
                 else:

@@ -27,18 +27,21 @@ class CorrespondenceMap:
 
 def build_correspondence(
     target_feats: np.ndarray,
-    anchor_feats: np.ndarray,
+    anchor_units: np.ndarray,
     target: tuple = (0, 0),
     map_id: int = 0,
 ) -> CorrespondenceMap:
     """Argmax-cosine match of each target patch against all (frame, patch)
-    anchor features, by the rule match_field uses: ties break to the lowest
-    linear index, and zero target vectors are left unmatched and flagged.
+    anchor features, given as their (frames, patches, d) tc.unit_rows (so a
+    caller matching many targets against one anchor set normalizes it once),
+    by the rule match_field uses: ties break to the lowest linear index, and
+    zero target vectors are left unmatched and flagged.
     """
     target_feats = np.asarray(target_feats)
-    anchor_feats = np.asarray(anchor_feats)
-    frames, patches, dim = anchor_feats.shape
-    sims = tc.cosine_matrix(target_feats, anchor_feats.reshape(frames * patches, dim))
+    frames, patches, dim = anchor_units.shape
+    sims = tc.unit_cosine(
+        tc.unit_rows(target_feats), anchor_units.reshape(frames * patches, dim)
+    )
     linear = np.argmax(sims, axis=1)
     matched = target_feats.any(axis=1)
     score = sims[np.arange(sims.shape[0]), linear]

@@ -18,6 +18,11 @@ from .errors import DimensionError, NonFiniteError
 
 F32 = np.float32
 
+# numpy's exp returns exactly +0.0 for every input at or below this, but takes
+# a slow path on any SIMD block that holds such an input; softmax keeps those
+# lanes out of exp and writes the +0.0 itself.
+EXP_ZERO = -746.0
+
 _HEADER_DTYPE = "f32"
 _HEADER_ORDER = "row-major"
 
@@ -33,31 +38,44 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Accepts -inf entries as masking sentinels. Every row max must be finite:
     NaN or +inf anywhere in a row, or a row that is entirely -inf, raises
-    NonFiniteError.
+    NonFiniteError. Shifted logits at or below EXP_ZERO (-inf included) get
+    weight +0.0 without passing through exp, as exp would give them; every
+    other entry gets numpy's exp, so the result is bit-identical to plain exp.
     """
     logits = np.asarray(logits, dtype=np.float64)
     m = logits.max(axis=-1, keepdims=True)
     if not np.isfinite(m).all():
         raise NonFiniteError("softmax needs a finite max in every row (-inf only as a mask)")
     w = np.subtract(logits, m, out=out)
+    np.maximum(w, EXP_ZERO, out=w)  # finite, so the products below make no NaN
+    live = w > EXP_ZERO
+    w *= live  # dead lanes enter exp as -0.0, off its underflow path
     np.exp(w, out=w)
+    w *= live
     w /= w.sum(axis=-1, keepdims=True)
     return w
 
 
-def _unit_rows(x) -> np.ndarray:
+def unit_rows(x) -> np.ndarray:
+    """Float64 copy of x (..., d) with each row scaled to unit norm; zero-norm
+    rows stay zero, so they get similarity 0 against all."""
     x = np.asarray(x, dtype=np.float64)
-    n = np.linalg.norm(x, axis=1, keepdims=True)
+    n = np.linalg.norm(x, axis=-1, keepdims=True)
     return np.divide(x, n, out=np.zeros_like(x), where=n > 0)
+
+
+def unit_cosine(ua, ub) -> np.ndarray:
+    """Cosine similarity of every row of ua (m, d) against every row of ub
+    (n, d), both from unit_rows, clipped to [-1, 1], so parallel rows score
+    exactly 1 and argmax ties among them break to the lowest index."""
+    sims = ua @ ub.T
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def cosine_matrix(a, b) -> np.ndarray:
     """Float64 cosine similarity of every row of a (m, d) against every row
-    of b (n, d), clipped to [-1, 1], so parallel rows score exactly 1 and
-    argmax ties among them break to the lowest index. Zero-norm rows get
-    similarity 0 against all."""
-    sims = _unit_rows(a) @ _unit_rows(b).T
-    return np.clip(sims, -1.0, 1.0, out=sims)
+    of b (n, d), by unit_rows and unit_cosine."""
+    return unit_cosine(unit_rows(a), unit_rows(b))
 
 
 def sigmoid(x: float) -> float:

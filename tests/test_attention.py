@@ -48,6 +48,24 @@ def dense_masked_oracle(q, k, v, allowed):
     return out
 
 
+def reference_masked_attention(q, k, v, allowed):
+    """masked_attention before the exact-zero softmax: every shifted logit
+    through np.exp, masked weights zeroed by np.copyto. Its outputs are the
+    reference bytes."""
+    logits = np.matmul(np.asarray(q, np.float64), np.swapaxes(np.asarray(k, np.float64), -1, -2))
+    logits /= math.sqrt(np.shape(q)[-1])
+    logits += np.where(allowed, 0.0, attention.MASK_LOGIT)
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    np.copyto(logits, 0.0, where=~allowed)
+    return np.matmul(logits, np.asarray(v, np.float64)).astype(np.float32), logits
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def plain_attention(x, w):
     """One frame of the toy model's plain attention layer: (o, (q, k, v))."""
     q, k, v = (tc.matmul(x, m) for m in (w.w_q, w.w_k, w.w_v))
@@ -185,6 +203,24 @@ class TestBatchedKernel:
             assert np.array_equal(h[i], h_i)
             assert np.array_equal(weights[i], w_i)
             assert (weights[i][:, ~rows[i]] == 0.0).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 300.0])
+    @pytest.mark.parametrize("row_mask", [False, True])
+    def test_bit_identical_to_reference_kernel(self, scale, row_mask):
+        # SDSA-shaped calls: a frame group of n queries against K keys from
+        # several shots, the logits scaled until most masked and many open
+        # entries underflow; one query row (or item) has every key masked
+        rng = np.random.default_rng(int(scale) + row_mask)
+        n, P, K, d = 4, 16, 48, 8
+        q = (rng.standard_normal((n, P, d)) * scale).astype(np.float32)
+        k, v = (rng.standard_normal((n, K, d)).astype(np.float32) for _ in range(2))
+        allowed = rng.random((n, 1 if row_mask else P, K)) < 0.5
+        allowed[..., :P // 2] = True
+        allowed[1, 0] = False
+        h, weights = attention.masked_attention(q, k, v, allowed)
+        h_ref, weights_ref = reference_masked_attention(q, k, v, allowed)
+        assert same_bits(h, h_ref) and same_bits(weights, weights_ref)
+        assert (weights[1, 0] == 0.0).all() and not np.signbit(weights).any()
 
     def test_non_finite_logits_rejected(self):
         rng = np.random.default_rng(15)

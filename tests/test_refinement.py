@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from storyshots import refinement as rf
+from storyshots import tensor_core as tc
 
 
 def exhaustive_correspondence(target, anchor):
@@ -30,7 +31,7 @@ class TestBuildCorrespondence:
         target = rng.standard_normal((8, 4)).astype(np.float32)
         anchor = rng.standard_normal((3, 8, 4)).astype(np.float32)
         anchor[1] = target
-        corr = rf.build_correspondence(target, anchor)
+        corr = rf.build_correspondence(target, tc.unit_rows(anchor))
         assert (corr.match_frame == 1).all()
         assert np.array_equal(corr.match_patch, np.arange(8))
         assert np.allclose(corr.score, 1.0, atol=1e-6)
@@ -40,7 +41,7 @@ class TestBuildCorrespondence:
         rng = np.random.default_rng(seed)
         target = rng.standard_normal((16, 8)).astype(np.float32)
         anchor = rng.standard_normal((4, 16, 8)).astype(np.float32)
-        corr = rf.build_correspondence(target, anchor)
+        corr = rf.build_correspondence(target, tc.unit_rows(anchor))
         expected = exhaustive_correspondence(target, anchor)
         got = list(zip(corr.match_frame.tolist(), corr.match_patch.tolist()))
         assert got == expected
@@ -49,7 +50,7 @@ class TestBuildCorrespondence:
         target = np.array([[1.0, 0.0]], dtype=np.float32)
         anchor = np.zeros((2, 3, 2), dtype=np.float32)
         anchor[..., 1] = 1.0  # every candidate orthogonal to the target
-        corr = rf.build_correspondence(target, anchor)
+        corr = rf.build_correspondence(target, tc.unit_rows(anchor))
         assert corr.score[0] == 0.0
         assert (corr.match_frame[0], corr.match_patch[0]) == (0, 0)
 
@@ -58,14 +59,14 @@ class TestBuildCorrespondence:
         anchor = np.zeros((2, 2, 2), dtype=np.float32)
         anchor[0, 1] = [2.0, 0.0]
         anchor[1, 0] = [1.0, 0.0]
-        corr = rf.build_correspondence(target, anchor)
+        corr = rf.build_correspondence(target, tc.unit_rows(anchor))
         assert (corr.match_frame[0], corr.match_patch[0]) == (0, 1)
 
     def test_zero_target_flagged_unmatched(self):
         target = np.zeros((2, 3), dtype=np.float32)
         target[1] = [1.0, 0.0, 0.0]
         anchor = np.ones((1, 2, 3), dtype=np.float32)
-        corr = rf.build_correspondence(target, anchor)
+        corr = rf.build_correspondence(target, tc.unit_rows(anchor))
         assert not corr.matched[0]
         assert corr.matched[1]
 
@@ -75,7 +76,7 @@ class TestInjectRefinement:
         rng = np.random.default_rng(1)
         self.target = rng.standard_normal((6, 4)).astype(np.float32)
         self.anchor = rng.standard_normal((2, 6, 4)).astype(np.float32)
-        self.corr = rf.build_correspondence(self.target, self.anchor)
+        self.corr = rf.build_correspondence(self.target, tc.unit_rows(self.anchor))
         self.mask = np.array([True, True, False, True, False, True])
 
     def test_blend_zero_identity(self):
@@ -85,7 +86,7 @@ class TestInjectRefinement:
     def test_blend_one_identity_map_full_mask_substitutes(self):
         anchor = np.zeros((1, 6, 4), dtype=np.float32)
         anchor[0] = self.target * 2.0
-        corr = rf.build_correspondence(self.target, anchor)
+        corr = rf.build_correspondence(self.target, tc.unit_rows(anchor))
         # scaled copy matches identically (cosine is scale invariant)
         out = rf.inject_refinement(self.target, anchor, corr, np.ones(6, dtype=bool), 1.0)
         assert np.array_equal(out, anchor[0])
@@ -102,7 +103,7 @@ class TestInjectRefinement:
 
     def test_idempotent_at_blend_one_identity_map(self):
         anchor = self.target[None].copy()
-        corr = rf.build_correspondence(self.target, anchor)
+        corr = rf.build_correspondence(self.target, tc.unit_rows(anchor))
         once = rf.inject_refinement(self.target, anchor, corr, np.ones(6, dtype=bool), 1.0)
         twice = rf.inject_refinement(once, anchor, corr, np.ones(6, dtype=bool), 1.0)
         assert np.array_equal(once, twice)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from storyshots import tensor_core as tc
 from storyshots.errors import DimensionError, NonFiniteError
@@ -95,6 +96,101 @@ class TestSoftmaxRows:
         out = tc.softmax(x, out=x)
         assert out is x
         assert np.array_equal(x, expected)
+
+
+def reference_softmax(logits, out=None):
+    """tc.softmax before its exact-zero lanes: every shifted logit through
+    np.exp. Its outputs are the reference bytes."""
+    logits = np.asarray(logits, dtype=np.float64)
+    m = logits.max(axis=-1, keepdims=True)
+    w = np.subtract(logits, m, out=out)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# shifted-logit values by band: ordinary, subnormal exp results, exp == +0.0
+# (EXP_ZERO and below, SDSA's masked logits, -inf) and the edges between them
+_BANDS = st.one_of(
+    st.floats(-60.0, 0.0),
+    st.floats(-745.2, -708.3),
+    st.floats(-1e6, tc.EXP_ZERO),
+    st.sampled_from([
+        -708.4, -745.13, -745.14, np.nextafter(tc.EXP_ZERO, 0.0), tc.EXP_ZERO,
+        np.nextafter(tc.EXP_ZERO, -np.inf), -1.3e5, -1e30, -np.inf,
+    ]),
+)
+
+
+@st.composite
+def logit_rows(draw):
+    """(rows, cols) float64 logits whose row max is finite: each row holds a 0
+    at a drawn column, the other entries from _BANDS (or -inf only, a row
+    with one finite entry), then a drawn per-row offset."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 70))
+    x = draw(arrays(np.float64, (rows, cols), elements=_BANDS))
+    for r in range(rows):
+        if draw(st.booleans()) and draw(st.booleans()):
+            x[r] = -np.inf
+        x[r, draw(st.integers(0, cols - 1))] = 0.0
+    offsets = draw(st.lists(st.sampled_from([0.0, 3.5, -17.25, 1e4, -1e30]),
+                            min_size=rows, max_size=rows))
+    return x + np.array(offsets)[:, None]
+
+
+class TestSoftmaxExactZero:
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 31, 64, 1000])
+    def test_exp_is_plus_zero_at_and_below_exp_zero(self, size):
+        # the rule softmax relies on: numpy's exp gives +0.0 for x <= EXP_ZERO,
+        # at every SIMD tail length and alignment
+        rng = np.random.default_rng(size)
+        x = np.concatenate([
+            -np.logspace(math.log10(-tc.EXP_ZERO), 308, size),
+            [tc.EXP_ZERO, np.nextafter(tc.EXP_ZERO, -np.inf), -1e30, -np.inf,
+             -np.finfo(np.float64).max],
+            tc.EXP_ZERO - rng.random(size) * 1e3,
+        ])
+        for start in range(4):
+            e = np.exp(x[start:])
+            assert (e == 0.0).all() and not np.signbit(e).any()
+
+    @given(logit_rows())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_bit_identical_to_plain_exp(self, x):
+        assert same_bits(tc.softmax(x), reference_softmax(x))
+
+    @given(logit_rows())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_out_aliasing_bit_identical(self, x):
+        expected = reference_softmax(x)
+        got = tc.softmax(x, out=x)
+        assert got is x
+        assert same_bits(x, expected)
+
+    def test_bands_and_lone_finite_rows(self):
+        x = np.array([
+            [0.0, -708.4, -745.0, -745.14, tc.EXP_ZERO, -1e30, -np.inf, -1.0],
+            [-np.inf, -np.inf, 5.0, -np.inf, -np.inf, -np.inf, -np.inf, -np.inf],
+            [-1e30, -1e30, -1e30, -1e30, -1e30, -1e30, -1e30, -1e30],
+        ])
+        got = tc.softmax(x)
+        assert same_bits(got, reference_softmax(x))
+        assert got[0, 2] > 0.0 and got[0, 3:7].tolist() == [0.0] * 4
+        assert got[1].tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert not np.signbit(got).any()
+
+    def test_batched_pipeline_scale_logits(self):
+        # attention-shaped logits spread as wide as the pipeline's (shifted
+        # entries down to about -1.3e5), about 30% of them masked
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, 16, 192)) * rng.choice([1.0, 50.0, 3e4], (3, 16, 1))
+        x[rng.random(x.shape) < 0.3] = -1e30
+        assert same_bits(tc.softmax(x), reference_softmax(x))
 
 
 def cosine(a, b) -> float:
