@@ -10,10 +10,7 @@ from .pipeline import (
     RunMode,
     StoryboardConfig,
     ToyModelSpec,
-    run_consistent,
-    run_refined,
-    run_vanilla,
-    sample,
+    run_passes,
 )
 from .prompts import ShotPromptSet, load_prompts
 
@@ -24,10 +21,7 @@ __all__ = [
     "ToyModelSpec",
     "ShotPromptSet",
     "load_prompts",
-    "run_consistent",
-    "run_refined",
-    "run_vanilla",
-    "sample",
+    "run_passes",
 ]
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import metrics_viz, pipeline, prompts, query_control, subject_mask, tensor_core
+from . import metrics_viz, pipeline, prompts, subject_mask, tensor_core
 from .errors import ConfigError, PromptError, StoryshotsError
 
 # what _run_prompt_set writes into a set directory, removed before a re-run
@@ -102,15 +102,12 @@ def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", ov
         # check every set before any set's first pass
         for prompt_set in prompt_sets:
             config.anchor_list(len(prompt_set.settings))
-        # a mode runs every pass declared up to its own, in declaration order
-        passes = list(pipeline.RunMode)
-        if mode not in [p.value for p in passes]:
+        if mode not in [m.value for m in pipeline.RunMode]:
             raise StoryshotsError(f"unknown mode {mode!r}")
-        passes = passes[: passes.index(pipeline.RunMode(mode)) + 1]
         for prompt_set in prompt_sets:
             set_dir = out_dir / prompt_set.name
             set_dir.mkdir(exist_ok=True)
-            _run_prompt_set(config, prompt_set, passes, set_dir, prompt_hash)
+            _run_prompt_set(config, prompt_set, pipeline.RunMode(mode), set_dir, prompt_hash)
     except Exception as exc:
         (out_dir / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -120,32 +117,26 @@ def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", ov
     return 0
 
 
-def _run_prompt_set(config, prompt_set, passes, set_dir: Path, prompt_hash: str) -> None:
+def _run_prompt_set(config, prompt_set, mode, set_dir: Path, prompt_hash: str) -> None:
     for pattern in _SET_ARTIFACTS:
         for stale in set_dir.glob(pattern):
             stale.unlink()
     shot_prompts = prompt_set.full_prompts
     pass_fingerprints = {}
-    # the vanilla queries are cached only for a later pass that injects them
-    cache = query_control.FeatureCache() if len(passes) > 1 and config.q_injection else None
-    last_run = None
-    for run_mode in passes:
-        run = pipeline.PipelineRun(config, shot_prompts, run_mode, cache=cache)
-        pipeline.sample(run)
-        dump_path = set_dir / f"latents_{run_mode.value}.tensor"
-        pass_fingerprints[run_mode.value] = tensor_core.save_tensor(dump_path, run.outputs)
-        if run_mode == pipeline.RunMode.VANILLA:
-            cache = run.cache
-        else:
-            _write_audit(set_dir / f"audit_{run_mode.value}.jsonl", run.audit)
-        last_run = run
-    _write_metrics(set_dir, last_run)
+    # each pass's files are written as it ends: a failed later pass leaves
+    # only the earlier passes' latents next to FAILED
+    for run in pipeline.run_passes(config, shot_prompts, mode):
+        dump_path = set_dir / f"latents_{run.mode.value}.tensor"
+        pass_fingerprints[run.mode.value] = tensor_core.save_tensor(dump_path, run.outputs)
+        if run.mode != pipeline.RunMode.VANILLA:
+            _write_audit(set_dir / f"audit_{run.mode.value}.jsonl", run.audit)
+    _write_metrics(set_dir, run)
     manifest = {
         "config": config.to_dict(),
         "prompt_file_hash": prompt_hash,
         "seed": config.seed,
-        "mode": last_run.mode.value,
-        "run_fingerprint": last_run.fingerprint,
+        "mode": mode.value,
+        "run_fingerprint": pipeline.run_fingerprint(config, shot_prompts),
         "pass_fingerprints": pass_fingerprints,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -17,9 +17,5 @@ class NonFiniteError(StoryshotsError, FloatingPointError):
     """A value that must be finite is not: a pass's latents or a softmax row max."""
 
 
-class ReproducibilityError(StoryshotsError, RuntimeError):
-    """RNG fingerprints of dependent passes do not match."""
-
-
 class PromptError(ConfigError):
     """Prompt file failed validation."""

@@ -1,7 +1,7 @@
 """End-to-end orchestration: a toy spatial-attention denoiser with hook
 points for query substitution, cross-shot attention, and output injection; a
 deterministic sampler; and the three reproducible passes (vanilla caching,
-consistency-enabled, refinement-enabled).
+consistency-enabled, refinement-enabled), driven by run_passes.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
+import json
 import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import attention, query_control, refinement, subject_mask
 from . import tensor_core as tc
-from .errors import ConfigError, NonFiniteError, ReproducibilityError
+from .errors import ConfigError, NonFiniteError
 
 
 class RunMode(enum.Enum):
@@ -272,7 +273,6 @@ class PipelineRun:
     cache: query_control.FeatureCache | None = None
     outputs: np.ndarray | None = None
     audit: list = field(default_factory=list)
-    fingerprint: str = ""
     # correspondence-map ids, numbered from 1 in build order within this run
     map_ids: itertools.count = field(default_factory=lambda: itertools.count(1), repr=False)
 
@@ -282,16 +282,17 @@ class PipelineRun:
 
 
 def run_fingerprint(config: StoryboardConfig, prompts) -> str:
-    return query_control.fingerprint(
-        {
-            "seed": config.seed,
-            "T": config.total_steps,
-            "sampler_steps": config.sampler_steps,
-            "alpha_min": config.alpha_min,
-            "model": asdict(config.model),
-            "prompts": list(prompts),
-        }
-    )
+    """Stable fingerprint of the RNG-relevant run parameters."""
+    payload = {
+        "seed": config.seed,
+        "T": config.total_steps,
+        "sampler_steps": config.sampler_steps,
+        "alpha_min": config.alpha_min,
+        "model": asdict(config.model),
+        "prompts": list(prompts),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _init_latents(config: StoryboardConfig, shots: int) -> np.ndarray:
@@ -395,9 +396,10 @@ class _StepHooks:
 
 
 def sample(run: PipelineRun) -> np.ndarray:
-    """Deterministic denoising of a full run; fills run.outputs and run.audit,
+    """Deterministic denoising of one pass; fills run.outputs and run.audit,
     or raises NonFiniteError naming the pass and the first step whose latents
-    are not finite."""
+    are not finite. A vanilla run puts its queries into run.cache when it has
+    one; an injecting run reads them from it (run_passes builds that cache)."""
     cfg = run.config
     spec = cfg.model
     shots = run.shots
@@ -406,23 +408,6 @@ def sample(run: PipelineRun) -> np.ndarray:
     anchors = cfg.anchor_list(shots)
     model = ToyModel(spec)
     sched = subject_mask.NoiseSchedule.geometric(cfg.total_steps, cfg.alpha_min)
-    fp = run_fingerprint(cfg, run.prompts)
-    run.fingerprint = fp
-
-    if run.mode == RunMode.VANILLA:
-        # the caller gives a cache only when a later pass reads it
-        if run.cache is not None:
-            if len(run.cache):
-                raise ConfigError("vanilla run must start with an empty cache")
-            run.cache.seed_fingerprint = fp
-    elif cfg.q_injection:
-        if run.cache is None or not len(run.cache):
-            raise ConfigError(f"{run.mode.value} run requires a vanilla feature cache")
-        if run.cache.seed_fingerprint != fp:
-            raise ReproducibilityError(
-                "cache fingerprint does not match this run's generators"
-            )
-
     x = _init_latents(cfg, shots)
     ts = cfg.timesteps()
     next_ts = ts[1:] + [0]
@@ -464,19 +449,15 @@ def sample(run: PipelineRun) -> np.ndarray:
     return x
 
 
-def run_vanilla(config: StoryboardConfig, prompts) -> PipelineRun:
-    run = PipelineRun(config, list(prompts), RunMode.VANILLA, cache=query_control.FeatureCache())
-    sample(run)
-    return run
-
-
-def run_consistent(config, prompts, cache=None) -> PipelineRun:
-    run = PipelineRun(config, list(prompts), RunMode.CONSISTENT, cache=cache)
-    sample(run)
-    return run
-
-
-def run_refined(config, prompts, cache=None) -> PipelineRun:
-    run = PipelineRun(config, list(prompts), RunMode.REFINED, cache=cache)
-    sample(run)
-    return run
+def run_passes(config: StoryboardConfig, prompts, mode: RunMode = RunMode.REFINED):
+    """Run every pass declared up to mode, in declaration order, yielding each
+    run once it is sampled. The vanilla queries are cached only when a later
+    pass injects them, in one FeatureCache that every later pass reads."""
+    modes = list(RunMode)[: list(RunMode).index(mode) + 1]
+    prompts = list(prompts)
+    cache = query_control.FeatureCache() if len(modes) > 1 and config.q_injection else None
+    for run_mode in modes:
+        run = PipelineRun(config, prompts, run_mode, cache=cache)
+        # through the module attribute, so a wrapped sample sees every pass
+        sample(run)
+        yield run

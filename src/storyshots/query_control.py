@@ -8,8 +8,6 @@ dropout can soften either injection.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +21,8 @@ class FeatureCache:
     the flow match fields computed from them, memoised per keyframe spacing."""
 
     entries: dict = field(default_factory=dict)
-    seed_fingerprint: str = ""
-    # (t, layer_id, spacing) -> FlowField; a vanilla pass puts each key once,
-    # into an empty cache, and only later passes build fields
+    # (t, layer_id, spacing) -> FlowField; the vanilla pass of run_passes puts
+    # each key once, into a new cache, and only later passes build fields
     flow_fields: dict = field(default_factory=dict, repr=False)
 
     def put(self, t: int, layer_id: int, q: np.ndarray) -> None:
@@ -42,15 +39,6 @@ class FeatureCache:
         if key not in self.flow_fields:
             self.flow_fields[key] = match_field(self.get(t, layer_id), spacing)
         return self.flow_fields[key]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def fingerprint(payload: dict) -> str:
-    """Stable fingerprint of the RNG-relevant run parameters."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def keyframe_brackets(frames: int, spacing: int):

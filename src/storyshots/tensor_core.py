@@ -128,10 +128,7 @@ def load_tensor(path) -> np.ndarray:
         ok = False
     if not ok:
         raise DimensionError(f"unsupported tensor header in {os.fspath(path)}")
-    arr = np.frombuffer(payload, dtype="<f4")
-    expected = int(np.prod(shape)) if shape else 1
-    if arr.size != expected:
-        raise DimensionError(
-            f"tensor payload size {arr.size} does not match shape {shape}"
-        )
-    return arr.reshape(shape).astype(F32)
+    # exact integer size: a cut payload or an element count past int64 fails here
+    if len(payload) != 4 * math.prod(shape):
+        raise DimensionError(f"tensor payload of {len(payload)} bytes does not match shape {shape}")
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(F32)

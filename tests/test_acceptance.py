@@ -244,23 +244,17 @@ def test_acceptance_07_reproducible_three_pass(monkeypatch):
         prompts = FOX_PROMPTS[:3]
         dumps = []
         for _ in range(2):
-            v = pipeline.run_vanilla(cfg, prompts)
-            c = pipeline.run_consistent(cfg, prompts, cache=v.cache)
-            r = pipeline.run_refined(cfg, prompts, cache=v.cache)
-            dumps.append((v.outputs.tobytes(), c.outputs.tobytes(), r.outputs.tobytes()))
+            dumps.append(tuple(run.outputs.tobytes() for run in pipeline.run_passes(cfg, prompts)))
         assert dumps[0] == dumps[1]
 
         outs = set()
         for items in (1, 2, 5, 12):  # (shot, frame) items of 16 patches per plain-attention call
             monkeypatch.setattr(pipeline, "LOGITS_BUDGET_BYTES", items * 8 * 16 * 16)
-            v = pipeline.run_vanilla(cfg, prompts)
-            r = pipeline.run_refined(cfg, prompts, cache=v.cache)
-            outs.add((v.outputs.tobytes(), r.outputs.tobytes()))
-        assert outs == {(dumps[0][0], dumps[0][2])}  # the default budget's vanilla and refined
+            outs.add(tuple(run.outputs.tobytes() for run in pipeline.run_passes(cfg, prompts)))
+        assert outs == {dumps[0]}  # the default budget's three passes
 
         plain = small_config(sdsa_window=None, refine_window=None, q_injection=False)
-        vanilla = pipeline.run_vanilla(plain, prompts)
-        consistent = pipeline.run_consistent(plain, prompts)
+        vanilla, consistent = pipeline.run_passes(plain, prompts, pipeline.RunMode.CONSISTENT)
         assert vanilla.outputs.tobytes() == consistent.outputs.tobytes()
 
     _check("07 three-pass pipeline reproducible and chunking-transparent", body)
@@ -278,8 +272,7 @@ def test_acceptance_08_schedule_gating():
         refine_steps = [t for t in ts if 590 <= t <= 950]
         assert (len(vanilla_steps), len(sdsa_steps), len(refine_steps)) == (13, 20, 18)
 
-        v = pipeline.run_vanilla(cfg, FOX_PROMPTS[:2])
-        run = pipeline.run_refined(cfg, FOX_PROMPTS[:2], cache=v.cache)
+        *_, run = pipeline.run_passes(cfg, FOX_PROMPTS[:2])
         queries = [r for r in run.audit if r["event"] == "query"]
         assert len(queries) == len(ts) * cfg.model.layers
         for rec in queries:
@@ -305,8 +298,7 @@ def test_acceptance_09_anchor_invariance():
         reference = None
         for extra in (0, 1, 3):
             prompts = FOX_PROMPTS[:2] + followers[:extra]
-            v = pipeline.run_vanilla(cfg, prompts)
-            r = pipeline.run_refined(cfg, prompts, cache=v.cache)
+            *_, r = pipeline.run_passes(cfg, prompts)
             anchors = r.outputs[:2].tobytes()
             if reference is None:
                 reference = anchors
@@ -336,7 +328,7 @@ def test_acceptance_10_sdsa_direction():
                     refine_window=None,
                     sdsa_window=(550, 950) if sdsa_on else None,
                 )
-                run = pipeline.run_consistent(cfg, prompts)
+                *_, run = pipeline.run_passes(cfg, prompts, pipeline.RunMode.CONSISTENT)
                 masks = sm.build_masks(run.outputs, cfg.subject_channel)
                 report = mv.set_consistency(run.outputs, masks)
                 scores[sdsa_on] = report.set_consistency

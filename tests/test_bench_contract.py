@@ -24,21 +24,34 @@ PROMPTS = {
 }
 
 
-def test_traced_child_reports_per_layer_figures(tmp_path):
+def run_traced_child(tmp_path, mode) -> dict:
+    """The result payload of one traced perfbench/child.py storyboard."""
     config = tmp_path / "config.yaml"
     prompts = tmp_path / "prompts.yaml"
     config.write_text(yaml.safe_dump(CONFIG), encoding="utf-8")
     prompts.write_text(yaml.safe_dump(PROMPTS), encoding="utf-8")
-    result = tmp_path / "result.json"
+    result = tmp_path / f"result_{mode}.json"
     cmd = [sys.executable, str(ROOT / "perfbench" / "child.py"), str(result), "traced",
            "--config", str(config), "--prompts", str(prompts),
-           "--out", str(tmp_path / "out"), "--mode", "refined"]
+           "--out", str(tmp_path / f"out_{mode}"), "--mode", mode]
     # no bytecode cache: the test leaves nothing under perfbench/
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     payload = json.loads(result.read_text())
     assert payload["rc"] == 0
+    return payload
+
+
+def test_traced_child_reports_per_layer_figures(tmp_path):
+    # the child times each pass, and takes setup_s from the first one, by
+    # wrapping pipeline.sample: a pass driver that skips that attribute
+    # leaves pass_s missing, and every benchmark run fails
+    for mode, ran in (("vanilla", ["vanilla"]), ("refined", ["vanilla", "consistent", "refined"])):
+        payload = run_traced_child(tmp_path, mode)
+        assert list(payload["passes"]) == ran, mode
+        assert payload["first_sample"] is not None, mode
+    # the refined storyboard reaches every traced function
     layers = payload["layers"]
     # every traced function was reached through its patched attribute
     calls = {name: n for name, n in layers.items() if name.endswith(".calls")}

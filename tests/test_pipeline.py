@@ -6,7 +6,7 @@ import pytest
 
 from storyshots import attention, pipeline, query_control as qc, subject_mask
 from storyshots import tensor_core as tc
-from storyshots.errors import ConfigError, NonFiniteError, ReproducibilityError
+from storyshots.errors import ConfigError, NonFiniteError
 
 SMALL_SPEC = dict(layers=2, patches_per_side=4, channels=8, frames=4)
 PROMPTS = [
@@ -143,7 +143,8 @@ class TestStoryboardConfig:
         with pytest.raises(ConfigError, match="frames"):
             pipeline.StoryboardConfig.from_dict({"model": {"frames": 1}})
         cfg = small_config(model=one, q_injection=False)
-        assert pipeline.run_consistent(cfg, PROMPTS).outputs.shape[1] == 1
+        *_, run = pipeline.run_passes(cfg, PROMPTS, pipeline.RunMode.CONSISTENT)
+        assert run.outputs.shape[1] == 1
 
     def test_from_dict_layer_lists(self):
         cfg = pipeline.StoryboardConfig.from_dict({"refine_layers": [3], "injection_layers": [0]})
@@ -170,9 +171,7 @@ def assert_key_shots(anchors, key_shots):
 
 def refinement_map_counts(anchors) -> set:
     """Map ids per refinement audit record of a refined pass over 3 shots."""
-    cfg = small_config(anchors=anchors)
-    cache = pipeline.run_vanilla(cfg, PROMPTS).cache
-    run = pipeline.run_refined(cfg, PROMPTS, cache=cache)
+    *_, run = pipeline.run_passes(small_config(anchors=anchors), PROMPTS)
     return {len(r["map_ids"]) for r in run.audit if r["event"] == "refinement"}
 
 
@@ -262,20 +261,80 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def reference_chain(cfg, prompts, mode=pipeline.RunMode.REFINED) -> list:
+    """The passes up to mode as hand-built PipelineRun and sample calls: the
+    vanilla run is given a fresh cache whether or not a later pass reads it,
+    and every later pass reads that cache. The sequential oracle for
+    run_passes and for any driver that replaces it."""
+    cache = qc.FeatureCache()
+    runs = []
+    for run_mode in pipeline.RunMode:
+        run = pipeline.PipelineRun(cfg, list(prompts), run_mode, cache=cache)
+        pipeline.sample(run)
+        runs.append(run)
+        if run_mode == mode:
+            return runs
+
+
+CHAIN_CONFIGS = {
+    "default": {},
+    "no_injection": dict(q_injection=False),
+    "cfg_scale_2": dict(cfg_scale=2),  # the unconditional forward reuses the maps
+    "middle_frame_dropout": dict(attend_middle_frame=True, q_dropout=0.3),
+}
+
+
+class TestRunPasses:
+    @pytest.mark.parametrize("overrides", CHAIN_CONFIGS.values(), ids=CHAIN_CONFIGS)
+    @pytest.mark.parametrize("mode", pipeline.RunMode, ids=lambda m: m.value)
+    def test_equals_reference_chain(self, mode, overrides):
+        cfg = small_config(**overrides)
+        want = reference_chain(cfg, PROMPTS, mode)
+        got = list(pipeline.run_passes(cfg, PROMPTS, mode))
+        assert [run.mode for run in got] == [run.mode for run in want]
+        for run, ref in zip(got, want):
+            assert run.outputs.tobytes() == ref.outputs.tobytes(), run.mode
+            assert json.dumps(run.audit) == json.dumps(ref.audit), run.mode
+        cache = got[0].cache
+        if mode != pipeline.RunMode.VANILLA and cfg.q_injection:
+            assert all(run.cache is cache for run in got)
+            assert cache.entries.keys() == want[0].cache.entries.keys()
+            assert cache.flow_fields.keys() == want[0].cache.flow_fields.keys()
+        else:  # no later pass reads the vanilla queries
+            assert all(run.cache is None for run in got)
+
+    def test_each_pass_is_yielded_once_sampled_and_injecting_ones_read_every_query(
+        self, monkeypatch
+    ):
+        cfg = small_config()
+        every = {(t, layer) for t in cfg.timesteps() for layer in range(cfg.model.layers)}
+        sampled = []  # (mode, cached (t, layer)s) as each pass starts
+        sample = pipeline.sample
+
+        def logged(run):
+            sampled.append((run.mode, set(run.cache.entries)))
+            return sample(run)
+
+        monkeypatch.setattr(pipeline, "sample", logged)
+        for run in pipeline.run_passes(cfg, PROMPTS):
+            assert sampled[-1][0] == run.mode and run.outputs is not None
+        assert sampled == [
+            (pipeline.RunMode.VANILLA, set()),
+            (pipeline.RunMode.CONSISTENT, every),
+            (pipeline.RunMode.REFINED, every),
+        ]
+
+
 class TestSample:
     def test_double_run_bit_identical(self):
         cfg = small_config()
-        v1 = pipeline.run_vanilla(cfg, PROMPTS)
-        v2 = pipeline.run_vanilla(cfg, PROMPTS)
-        assert v1.outputs.tobytes() == v2.outputs.tobytes()
-        r1 = pipeline.run_refined(cfg, PROMPTS, cache=v1.cache)
-        r2 = pipeline.run_refined(cfg, PROMPTS, cache=v2.cache)
-        assert r1.outputs.tobytes() == r2.outputs.tobytes()
+        first, second = (list(pipeline.run_passes(cfg, PROMPTS)) for _ in range(2))
+        for a, b in zip(first, second):
+            assert a.outputs.tobytes() == b.outputs.tobytes(), a.mode
 
     def test_empty_windows_equal_vanilla(self):
         cfg = small_config(sdsa_window=None, refine_window=None, q_injection=False)
-        vanilla = pipeline.run_vanilla(cfg, PROMPTS)
-        consistent = pipeline.run_consistent(cfg, PROMPTS)
+        vanilla, consistent = pipeline.run_passes(cfg, PROMPTS, pipeline.RunMode.CONSISTENT)
         assert vanilla.outputs.tobytes() == consistent.outputs.tobytes()
 
     def test_plain_attention_chunking_transparent(self, monkeypatch):
@@ -283,27 +342,17 @@ class TestSample:
         outs = []
         for items in (1, 2, 5, 12):  # (shot, frame) items of 16 patches per plain-attention call
             monkeypatch.setattr(pipeline, "LOGITS_BUDGET_BYTES", items * 8 * 16 * 16)
-            v = pipeline.run_vanilla(cfg, PROMPTS)
-            c = pipeline.run_consistent(cfg, PROMPTS, cache=v.cache)
+            v, c = pipeline.run_passes(cfg, PROMPTS, pipeline.RunMode.CONSISTENT)
             outs.append(v.outputs.tobytes() + c.outputs.tobytes())
         for other in outs[1:]:
             assert outs[0] == other
-
-    def test_consistent_requires_cache(self):
-        with pytest.raises(ConfigError):
-            pipeline.run_consistent(small_config(), PROMPTS)
-
-    def test_fingerprint_mismatch_rejected(self):
-        cache = pipeline.run_vanilla(small_config(seed=3), PROMPTS).cache
-        with pytest.raises(ReproducibilityError):
-            pipeline.run_consistent(small_config(seed=4), PROMPTS, cache=cache)
 
     def test_non_finite_latents_fail_the_pass(self, monkeypatch):
         # the guidance blend overflows at t = 750, the second of four steps
         cfg = small_config(cfg_scale=1.0e30, sampler_steps=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vanilla = pipeline.run_vanilla(cfg, PROMPTS)
+            vanilla = next(pipeline.run_passes(cfg, PROMPTS, pipeline.RunMode.CONSISTENT))
             forwards = count_calls(monkeypatch, pipeline.ToyModel, "forward")
             run = pipeline.PipelineRun(
                 cfg, PROMPTS, pipeline.RunMode.CONSISTENT, cache=vanilla.cache
@@ -335,7 +384,7 @@ class TestSample:
         forwards = count_calls(monkeypatch, pipeline.ToyModel, "forward")
         builds = count_calls(monkeypatch, subject_mask.SubjectMaskSet, "from_saliency")
         sdsa, refine = steps_in(cfg.sdsa_window), steps_in(cfg.refine_window)
-        cache = qc.FeatureCache()
+        passes = pipeline.run_passes(cfg, PROMPTS)
         for mode, probes in (
             (pipeline.RunMode.VANILLA, 0),
             (pipeline.RunMode.CONSISTENT, len(sdsa)),
@@ -343,9 +392,7 @@ class TestSample:
         ):
             forwards.clear()
             builds.clear()
-            run = pipeline.PipelineRun(cfg, PROMPTS, mode, cache=cache)
-            pipeline.sample(run)
-            cache = run.cache
+            assert next(passes).mode == mode
             # at scale 1 the unconditional forward never runs
             uncond = len(ts) if cfg_scale != 1 else 0
             assert len(forwards) == len(ts) + uncond + probes, mode
@@ -370,20 +417,15 @@ class TestSample:
         for seed in range(3):
             cfg = pipeline.StoryboardConfig(sampler_steps=10, seed=seed)
             ts = cfg.timesteps()
-            cache = qc.FeatureCache()
-            for mode in pipeline.RunMode:
-                steps.clear()
-                uncond.clear()
-                run = pipeline.PipelineRun(cfg, FIVE_PROMPTS, mode, cache=cache)
-                pipeline.sample(run)
-                cache = run.cache
+            for run in pipeline.run_passes(cfg, FIVE_PROMPTS):
                 assert [hooks.t for _, _, _, hooks, _ in steps] == ts
                 assert uncond == []
                 for model, x, prompts, hooks, c in steps:
                     u = forward(model, x, prompts, False, hooks)
                     u64 = u.astype(np.float64)
                     e = (u64 + 1.0 * (c.astype(np.float64) - u64)).astype(np.float32)
-                    assert e.tobytes() == c.tobytes(), (seed, mode, hooks.t)
+                    assert e.tobytes() == c.tobytes(), (seed, run.mode, hooks.t)
+                steps.clear()
 
     @pytest.mark.parametrize(
         "make_config, prompts",
@@ -419,9 +461,8 @@ class TestSample:
         monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
         for seed in range(3):
             cfg = make_config(seed=seed)
-            cache = pipeline.run_vanilla(cfg, prompts).cache
             steps.clear()
-            run = pipeline.run_refined(cfg, prompts, cache=cache)
+            *_, run = pipeline.run_passes(cfg, prompts)
             assert uncond == [], seed
             lo, hi = cfg.refine_window
             assert [step[3].t for step in steps] == [t for t in cfg.timesteps() if lo <= t <= hi]
@@ -448,32 +489,19 @@ class TestSample:
             return forward(model, x, prompts, cond, hooks)
 
         monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
-        cache = qc.FeatureCache()
-        for mode in pipeline.RunMode:
+        for run in pipeline.run_passes(cfg, PROMPTS):
+            assert uncond == cfg.timesteps(), run.mode
             uncond.clear()
-            run = pipeline.PipelineRun(cfg, PROMPTS, mode, cache=cache)
-            pipeline.sample(run)
-            cache = run.cache
-            assert uncond == cfg.timesteps(), mode
 
-    def test_vanilla_forbids_existing_cache(self):
-        cache = qc.FeatureCache()
-        cache.put(0, 0, np.zeros((1, 1, 1, 1), dtype=np.float32))
-        run = pipeline.PipelineRun(
-            small_config(), PROMPTS, pipeline.RunMode.VANILLA, cache=cache
-        )
-        with pytest.raises(ConfigError):
-            pipeline.sample(run)
-
-    def test_vanilla_without_a_cache_caches_nothing(self):
+    def test_vanilla_without_a_cache_caches_nothing(self, monkeypatch):
         cfg = small_config()
-        run = pipeline.PipelineRun(cfg, PROMPTS, pipeline.RunMode.VANILLA)
-        pipeline.sample(run)
-        assert run.cache is None
-        assert run.outputs.tobytes() == pipeline.run_vanilla(cfg, PROMPTS).outputs.tobytes()
-        consistent = pipeline.PipelineRun(cfg, PROMPTS, pipeline.RunMode.CONSISTENT, cache=run.cache)
-        with pytest.raises(ConfigError, match="requires a vanilla feature cache"):
-            pipeline.sample(consistent)
+        puts = []
+        monkeypatch.setattr(qc.FeatureCache, "put", lambda *args: puts.append(args))
+        (run,) = pipeline.run_passes(cfg, PROMPTS, pipeline.RunMode.VANILLA)
+        assert run.cache is None and puts == []
+        monkeypatch.undo()
+        (cached,) = reference_chain(cfg, PROMPTS, pipeline.RunMode.VANILLA)
+        assert run.outputs.tobytes() == cached.outputs.tobytes()
 
     def test_vanilla_fills_the_cache_it_is_given(self):
         cfg = small_config()
@@ -481,25 +509,25 @@ class TestSample:
         run = pipeline.PipelineRun(cfg, PROMPTS, pipeline.RunMode.VANILLA, cache=cache)
         pipeline.sample(run)
         assert run.cache is cache
-        assert len(cache) == cfg.sampler_steps * cfg.model.layers
-        assert cache.seed_fingerprint == run.fingerprint
+        assert len(cache.entries) == cfg.sampler_steps * cfg.model.layers
 
     def test_refined_pass_same_with_fresh_or_shared_flow_fields(self):
         cfg = small_config()
-        cache = pipeline.run_vanilla(cfg, PROMPTS).cache
-        fresh = qc.FeatureCache(dict(cache.entries), cache.seed_fingerprint)
-        pipeline.run_consistent(cfg, PROMPTS, cache=cache)
+        passes = pipeline.run_passes(cfg, PROMPTS)
+        cache = next(passes).cache
+        fresh = qc.FeatureCache(dict(cache.entries))
+        next(passes)  # the consistent pass builds the fields
         assert cache.flow_fields and not fresh.flow_fields
-        shared = pipeline.run_refined(cfg, PROMPTS, cache=cache)
-        alone = pipeline.run_refined(cfg, PROMPTS, cache=fresh)
+        shared = next(passes)
+        alone = pipeline.PipelineRun(cfg, PROMPTS, pipeline.RunMode.REFINED, cache=fresh)
+        pipeline.sample(alone)
         assert shared.outputs.tobytes() == alone.outputs.tobytes()
         assert json.dumps(shared.audit) == json.dumps(alone.audit)
         assert fresh.flow_fields.keys() == cache.flow_fields.keys()
 
     def test_window_gating_in_audit(self):
         cfg = small_config()
-        cache = pipeline.run_vanilla(cfg, PROMPTS).cache
-        run = pipeline.run_refined(cfg, PROMPTS, cache=cache)
+        *_, run = pipeline.run_passes(cfg, PROMPTS)
         ts = cfg.timesteps()
         layers = cfg.model.layers
         queries = [r for r in run.audit if r["event"] == "query"]
@@ -516,9 +544,7 @@ class TestSample:
         assert all(590 <= r["t"] <= 950 for r in refine)
 
     def test_refinement_maps_shared_across_passes(self):
-        cfg = small_config()
-        cache = pipeline.run_vanilla(cfg, PROMPTS).cache
-        run = pipeline.run_refined(cfg, PROMPTS, cache=cache)
+        *_, run = pipeline.run_passes(small_config(), PROMPTS)
         refine = [r for r in run.audit if r["event"] == "refinement"]
         by_step = {}
         for rec in refine:
@@ -533,19 +559,16 @@ class TestSample:
             "a red fox digging a burrow, watercolor",
         ]
         cfg = small_config()
-        v2 = pipeline.run_vanilla(cfg, PROMPTS[:2])
-        r2 = pipeline.run_refined(cfg, PROMPTS[:2], cache=v2.cache)
+        *_, r2 = pipeline.run_passes(cfg, PROMPTS[:2])
         for followers in (1, 2):
-            prompts = PROMPTS[:2] + extra[:followers]
-            v = pipeline.run_vanilla(cfg, prompts)
-            r = pipeline.run_refined(cfg, prompts, cache=v.cache)
+            *_, r = pipeline.run_passes(cfg, PROMPTS[:2] + extra[:followers])
             assert r.outputs[:2].tobytes() == r2.outputs[:2].tobytes()
 
     def test_middle_frame_flag_changes_output(self):
         cfg = small_config(q_injection=False, refine_window=None)
-        base = pipeline.run_consistent(cfg, PROMPTS)
+        *_, base = pipeline.run_passes(cfg, PROMPTS, pipeline.RunMode.CONSISTENT)
         cfg_mid = small_config(
             q_injection=False, refine_window=None, attend_middle_frame=True
         )
-        mid = pipeline.run_consistent(cfg_mid, PROMPTS)
+        *_, mid = pipeline.run_passes(cfg_mid, PROMPTS, pipeline.RunMode.CONSISTENT)
         assert not np.array_equal(base.outputs, mid.outputs)

@@ -378,7 +378,7 @@ class TestCli:
     )
     def test_no_query_cache_without_a_reader(self, tmp_path, monkeypatch, mode, q_injection):
         # no later pass reads the vanilla queries, so none is cached; every
-        # artifact equals the library chain's, whose vanilla pass does cache
+        # artifact equals a hand-built chain's, whose vanilla pass does cache
         config = dict(SMALL_CONFIG, q_injection=q_injection)
         cfg_path = write_yaml(tmp_path / "config.yaml", config)
         pro = write_yaml(tmp_path / "prompts.yaml", PROMPT_DOC)
@@ -393,10 +393,11 @@ class TestCli:
         shot_prompts = prompts.load_prompts(pro)[0].full_prompts
         lib = tmp_path / "library"
         lib.mkdir()
-        run = pipeline.run_vanilla(cfg, shot_prompts)
-        assert len(run.cache) == cfg.sampler_steps * cfg.model.layers
+        cache = query_control.FeatureCache()
+        run = pipeline.PipelineRun(cfg, shot_prompts, pipeline.RunMode.VANILLA, cache=cache)
+        pipeline.sample(run)
+        assert len(cache.entries) == cfg.sampler_steps * cfg.model.layers
         fingerprints = {"vanilla": tensor_core.save_tensor(lib / "latents_vanilla.tensor", run.outputs)}
-        cache = run.cache
         order = list(pipeline.RunMode)
         for run_mode in order[1 : order.index(pipeline.RunMode(mode)) + 1]:
             run = pipeline.PipelineRun(cfg, shot_prompts, run_mode, cache=cache)
@@ -414,7 +415,7 @@ class TestCli:
             assert (set_dir / name).read_bytes() == (lib / name).read_bytes(), name
         manifest = json.loads((set_dir / "manifest.json").read_text())
         assert manifest["pass_fingerprints"] == fingerprints
-        assert manifest["run_fingerprint"] == run.fingerprint
+        assert manifest["run_fingerprint"] == pipeline.run_fingerprint(cfg, shot_prompts)
 
     @pytest.mark.parametrize("mode", ["consistent", "refined"])
     def test_injecting_run_caches_every_step_and_layer(self, io_paths, monkeypatch, mode):

@@ -336,6 +336,9 @@ class TestDumpLoad:
 
     def test_payload_size_mismatch(self, tmp_path):
         path = tmp_path / "bad.tensor"
-        path.write_bytes(b'{"shape":[4],"dtype":"f32","order":"row-major"}\n' + b"\x00" * 8)
-        with pytest.raises(DimensionError):
-            tc.load_tensor(path)
+        # too short; cut mid-float; an element count that wraps to 0 in int64
+        for shape, payload_bytes in (([4], 8), ([4], 15), ([2**32, 2**32], 0)):
+            header = json.dumps({"shape": shape, "dtype": "f32", "order": "row-major"})
+            path.write_bytes(header.encode() + b"\n" + b"\x00" * payload_bytes)
+            with pytest.raises(DimensionError, match="does not match shape"):
+                tc.load_tensor(path)
