@@ -373,25 +373,19 @@ class _StepHooks:
             for f in range(o.shape[1]):
                 key = (layer, s, f)
                 if cond:
-                    corr = refinement.build_correspondence(
-                        o[s, f], units, target=(s, f), map_id=next(self.run.map_ids)
+                    self.refine_handles[key] = refinement.build_correspondence(
+                        o[s, f], units, target=(s, f)
                     )
-                    self.refine_handles[key] = corr
-                else:
-                    corr = self.refine_handles[key]
+                    map_ids.append(next(self.run.map_ids))
                 out[s, f] = refinement.inject_refinement(
-                    out[s, f], anchor_feats, corr, self.masks.masks[s, f], cfg.refine_blend
+                    out[s, f], anchor_feats, self.refine_handles[key], self.masks.masks[s, f],
+                    cfg.refine_blend,
                 )
-                map_ids.append(corr.map_id)
-        self.run.audit.append(
-            {
-                "event": "refinement",
-                "t": self.t,
-                "layer": layer,
-                "pass": "cond" if cond else "uncond",
-                "map_ids": map_ids,
-            }
-        )
+        if cond:  # sample copies these records as the unconditional forward's
+            self.run.audit.append(
+                {"event": "refinement", "t": self.t, "layer": layer, "pass": "cond",
+                 "map_ids": map_ids}
+            )
         return out
 
 
@@ -422,12 +416,12 @@ def sample(run: PipelineRun) -> np.ndarray:
         hooks = _StepHooks(run, t, masks, anchors, sdsa_on, refine_on)
         n = len(run.audit)
         e_cond = model.forward(x, run.prompts, cond=True, hooks=hooks)
-        if cfg.cfg_scale != 1:  # at scale 1 guidance is e_cond (README)
-            e_uncond = model.forward(x, run.prompts, cond=False, hooks=hooks)
-        elif refine_on:  # the uncond records reuse this step's maps: copy the cond ones
+        if refine_on:  # the unconditional forward, when it runs, reuses this step's maps
             run.audit.extend(
                 {**r, "pass": "uncond"} for r in run.audit[n:] if r["event"] == "refinement"
             )
+        if cfg.cfg_scale != 1:  # at scale 1 guidance is e_cond (README)
+            e_uncond = model.forward(x, run.prompts, cond=False, hooks=hooks)
         # overflow (e.g. a large cfg_scale) is reported below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.cfg_scale == 1:

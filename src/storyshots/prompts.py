@@ -22,8 +22,12 @@ class ShotPromptSet:
         # the name becomes one directory under --out; a null one would read as "None"
         if not isinstance(self.name, str):
             raise PromptError(f"prompt set name {self.name!r} must be text")
-        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise PromptError(f"prompt set name {self.name!r} must be one plain path component")
+        # the CLI's failure marker sits next to the set directories, and
+        # default macOS and Windows filesystems fold case
+        if self.name.casefold() == "failed":
+            raise PromptError(f"prompt set name {self.name!r} is the CLI's failure marker")
         if not self.settings:
             raise PromptError(f"prompt set {self.name!r}: needs at least one setting")
         # in the prompt a null would read as the text "None", a list or mapping as its repr

@@ -71,20 +71,22 @@ def match_field(q_v: np.ndarray, spacing: int) -> FlowField:
     """Match every vanilla query (S, F, P, d) against the vanilla queries of
     its frame's two bracketing keyframes, in the same shot.
 
-    One cosine matmul per (shot, bracket) covers all of the bracket's frames
-    and both keyframes; argmax takes the first maximum of the clipped
-    cosines, so ties break to the lowest patch index.
+    Each shot's queries are normalized once; one tc.best_match per (shot,
+    bracket) covers all of the bracket's frames and both keyframes, so ties
+    break to the lowest patch index.
     """
     S, F, P, d = q_v.shape
     f_a, f_b = keyframe_brackets(F, spacing)
     match_a = np.empty((S, F, P), np.min_scalar_type(P - 1))
     match_b = np.empty_like(match_a)
-    for a in dict.fromkeys(f_a.tolist()):  # np.unique would import numpy.ma, +1 MB RSS
-        span = np.flatnonzero(f_a == a)
-        b = f_b[span[0]]
-        for s in range(S):
-            sims = tc.cosine_matrix(q_v[s, span].reshape(-1, d), q_v[s, [a, b]].reshape(-1, d))
-            best = np.argmax(sims.reshape(len(span), P, 2, P), axis=-1)
+    # np.unique would import numpy.ma, +1 MB RSS
+    spans = [np.flatnonzero(f_a == a) for a in dict.fromkeys(f_a.tolist())]
+    for s in range(S):
+        units = tc.unit_rows(q_v[s])
+        for span in spans:
+            keys = units[[f_a[span[0]], f_b[span[0]]]]
+            best, _ = tc.best_match(units[span].reshape(-1, d), keys)
+            best = best.reshape(len(span), P, 2)
             match_a[s, span], match_b[s, span] = best[..., 0], best[..., 1]
     # a zero norm means every component is zero (float32 squares cannot underflow in float64)
     zero = ~q_v.any(axis=-1)
@@ -140,7 +142,6 @@ def select_q(t: int, layer: int, q_c: np.ndarray, cache, cfg, rng: np.random.Gen
     Dropout applies to whichever injection was chosen. Returns
     (q, QueryAudit).
     """
-    q_c = np.asarray(q_c)
     injection_layers = cfg.injection_layer_set()
     if cfg.t_pres is not None and t >= cfg.t_pres:
         q_inj = cache.get(t, layer)

@@ -22,36 +22,27 @@ class CorrespondenceMap:
     match_patch: np.ndarray  # int (P,)
     score: np.ndarray  # float (P,)
     matched: np.ndarray  # bool (P,); False where the target vector was zero
-    map_id: int = 0  # numbered per run by the pipeline
 
 
 def build_correspondence(
-    target_feats: np.ndarray,
-    anchor_units: np.ndarray,
-    target: tuple = (0, 0),
-    map_id: int = 0,
+    target_feats: np.ndarray, anchor_units: np.ndarray, target: tuple = (0, 0)
 ) -> CorrespondenceMap:
     """Argmax-cosine match of each target patch against all (frame, patch)
     anchor features, given as their (frames, patches, d) tc.unit_rows (so a
     caller matching many targets against one anchor set normalizes it once),
-    by the rule match_field uses: ties break to the lowest linear index, and
-    zero target vectors are left unmatched and flagged.
+    by tc.best_match over the flattened set, the kernel match_field uses:
+    ties break to the lowest linear index, and zero target vectors are left
+    unmatched and flagged.
     """
-    target_feats = np.asarray(target_feats)
-    frames, patches, dim = anchor_units.shape
-    sims = tc.unit_cosine(
-        tc.unit_rows(target_feats), anchor_units.reshape(frames * patches, dim)
-    )
-    linear = np.argmax(sims, axis=1)
-    matched = target_feats.any(axis=1)
-    score = sims[np.arange(sims.shape[0]), linear]
+    patches, dim = anchor_units.shape[1:]
+    best, score = tc.best_match(tc.unit_rows(target_feats), anchor_units.reshape(1, -1, dim))
+    linear = best[:, 0]
     return CorrespondenceMap(
         target=target,
-        match_frame=(linear // patches).astype(np.int64),
-        match_patch=(linear % patches).astype(np.int64),
-        score=score,
-        matched=matched,
-        map_id=map_id,
+        match_frame=linear // patches,
+        match_patch=linear % patches,
+        score=score[:, 0],
+        matched=target_feats.any(axis=1),
     )
 
 
@@ -66,17 +57,13 @@ def inject_refinement(
 
     Background patches (mask False) and unmatched patches are bit-unchanged.
     """
-    o_target = np.asarray(o_target)
-    o_anchor = np.asarray(o_anchor)
-    mask = np.asarray(mask, dtype=bool)
-    active = mask & corr.matched
     out = o_target.copy()
-    if blend == 0.0 or not active.any():
+    if blend == 0.0:  # the blend below would turn a -0.0 feature into +0.0
         return out
+    active = mask & corr.matched
     src = o_anchor[corr.match_frame[active], corr.match_patch[active]]
-    mixed = (
+    out[active] = (
         (1.0 - blend) * out[active].astype(np.float64)
         + blend * src.astype(np.float64)
     ).astype(tc.F32)
-    out[active] = mixed
     return out

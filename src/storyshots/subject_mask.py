@@ -10,7 +10,7 @@ channel; a real zero-shot segmenter would replace `saliency`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,28 +36,20 @@ class NoiseSchedule:
 
 @dataclass
 class SubjectMaskSet:
-    """Boolean subject masks per (shot, frame, patch), with the frames whose
-    Otsu threshold fell back to an empty mask."""
+    """Boolean subject masks per (shot, frame, patch)."""
 
     masks: np.ndarray  # bool (S, F, P)
-    fallback: np.ndarray = field(default=None)  # bool (S, F)
-
-    def __post_init__(self):
-        self.masks = np.asarray(self.masks, dtype=bool)
-        if self.fallback is None:
-            self.fallback = np.zeros(self.masks.shape[:2], dtype=bool)
 
     @classmethod
     def from_saliency(cls, saliency: np.ndarray) -> "SubjectMaskSet":
         shots, frames, _ = saliency.shape
-        fallback = np.zeros((shots, frames), dtype=bool)
         masks = np.zeros(saliency.shape, dtype=bool)
         for s in range(shots):
             for f in range(frames):
-                thr, fallback[s, f] = otsu_threshold(saliency[s, f])
+                thr, _ = otsu_threshold(saliency[s, f])
                 # compare against the Python float: float32 saliency stays float32
                 masks[s, f] = saliency[s, f] > thr
-        return cls(masks, fallback)
+        return cls(masks)
 
 
 def estimate_x0(x: np.ndarray, e_t: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:

@@ -64,18 +64,18 @@ def unit_rows(x) -> np.ndarray:
     return np.divide(x, n, out=np.zeros_like(x), where=n > 0)
 
 
-def unit_cosine(ua, ub) -> np.ndarray:
-    """Cosine similarity of every row of ua (m, d) against every row of ub
-    (n, d), both from unit_rows, clipped to [-1, 1], so parallel rows score
-    exactly 1 and argmax ties among them break to the lowest index."""
-    sims = ua @ ub.T
-    return np.clip(sims, -1.0, 1.0, out=sims)
-
-
-def cosine_matrix(a, b) -> np.ndarray:
-    """Float64 cosine similarity of every row of a (m, d) against every row
-    of b (n, d), by unit_rows and unit_cosine."""
-    return unit_cosine(unit_rows(a), unit_rows(b))
+def best_match(units: np.ndarray, key_units: np.ndarray):
+    """Argmax-cosine match of every row of units (m, d) in each of the g
+    groups of key_units (g, n, d), both from unit_rows, by one matmul against
+    all g·n rows. Returns the index in each group of the first maximum of the
+    cosine clipped to [-1, 1], and that cosine, each as an (m, g) array;
+    clipped, parallel rows of any scale score exactly 1, so ties among them
+    break to the lowest index."""
+    g, n, d = key_units.shape
+    sims = units @ key_units.reshape(g * n, d).T
+    sims = np.clip(sims, -1.0, 1.0, out=sims).reshape(-1, g, n)
+    best = np.argmax(sims, axis=-1)
+    return best, np.take_along_axis(sims, best[..., None], axis=-1)[..., 0]
 
 
 def sigmoid(x: float) -> float:

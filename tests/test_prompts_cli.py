@@ -77,7 +77,10 @@ class TestPromptSets:
                 {"n": {"subject": "a dog", "style": "ink", "settings": "beach"}}
             )
 
-    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "/abs", "a\\b"])
+    # the last four would clash with the CLI's FAILED marker or hold a NUL byte
+    @pytest.mark.parametrize(
+        "name", ["", ".", "..", "a/b", "/abs", "a\\b", "FAILED", "failed", "Failed", "b\0ad"]
+    )
     def test_path_like_names_rejected(self, name):
         with pytest.raises(PromptError):
             prompts.ShotPromptSet(name, "a dog", ["x"], "ink")
@@ -310,6 +313,23 @@ class TestCli:
         assert (out / "FAILED").read_text().startswith("PromptError")
         assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["out"]
         assert "PromptError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["FAILED", "failed", "b\0ad"], ids=["FAILED", "failed", "nul"])
+    def test_set_name_that_cannot_be_a_set_directory_fails_before_compute(
+        self, tmp_path, capsys, name
+    ):
+        # a set named like the marker would leave a success looking like a
+        # failure; a NUL byte fails only once the path is opened. Both must
+        # fail the run before the set before them writes anything.
+        cfg = write_yaml(tmp_path / "config.yaml", SMALL_CONFIG)
+        pro = write_yaml(tmp_path / "prompts.yaml", {"fox": PROMPT_DOC["fox"], name: PROMPT_DOC["fox"]})
+        out = tmp_path / "out"
+        for _ in range(2):  # a re-run into the same --out fails the same way
+            assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 1
+            assert (out / "FAILED").is_file()
+            assert (out / "FAILED").read_text().startswith("PromptError: prompt set name")
+            assert [p.name for p in out.iterdir()] == ["FAILED"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_rerun_removes_stale_set_artifacts(self, io_paths):
         cfg, pro, out = io_paths

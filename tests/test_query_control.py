@@ -52,14 +52,54 @@ def flow_frame(q_c, q_v, spacing, frame, weight_mode="sigmoid"):
     return out[0, frame], np.flatnonzero(fld.zero[0, frame])
 
 
+def cosine_matrix(a, b):
+    """The cosine kernel match_field used before tc.best_match: unit rows of a
+    (m, d) and b (n, d), one matmul, clipped to [-1, 1]."""
+    sims = tc.unit_rows(a) @ tc.unit_rows(b).T
+    return np.clip(sims, -1.0, 1.0, out=sims)
+
+
+def reference_match_field(q_v, spacing):
+    """(match_a, match_b) of match_field as it was computed before tc.best_match:
+    per bracket and shot, one cosine_matrix of the bracket's frames against
+    both keyframes, and an argmax over each keyframe's patches."""
+    S, F, P, d = q_v.shape
+    f_a, f_b = qc.keyframe_brackets(F, spacing)
+    match_a = np.empty((S, F, P), np.int64)
+    match_b = np.empty_like(match_a)
+    for a in dict.fromkeys(f_a.tolist()):
+        span = np.flatnonzero(f_a == a)
+        b = f_b[span[0]]
+        for s in range(S):
+            sims = cosine_matrix(q_v[s, span].reshape(-1, d), q_v[s, [a, b]].reshape(-1, d))
+            best = np.argmax(sims.reshape(len(span), P, 2, P), axis=-1)
+            match_a[s, span], match_b[s, span] = best[..., 0], best[..., 1]
+    return match_a, match_b
+
+
+def tie_heavy(rng, shape) -> np.ndarray:
+    """Integer-valued float32 queries (S, F, P, d), P a multiple of 4: in each
+    group of four patches one is zero, one repeats the first and one is the
+    first scaled by 3, so argmax ties are the rule."""
+    q = rng.integers(-2, 3, shape).astype(np.float32)
+    q[..., 1::4, :] = 0.0
+    q[..., 2::4, :] = 3.0 * q[..., 0::4, :]
+    q[..., 3::4, :] = q[..., 0::4, :]
+    return q
+
+
+# (S, F, P, d) queries of the refined_default, vanilla_wide and consistent_wide workloads
+WORKLOAD_SHAPES = [(5, 8, 64, 16), (5, 8, 256, 16), (8, 16, 64, 16)]
+
+
 def per_frame_flow(q_c, q_v, spacing, frame, weight_mode):
     """Reference for one (F, P, d) shot and one frame: both matchings and the
     blend computed for that frame alone."""
     f_a, f_b = oracle_bracket(len(q_v), spacing, frame)
     ratio = (f_b - frame) / (f_b - f_a)
     w = tc.sigmoid(ratio) if weight_mode == "sigmoid" else ratio
-    ma = np.argmax(tc.cosine_matrix(q_v[frame], q_v[f_a]), axis=1)
-    mb = np.argmax(tc.cosine_matrix(q_v[frame], q_v[f_b]), axis=1)
+    ma = np.argmax(cosine_matrix(q_v[frame], q_v[f_a]), axis=1)
+    mb = np.argmax(cosine_matrix(q_v[frame], q_v[f_b]), axis=1)
     blended = (w * q_c[f_a][ma].astype(np.float64) + (1.0 - w) * q_c[f_b][mb].astype(np.float64)).astype(np.float32)
     zero = np.linalg.norm(q_v[frame].astype(np.float64), axis=1) == 0.0
     return np.where(zero[:, None], q_c[frame], blended), ma, mb, zero
@@ -257,6 +297,27 @@ class TestQFlow:
                 assert np.array_equal(fld.match_b[s, f], mb)
                 assert np.array_equal(fld.zero[s, f], zero)
         assert fld.zero[1, 3, 4] and np.array_equal(got[1, 3, 4], q_c[1, 3, 4])
+
+
+class TestMatchFieldReference:
+    @pytest.mark.parametrize("spacing", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_reference_on_ties(self, d, spacing):
+        q_v = tie_heavy(np.random.default_rng(10 * d + spacing), (3, 7, 16, d))
+        fld = qc.match_field(q_v, spacing)
+        match_a, match_b = reference_match_field(q_v, spacing)
+        assert fld.match_a.tolist() == match_a.tolist()
+        assert fld.match_b.tolist() == match_b.tolist()
+        assert np.array_equal(fld.zero, ~q_v.any(axis=-1))
+
+    @pytest.mark.parametrize("shape", WORKLOAD_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_equals_reference_at_workload_shapes(self, shape):
+        rng = np.random.default_rng(12)
+        for q_v in (tie_heavy(rng, shape), rng.standard_normal(shape).astype(np.float32)):
+            fld = qc.match_field(q_v, 4)
+            match_a, match_b = reference_match_field(q_v, 4)
+            assert fld.match_a.tolist() == match_a.tolist()
+            assert fld.match_b.tolist() == match_b.tolist()
 
 
 class TestFlowFieldMemo:

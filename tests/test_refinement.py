@@ -25,6 +25,57 @@ def exhaustive_correspondence(target, anchor):
     return matches
 
 
+def reference_correspondence(target, anchor_units):
+    """(match_frame, match_patch, score) of build_correspondence as it was
+    computed before tc.best_match: one clipped cosine matrix of the target's
+    unit rows against the flattened anchor units, and an argmax per row."""
+    frames, patches, dim = anchor_units.shape
+    sims = tc.unit_rows(target) @ anchor_units.reshape(frames * patches, dim).T
+    sims = np.clip(sims, -1.0, 1.0, out=sims)
+    linear = np.argmax(sims, axis=1)
+    return linear // patches, linear % patches, sims[np.arange(len(sims)), linear]
+
+
+def tie_heavy(rng, shape) -> np.ndarray:
+    """Integer-valued float32 features (..., P, d), P a multiple of 4: in each
+    group of four patches one is zero, one repeats the first and one is the
+    first scaled by 3, so argmax ties are the rule."""
+    x = rng.integers(-2, 3, shape).astype(np.float32)
+    x[..., 1::4, :] = 0.0
+    x[..., 2::4, :] = 3.0 * x[..., 0::4, :]
+    x[..., 3::4, :] = x[..., 0::4, :]
+    return x
+
+
+def assert_equals_reference(target, anchor):
+    corr = rf.build_correspondence(target, tc.unit_rows(anchor))
+    frame, patch, score = reference_correspondence(target, tc.unit_rows(anchor))
+    assert corr.match_frame.tolist() == frame.tolist()
+    assert corr.match_patch.tolist() == patch.tolist()
+    assert corr.score.tobytes() == score.tobytes()
+    assert corr.matched.tolist() == target.any(axis=1).tolist()
+
+
+class TestCorrespondenceReference:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_reference_on_ties(self, seed, d):
+        rng = np.random.default_rng(seed)
+        anchor = tie_heavy(rng, (3, 8, d))
+        target = tie_heavy(rng, (8, d))
+        target[4:] = anchor[1, :4]  # exact copies of anchor patches
+        assert_equals_reference(target, anchor)
+
+    # (P, d) targets against the (2F, P, d) anchor set of a shot with two
+    # sources, at the refined_default, vanilla_wide and consistent_wide shapes
+    @pytest.mark.parametrize("frames, patches", [(8, 64), (8, 256), (16, 64)])
+    def test_equals_reference_at_workload_shapes(self, frames, patches):
+        rng = np.random.default_rng(13)
+        for make in (tie_heavy, lambda r, shape: r.standard_normal(shape).astype(np.float32)):
+            anchor = make(rng, (2 * frames, patches, 16))
+            assert_equals_reference(make(rng, (patches, 16)), anchor)
+
+
 class TestBuildCorrespondence:
     def test_exact_copy_gives_identity(self):
         rng = np.random.default_rng(0)

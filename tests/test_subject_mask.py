@@ -166,7 +166,7 @@ class TestSubjectMaskSet:
         rng = np.random.default_rng(4)
         sal = rng.random((2, 3, 16)).astype(np.float32)
         ms = sm.SubjectMaskSet.from_saliency(sal)
-        assert not ms.fallback.any()
+        assert not any(sm.otsu_threshold(frame)[1] for frame in sal.reshape(-1, 16))
         per_frame = ms.masks.sum(axis=2)
         assert (per_frame >= 1).all()
         assert (per_frame <= 15).all()
@@ -174,5 +174,5 @@ class TestSubjectMaskSet:
     def test_fallback_flagged(self):
         sal = np.full((1, 1, 8), 0.5, dtype=np.float32)
         ms = sm.SubjectMaskSet.from_saliency(sal)
-        assert ms.fallback[0, 0]
+        assert sm.otsu_threshold(sal[0, 0])[1]
         assert not ms.masks[0, 0].any()

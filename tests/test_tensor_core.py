@@ -193,9 +193,16 @@ class TestSoftmaxExactZero:
         assert same_bits(tc.softmax(x), reference_softmax(x))
 
 
+def cosines(a, b) -> np.ndarray:
+    """Clipped cosine of every row of a (m, d) against every row of b (n, d),
+    through best_match with each row of b as a group of its own."""
+    _, sims = tc.best_match(tc.unit_rows(np.atleast_2d(a)), tc.unit_rows(np.atleast_2d(b))[:, None])
+    return sims
+
+
 def cosine(a, b) -> float:
-    """One pair through the cosine-matrix kernel."""
-    return float(tc.cosine_matrix(np.atleast_2d(a), np.atleast_2d(b))[0, 0])
+    """One pair through the argmax-cosine kernel."""
+    return float(cosines(a, b)[0, 0])
 
 
 class TestCosineSim:
@@ -211,7 +218,7 @@ class TestCosineSim:
 
     def test_parallel_rows_of_different_scale_score_exactly_one(self):
         x = np.float32([0.03895462676882744, 1.1896648406982422])
-        sims = tc.cosine_matrix(x[None], np.stack([x, x * np.float32(5), -x]))
+        sims = cosines(x[None], np.stack([x, x * np.float32(5), -x]))
         assert sims.tolist() == [[1.0, 1.0, -1.0]]
 
     def test_both_zero(self):
@@ -234,7 +241,7 @@ class TestCosineSim:
         a = rng.standard_normal((5, 4)).astype(np.float32)
         b = rng.standard_normal((3, 4)).astype(np.float32)
         b[1] = 0.0
-        sims = tc.cosine_matrix(a, b)
+        sims = cosines(a, b)
         assert sims.shape == (5, 3) and sims.dtype == np.float64
         for i in range(5):
             for j in range(3):
@@ -242,6 +249,16 @@ class TestCosineSim:
                 nx, ny = math.sqrt(float(x @ x)), math.sqrt(float(y @ y))
                 expected = 0.0 if nx == 0 or ny == 0 else float(x @ y) / (nx * ny)
                 assert sims[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+class TestBestMatch:
+    def test_first_maximum_in_each_group(self):
+        x = np.float32([0.03895462676882744, 1.1896648406982422])
+        # group 0: -x, x, 5x; group 1: 5x, x, 0
+        keys = tc.unit_rows(np.stack([np.stack([-x, x, 5 * x]), np.stack([5 * x, x, 0 * x])]))
+        best, score = tc.best_match(tc.unit_rows(np.stack([x, -x, 0 * x])), keys)
+        assert best.tolist() == [[1, 0], [0, 2], [0, 0]]
+        assert score.tolist() == [[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
 
 
 
