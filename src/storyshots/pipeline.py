@@ -228,37 +228,42 @@ class ToyModel:
             self._bias_cache[prompt] = vecs.mean(axis=0).astype(tc.F32)
         return self._bias_cache[prompt]
 
-    def forward(self, x: np.ndarray, prompts, cond: bool, hooks=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, prompts, cond: bool, hooks=None, resume=None) -> np.ndarray:
         """One denoiser evaluation: noise estimate for latents x (S,F,P,C).
 
         Hook points, in order per layer: query substitution before attention,
-        extended attention inside, output injection after.
+        extended attention inside, output injection after. resume=(layer, h,
+        o) enters at that layer's output injection with the residual h and
+        attention output o that an identical forward had there.
         """
-        h = np.array(x, dtype=tc.F32, copy=True)
-        if cond:
-            for s, prompt in enumerate(prompts):
-                h[s] = h[s] + self.prompt_bias(prompt)
-        for l, w in enumerate(self.layers):
-            q = tc.matmul(h, w.w_q)
-            k = tc.matmul(h, w.w_k)
-            v = tc.matmul(h, w.w_v)
+        first, h, o = resume or (0, None, None)
+        if resume is None:
+            h = np.array(x, dtype=tc.F32, copy=True)
+            if cond:
+                for s, prompt in enumerate(prompts):
+                    h[s] = h[s] + self.prompt_bias(prompt)
+        for l, w in enumerate(self.layers[first:], first):
+            if resume is None or l > first:
+                q = tc.matmul(h, w.w_q)
+                k = tc.matmul(h, w.w_k)
+                v = tc.matmul(h, w.w_v)
+                if hooks is not None:
+                    q = hooks.substitute_q(l, q, cond)
+                if hooks is not None and hooks.sdsa_on:
+                    h_attn = hooks.extended_attention(l, q, k, v, cond)
+                else:
+                    # plain attention over the flattened (shot, frame) items
+                    qi, ki, vi = (a.reshape(-1, *a.shape[2:]) for a in (q, k, v))
+                    h_attn = np.empty_like(qi)
+                    step = max(1, LOGITS_BUDGET_BYTES // (8 * qi.shape[1] ** 2))
+                    for i in range(0, len(qi), step):
+                        h_attn[i : i + step], _ = attention.masked_attention(
+                            qi[i : i + step], ki[i : i + step], vi[i : i + step]
+                        )
+                    h_attn = h_attn.reshape(q.shape)
+                o = tc.matmul(h_attn, w.w_o)
             if hooks is not None:
-                q = hooks.substitute_q(l, q, cond)
-            if hooks is not None and hooks.sdsa_on:
-                h_attn = hooks.extended_attention(l, q, k, v, cond)
-            else:
-                # plain attention over the flattened (shot, frame) items
-                qi, ki, vi = (a.reshape(-1, *a.shape[2:]) for a in (q, k, v))
-                h_attn = np.empty_like(qi)
-                step = max(1, LOGITS_BUDGET_BYTES // (8 * qi.shape[1] ** 2))
-                for i in range(0, len(qi), step):
-                    h_attn[i : i + step], _ = attention.masked_attention(
-                        qi[i : i + step], ki[i : i + step], vi[i : i + step]
-                    )
-                h_attn = h_attn.reshape(q.shape)
-            o = tc.matmul(h_attn, w.w_o)
-            if hooks is not None:
-                o = hooks.inject_o(l, o, cond)
+                o = hooks.inject_o(l, h, o, cond)
             h = h + o
         return tc.matmul(h, self.w_out)
 
@@ -275,10 +280,28 @@ class PipelineRun:
     audit: list = field(default_factory=list)
     # correspondence-map ids, numbered from 1 in build order within this run
     map_ids: itertools.count = field(default_factory=lambda: itertools.count(1), repr=False)
+    # set by run_passes: the Handoffs this pass fills, and the one it resumes from
+    hand_over: list = field(default_factory=list, repr=False)
+    resume_from: Handoff | None = field(default=None, repr=False)
 
     @property
     def shots(self) -> int:
         return len(self.prompts)
+
+
+@dataclass
+class Handoff:
+    """References to a pass's state where the next pass's hooks first act
+    differently, filled by the earlier pass; the later one starts there."""
+
+    step: int  # index into config.timesteps(); their count hands over the whole pass
+    layer: int = -1  # -1: the handoff is at the start of the step
+    from_vanilla: bool = False  # the later pass replays the query records vanilla never writes
+    x: np.ndarray | None = None  # the latents entering the step
+    audit: list = field(default_factory=list)  # the records written before this point
+    probe: np.ndarray | None = None  # vanilla's conditional estimate, the hook-free probe
+    masks: subject_mask.SubjectMaskSet | None = None  # the step's masks, if the pass built them
+    resume: tuple | None = None  # (layer, h, o) for the conditional ToyModel.forward
 
 
 def run_fingerprint(config: StoryboardConfig, prompts) -> str:
@@ -310,7 +333,7 @@ class _StepHooks:
     """Per-timestep hook state shared by the conditional and unconditional
     passes, so refinement reuses the identical correspondence maps."""
 
-    def __init__(self, run, t, masks, anchors, sdsa_on, refine_on):
+    def __init__(self, run, t, masks, anchors, sdsa_on, refine_on, hand=None):
         self.run = run
         self.cfg = run.config
         self.t = t
@@ -319,6 +342,7 @@ class _StepHooks:
         self.sdsa_on = sdsa_on
         self.refine_on = refine_on
         self.refine_handles: dict = {}
+        self.hand = hand  # a Handoff at one of this step's layers, filled by inject_o
 
     # -- query substitution (conditional pass only) --
 
@@ -358,8 +382,10 @@ class _StepHooks:
 
     # -- refinement injection --
 
-    def inject_o(self, layer: int, o: np.ndarray, cond: bool) -> np.ndarray:
-        cfg = self.cfg
+    def inject_o(self, layer: int, h: np.ndarray, o: np.ndarray, cond: bool) -> np.ndarray:
+        cfg, hand = self.cfg, self.hand
+        if cond and hand is not None and hand.layer == layer:
+            hand.resume, hand.audit = (layer, h, o), self.run.audit[:]
         if not self.refine_on or layer not in cfg.refine_layer_set():
             return o
         out = o.copy()
@@ -393,7 +419,9 @@ def sample(run: PipelineRun) -> np.ndarray:
     """Deterministic denoising of one pass; fills run.outputs and run.audit,
     or raises NonFiniteError naming the pass and the first step whose latents
     are not finite. A vanilla run puts its queries into run.cache when it has
-    one; an injecting run reads them from it (run_passes builds that cache)."""
+    one; an injecting run reads them from it (run_passes builds that cache).
+    A run with a resume_from Handoff starts where it points; each Handoff in
+    run.hand_over is filled at its point and let go when the pass ends."""
     cfg = run.config
     spec = cfg.model
     shots = run.shots
@@ -402,20 +430,37 @@ def sample(run: PipelineRun) -> np.ndarray:
     anchors = cfg.anchor_list(shots)
     model = ToyModel(spec)
     sched = subject_mask.NoiseSchedule.geometric(cfg.total_steps, cfg.alpha_min)
-    x = _init_latents(cfg, shots)
     ts = cfg.timesteps()
     next_ts = ts[1:] + [0]
-    for t, t_next in zip(ts, next_ts):
+    got, run.resume_from = run.resume_from or Handoff(0), None
+    x = _init_latents(cfg, shots) if got.x is None else got.x
+    run.audit.extend(got.audit)
+    if got.from_vanilla and cfg.q_injection:  # the cached queries are the live ones there
+        prefix = itertools.product(ts, range(spec.layers))
+        for t, layer in itertools.islice(prefix, got.step * spec.layers + got.layer + 1):
+            _StepHooks(run, t, None, anchors, False, False).substitute_q(
+                layer, run.cache.get(t, layer), True
+            )
+    for i in range(got.step, len(ts) + 1):
+        hand = next((h for h in run.hand_over if h.step == i), None)
+        if hand is not None:  # inject_o retakes a handoff's records at its layer
+            hand.x, hand.audit = x, run.audit[:]
+        if i == len(ts):  # the later pass has nothing left to run
+            break
+        t, t_next = ts[i], next_ts[i]
         sdsa_on = run.mode != RunMode.VANILLA and _in_window(cfg.sdsa_window, t)
         refine_on = run.mode == RunMode.REFINED and _in_window(cfg.refine_window, t)
-        masks = None  # read only by SDSA and refinement
-        if sdsa_on or refine_on:
-            e_probe = model.forward(x, run.prompts, cond=True, hooks=None)
+        masks = got.masks  # read only by SDSA and refinement: built when they run
+        if masks is None and (sdsa_on or refine_on):
+            e_probe = model.forward(x, run.prompts, True) if got.probe is None else got.probe
             x0_probe = subject_mask.estimate_x0(x, e_probe, t, sched)
             masks = subject_mask.build_masks(x0_probe, cfg.subject_channel)
-        hooks = _StepHooks(run, t, masks, anchors, sdsa_on, refine_on)
+        hooks = _StepHooks(run, t, masks, anchors, sdsa_on, refine_on, hand)
         n = len(run.audit)
-        e_cond = model.forward(x, run.prompts, cond=True, hooks=hooks)
+        e_cond = model.forward(x, run.prompts, cond=True, hooks=hooks, resume=got.resume)
+        got = Handoff(i + 1)  # the earlier pass's state is read; let it go
+        if hand is not None:  # vanilla's hooks act as none: its e_cond is the probe
+            hand.masks, hand.probe = masks, e_cond if run.mode == RunMode.VANILLA else None
         if refine_on:  # the unconditional forward, when it runs, reuses this step's maps
             run.audit.extend(
                 {**r, "pass": "uncond"} for r in run.audit[n:] if r["event"] == "refinement"
@@ -439,19 +484,39 @@ def sample(run: PipelineRun) -> np.ndarray:
             ).astype(tc.F32)
         if not np.isfinite(x).all():
             raise NonFiniteError(f"{run.mode.value} pass produced non-finite latents at t={t}")
+    run.hand_over = []
     run.outputs = x
     return x
+
+
+def _handoffs(cfg: StoryboardConfig) -> tuple:
+    """The consistent and the refined pass's Handoff points: the first step
+    with SDSA or the flow phase, and the first refinement step at its lowest
+    layer, resumed from vanilla when it comes before the consistent one."""
+    ts, layers = cfg.timesteps(), cfg.refine_layer_set()
+    # per step, whether the pass acts there; a last True past the end
+    consistent = [_in_window(cfg.sdsa_window, t) or cfg.q_injection and (
+        cfg.t_pres is None or t < cfg.t_pres) for t in ts] + [True]
+    refined = [bool(layers) and _in_window(cfg.refine_window, t) for t in ts] + [True]
+    c, r = consistent.index(True), refined.index(True)
+    return Handoff(c, from_vanilla=True), Handoff(r, min(layers, default=-1), from_vanilla=r < c)
 
 
 def run_passes(config: StoryboardConfig, prompts, mode: RunMode = RunMode.REFINED):
     """Run every pass declared up to mode, in declaration order, yielding each
     run once it is sampled. The vanilla queries are cached only when a later
-    pass injects them, in one FeatureCache that every later pass reads."""
+    pass injects them, in one FeatureCache that every later pass reads. Each
+    later pass resumes from a Handoff of the pass before it, or of vanilla,
+    where their hooks first act differently (a hand-built run runs every step)."""
     modes = list(RunMode)[: list(RunMode).index(mode) + 1]
     prompts = list(prompts)
     cache = query_control.FeatureCache() if len(modes) > 1 and config.q_injection else None
-    for run_mode in modes:
-        run = PipelineRun(config, prompts, run_mode, cache=cache)
+    runs = [PipelineRun(config, prompts, run_mode, cache=cache) for run_mode in modes]
+    for run, hand in zip(runs[1:], _handoffs(config)):
+        runs[0 if hand.from_vanilla else 1].hand_over.append(hand)
+        run.resume_from = hand
+    while runs:
+        run = runs.pop(0)
         # through the module attribute, so a wrapped sample sees every pass
         sample(run)
         yield run

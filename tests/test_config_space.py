@@ -1,7 +1,10 @@
 """The config space: a random small config either fails with ConfigError
 before any latents are written, or the CLI run succeeds and writes every
-artifact; and each hand-picked malformed config fails when it is built."""
+artifact; run_passes, whose passes resume from each other's handoffs, writes
+the bytes of the sequential chain for every valid one; and each hand-picked
+malformed config fails when it is built."""
 
+import json
 import math
 import re
 import tempfile
@@ -9,10 +12,12 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from storyshots import cli, pipeline
 from storyshots.errors import ConfigError
+
+from chain_oracle import reference_chain
 
 MODE_PASSES = {
     "vanilla": ["vanilla"],
@@ -113,6 +118,24 @@ def test_config_fails_early_or_run_writes_every_artifact(board):
         assert {p.name for p in (set_dir / "slices").iterdir()} == {
             f"shot_{s}.pgm" for s in range(shots)
         }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(storyboards())
+def test_run_passes_equals_reference_chain(board):
+    config, shots, mode = board
+    try:
+        cfg = pipeline.StoryboardConfig.from_dict(config)
+        cfg.anchor_list(shots)
+    except ConfigError:
+        assume(False)
+    prompts = [f"a red fox, scene {s}, ink" for s in range(shots)]
+    want = reference_chain(cfg, prompts, pipeline.RunMode(mode))
+    got = list(pipeline.run_passes(cfg, prompts, pipeline.RunMode(mode)))
+    assert [run.mode for run in got] == [run.mode for run in want]
+    for run, ref in zip(got, want):
+        assert run.outputs.tobytes() == ref.outputs.tobytes(), run.mode
+        assert json.dumps(run.audit) == json.dumps(ref.audit), run.mode
 
 
 # Malformed values that once ran with another meaning ([0.5] as shot 0, [True]

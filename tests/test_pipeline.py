@@ -9,6 +9,8 @@ from storyshots import attention, cli, pipeline, query_control as qc, subject_ma
 from storyshots import tensor_core as tc
 from storyshots.errors import ConfigError, NonFiniteError
 
+from chain_oracle import reference_chain
+
 SMALL_SPEC = dict(layers=2, patches_per_side=4, channels=8, frames=4)
 PROMPTS = [
     "a red fox leaping over a brook, watercolor",
@@ -220,6 +222,31 @@ class TestToyModel:
         b = model.forward(x, ["other", "words"], cond=False)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("cond", [True, False])
+    def test_resume_at_an_injection_equals_the_whole_forward(self, monkeypatch, layer, cond):
+        model = pipeline.ToyModel(pipeline.ToyModelSpec(**SMALL_SPEC))
+        x = np.random.default_rng(3).standard_normal((2, 4, 16, 8)).astype(np.float32)
+
+        class Keep:  # hooks that change nothing and keep what one injection is given
+            sdsa_on, state = False, None
+
+            def substitute_q(self, l, q, cond):
+                return q
+
+            def inject_o(self, l, h, o, cond):
+                if l == layer:
+                    self.state = (l, h, o)
+                return o
+
+        hooks = Keep()
+        whole = model.forward(x, PROMPTS[:2], cond, hooks)
+        kernels = count_calls(monkeypatch, attention, "masked_attention")
+        resumed = model.forward(x, PROMPTS[:2], cond, resume=hooks.state)
+        assert resumed.tobytes() == whole.tobytes()
+        # one plain-attention call per layer at this size, none up to the resumed one
+        assert len(kernels) == SMALL_SPEC["layers"] - 1 - layer
+
 
 def per_item_forward(model, x, prompts):
     """ToyModel.forward without hooks, one masked_attention call per (shot, frame)."""
@@ -262,19 +289,30 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-def reference_chain(cfg, prompts, mode=pipeline.RunMode.REFINED) -> list:
-    """The passes up to mode as hand-built PipelineRun and sample calls: the
-    vanilla run is given a fresh cache whether or not a later pass reads it,
-    and every later pass reads that cache. The sequential oracle for
-    run_passes and for any driver that replaces it."""
-    cache = qc.FeatureCache()
-    runs = []
-    for run_mode in pipeline.RunMode:
-        run = pipeline.PipelineRun(cfg, list(prompts), run_mode, cache=cache)
-        pipeline.sample(run)
-        runs.append(run)
-        if run_mode == mode:
-            return runs
+def in_window(window, t) -> bool:
+    return window is not None and window[0] <= t <= window[1]
+
+
+def pass_starts(cfg) -> dict:
+    """The step index each pass of run_passes starts at, by the handoff rule:
+    the consistent pass at the first step with SDSA or the flow phase
+    (q_injection and t < t_pres), the refined pass at the first refinement
+    step (past the end without a refinement layer); len(ts) when none."""
+    ts = cfg.timesteps()
+
+    def first(acts):
+        return next((i for i, t in enumerate(ts) if acts(t)), len(ts))
+
+    def consistent_acts(t):
+        flow = cfg.q_injection and (cfg.t_pres is None or t < cfg.t_pres)
+        return flow or in_window(cfg.sdsa_window, t)
+
+    refines = bool(cfg.refine_layer_set())
+    return {
+        pipeline.RunMode.VANILLA: 0,
+        pipeline.RunMode.CONSISTENT: first(consistent_acts),
+        pipeline.RunMode.REFINED: first(lambda t: refines and in_window(cfg.refine_window, t)),
+    }
 
 
 CHAIN_CONFIGS = {
@@ -282,6 +320,18 @@ CHAIN_CONFIGS = {
     "no_injection": dict(q_injection=False),
     "cfg_scale_2": dict(cfg_scale=2),  # the unconditional forward reuses the maps
     "middle_frame_dropout": dict(attend_middle_frame=True, q_dropout=0.3),
+    # the refined pass resumes from the consistent one after a whole SDSA step
+    "refine_after_sdsa": dict(refine_window=(590, 800)),
+    # refinement starts before SDSA and flow: the refined pass resumes from vanilla
+    "refine_from_vanilla": dict(sdsa_window=(550, 750), refine_window=(700, 950)),
+    "refine_layer_0": dict(refine_layers=(0,)),  # resumed at the first layer's injection
+    "refine_every_layer": dict(refine_layers=(1, 0)),  # resumed at the lowest of them
+    # refinement opens where the consistent pass built no masks: the refined pass probes
+    "refine_without_sdsa": dict(sdsa_window=None, refine_window=(100, 600)),
+    "no_refine_layers": dict(refine_layers=()),  # the whole consistent pass is handed over
+    "no_t_pres": dict(t_pres=None),  # the flow phase from the first step
+    # every pass equals vanilla: each is handed the whole pass before it
+    "no_mechanism": dict(sdsa_window=None, refine_window=None, q_injection=False),
 }
 
 
@@ -303,6 +353,12 @@ class TestRunPasses:
             assert cache.flow_fields.keys() == want[0].cache.flow_fields.keys()
         else:  # no later pass reads the vanilla queries
             assert all(run.cache is None for run in got)
+
+    @pytest.mark.parametrize("overrides", CHAIN_CONFIGS.values(), ids=CHAIN_CONFIGS)
+    def test_every_handoff_is_let_go_once_read(self, overrides):
+        # a pass's arrays stay with its own run, not with the runs it handed to
+        for run in pipeline.run_passes(small_config(**overrides), PROMPTS):
+            assert run.resume_from is None and run.hand_over == [], run.mode
 
     def test_each_pass_is_yielded_once_sampled_and_injecting_ones_read_every_query(
         self, monkeypatch
@@ -370,34 +426,40 @@ class TestSample:
             {},
             dict(sdsa_window=(550, 750), refine_window=(700, 950)),
             dict(sdsa_window=None),
+            dict(sdsa_window=None, refine_window=(100, 600)),
             dict(sdsa_window=None, refine_window=None),
         ],
-        ids=["default", "overlapping", "refine_only", "none"],
+        ids=["default", "overlapping", "refine_only", "refine_late", "none"],
     )
     @pytest.mark.parametrize("cfg_scale", [1.0, 2.0])
     def test_probe_runs_only_where_masks_are_read(self, monkeypatch, windows, cfg_scale):
+        # Each pass runs the steps from its start on. At that start the
+        # vanilla pass hands its conditional estimate, the hook-free probe,
+        # and the consistent pass hands its masks when SDSA had it build them.
         cfg = small_config(cfg_scale=cfg_scale, **windows)
         ts = cfg.timesteps()
-
-        def steps_in(window):
-            return set() if window is None else {t for t in ts if window[0] <= t <= window[1]}
+        start = pass_starts(cfg)
+        c, r = start[pipeline.RunMode.CONSISTENT], start[pipeline.RunMode.REFINED]
+        sdsa = {i for i, t in enumerate(ts) if in_window(cfg.sdsa_window, t)}
+        refine = {i for i, t in enumerate(ts) if in_window(cfg.refine_window, t)}
 
         forwards = count_calls(monkeypatch, pipeline.ToyModel, "forward")
         builds = count_calls(monkeypatch, subject_mask.SubjectMaskSet, "from_saliency")
-        sdsa, refine = steps_in(cfg.sdsa_window), steps_in(cfg.refine_window)
         passes = pipeline.run_passes(cfg, PROMPTS)
-        for mode, probes in (
-            (pipeline.RunMode.VANILLA, 0),
-            (pipeline.RunMode.CONSISTENT, len(sdsa)),
-            (pipeline.RunMode.REFINED, len(sdsa | refine)),
+        for mode, reads, handed_probe, handed_masks in (
+            (pipeline.RunMode.VANILLA, set(), False, False),
+            (pipeline.RunMode.CONSISTENT, sdsa, c in sdsa, False),
+            (pipeline.RunMode.REFINED, sdsa | refine, r < c, c <= r and r in sdsa),
         ):
             forwards.clear()
             builds.clear()
             assert next(passes).mode == mode
+            steps = len(ts) - start[mode]
+            probes = len({i for i in reads if i >= start[mode]}) - handed_probe - handed_masks
             # at scale 1 the unconditional forward never runs
-            uncond = len(ts) if cfg_scale != 1 else 0
-            assert len(forwards) == len(ts) + uncond + probes, mode
-            assert len(builds) == probes, mode
+            uncond = steps if cfg_scale != 1 else 0
+            assert len(forwards) == steps + uncond + probes, mode
+            assert len(builds) == probes + handed_probe, mode
 
     def test_scale_one_guidance_is_the_conditional_estimate(self, monkeypatch):
         # The old blend fl32(u + 1.0 * (c - u)) is not e_cond for every float32
@@ -406,8 +468,8 @@ class TestSample:
         forward = pipeline.ToyModel.forward
         steps, uncond = [], []  # guided conditional forwards; unconditional ones
 
-        def recording(model, x, prompts, cond, hooks=None):
-            e = forward(model, x, prompts, cond, hooks)
+        def recording(model, x, prompts, cond, hooks=None, resume=None):
+            e = forward(model, x, prompts, cond, hooks, resume)
             if not cond:
                 uncond.append(hooks.t)
             elif hooks is not None:  # not a mask probe
@@ -417,9 +479,10 @@ class TestSample:
         monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
         for seed in range(3):
             cfg = pipeline.StoryboardConfig(sampler_steps=10, seed=seed)
-            ts = cfg.timesteps()
+            ts, start = cfg.timesteps(), pass_starts(cfg)
             for run in pipeline.run_passes(cfg, FIVE_PROMPTS):
-                assert [hooks.t for _, _, _, hooks, _ in steps] == ts
+                # a pass runs, and guides, the steps from its start on
+                assert [hooks.t for _, _, _, hooks, _ in steps] == ts[start[run.mode] :]
                 assert uncond == []
                 for model, x, prompts, hooks, c in steps:
                     u = forward(model, x, prompts, False, hooks)
@@ -451,9 +514,9 @@ class TestSample:
         forward = pipeline.ToyModel.forward
         written = []  # records each unconditional forward appended
 
-        def recording(model, x, prompts, cond, hooks=None):
+        def recording(model, x, prompts, cond, hooks=None, resume=None):
             n = None if hooks is None else len(hooks.run.audit)
-            e = forward(model, x, prompts, cond, hooks)
+            e = forward(model, x, prompts, cond, hooks, resume)
             if not cond:
                 written.append(len(hooks.run.audit) - n)
             return e
@@ -469,17 +532,19 @@ class TestSample:
 
     def test_unconditional_forward_runs_every_step_above_scale_one(self, monkeypatch):
         cfg = small_config(cfg_scale=2.0)
+        start = pass_starts(cfg)
         forward = pipeline.ToyModel.forward
         uncond = []
 
-        def recording(model, x, prompts, cond, hooks=None):
+        def recording(model, x, prompts, cond, hooks=None, resume=None):
             if not cond:
                 uncond.append(hooks.t)
-            return forward(model, x, prompts, cond, hooks)
+            return forward(model, x, prompts, cond, hooks, resume)
 
         monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
         for run in pipeline.run_passes(cfg, PROMPTS):
-            assert uncond == cfg.timesteps(), run.mode
+            # every step the pass runs: those from its start on
+            assert uncond == cfg.timesteps()[start[run.mode] :], run.mode
             uncond.clear()
 
     def test_vanilla_without_a_cache_caches_nothing(self, monkeypatch):
