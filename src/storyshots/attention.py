@@ -7,7 +7,6 @@ restricted by subject masks, and the driver that runs it over every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +16,6 @@ from . import tensor_core as tc
 # entries fall below tc.EXP_ZERO and get weight +0.0 from the softmax, unless
 # a row is all masked; masked weights are zeroed after it in either case.
 MASK_LOGIT = -1e30
-
-
-@dataclass
-class LayerWeights:
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
 
 
 def masked_attention(q, k, v, allowed=None):

@@ -80,10 +80,12 @@ def _write_audit(path: Path, audit) -> None:
 
 def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", overrides=None) -> int:
     """Run every prompt set; overrides maps `_FLAG_TEXT` fields to their
-    command-line text (or None). Returns 0, or 1 after writing FAILED."""
+    command-line text (or None). Returns 0, or 1 after writing the error to
+    FAILED. FAILED is written first and removed after the last set's
+    manifest, so a run killed before then also reads as failed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "FAILED").unlink(missing_ok=True)
+    (out_dir / "FAILED").write_text("unfinished: the run has not completed\n")
     try:
         config = _effective_config(config_path, overrides or {})
         # dynamic_degree needs two frames and one search block per frame
@@ -108,6 +110,7 @@ def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", ov
             set_dir = out_dir / prompt_set.name
             set_dir.mkdir(exist_ok=True)
             _run_prompt_set(config, prompt_set, pipeline.RunMode(mode), set_dir, prompt_hash)
+        (out_dir / "FAILED").unlink()
     except Exception as exc:
         (out_dir / "FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

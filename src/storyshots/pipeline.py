@@ -209,16 +209,13 @@ class ToyModel:
     def __init__(self, spec: ToyModelSpec):
         self.spec = spec
         c = spec.channels
-        self.layers = []
-        for l in range(spec.layers):
+
+        def matrices(l: int, n: int) -> tuple:  # n (c, c) draws from stream l of the weight seed
             rng = np.random.default_rng(np.random.SeedSequence([spec.weight_seed, l]))
-            self.layers.append(
-                attention.LayerWeights(
-                    *(rng.normal(0.0, 1.0 / math.sqrt(c), (c, c)).astype(tc.F32) for _ in range(4))
-                )
-            )
-        rng = np.random.default_rng(np.random.SeedSequence([spec.weight_seed, spec.layers]))
-        self.w_out = rng.normal(0.0, 1.0 / math.sqrt(c), (c, c)).astype(tc.F32)
+            return tuple(rng.normal(0.0, 1.0 / math.sqrt(c), (c, c)).astype(tc.F32) for _ in range(n))
+
+        self.layers = [matrices(l, 4) for l in range(spec.layers)]  # (w_q, w_k, w_v, w_o) each
+        (self.w_out,) = matrices(spec.layers, 1)
         self._bias_cache: dict = {}
 
     def prompt_bias(self, prompt: str) -> np.ndarray:
@@ -242,11 +239,11 @@ class ToyModel:
             if cond:
                 for s, prompt in enumerate(prompts):
                     h[s] = h[s] + self.prompt_bias(prompt)
-        for l, w in enumerate(self.layers[first:], first):
+        for l, (w_q, w_k, w_v, w_o) in enumerate(self.layers[first:], first):
             if resume is None or l > first:
-                q = tc.matmul(h, w.w_q)
-                k = tc.matmul(h, w.w_k)
-                v = tc.matmul(h, w.w_v)
+                q = tc.matmul(h, w_q)
+                k = tc.matmul(h, w_k)
+                v = tc.matmul(h, w_v)
                 if hooks is not None:
                     q = hooks.substitute_q(l, q, cond)
                 if hooks is not None and hooks.sdsa_on:
@@ -261,7 +258,7 @@ class ToyModel:
                             qi[i : i + step], ki[i : i + step], vi[i : i + step]
                         )
                     h_attn = h_attn.reshape(q.shape)
-                o = tc.matmul(h_attn, w.w_o)
+                o = tc.matmul(h_attn, w_o)
             if hooks is not None:
                 o = hooks.inject_o(l, h, o, cond)
             h = h + o
@@ -331,7 +328,8 @@ def _init_latents(config: StoryboardConfig, shots: int) -> np.ndarray:
 
 class _StepHooks:
     """Per-timestep hook state shared by the conditional and unconditional
-    passes, so refinement reuses the identical correspondence maps."""
+    passes, so refinement reuses the identical correspondence maps; the
+    writer of every audit record of the run."""
 
     def __init__(self, run, t, masks, anchors, sdsa_on, refine_on, hand=None):
         self.run = run
@@ -343,6 +341,9 @@ class _StepHooks:
         self.refine_on = refine_on
         self.refine_handles: dict = {}
         self.hand = hand  # a Handoff at one of this step's layers, filled by inject_o
+
+    def record(self, event: str, layer: int, fields: dict) -> None:
+        self.run.audit.append({"event": event, "t": self.t, "layer": layer, **fields})
 
     # -- query substitution (conditional pass only) --
 
@@ -359,15 +360,7 @@ class _StepHooks:
         # the same decision must feed both passes identically; cond only here
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7919, t, layer]))
         q_out, rec = query_control.select_q(t, layer, q, run.cache, cfg, rng)
-        run.audit.append(
-            {
-                "event": "query",
-                "t": t,
-                "layer": layer,
-                "role": rec.role,
-                "dropout_kept_fraction": rec.dropout_kept_fraction,
-            }
-        )
+        self.record("query", layer, {"role": rec.role, "dropout_kept_fraction": rec.dropout_kept_fraction})
         return q_out
 
     # -- extended attention --
@@ -377,7 +370,7 @@ class _StepHooks:
             q, k, v, self.masks.masks, self.anchors, self.cfg.attend_middle_frame
         )
         if cond:
-            self.run.audit.append({"event": "sdsa", "t": self.t, "layer": layer})
+            self.record("sdsa", layer, {})
         return out
 
     # -- refinement injection --
@@ -408,10 +401,7 @@ class _StepHooks:
                     cfg.refine_blend,
                 )
         if cond:  # sample copies these records as the unconditional forward's
-            self.run.audit.append(
-                {"event": "refinement", "t": self.t, "layer": layer, "pass": "cond",
-                 "map_ids": map_ids}
-            )
+            self.record("refinement", layer, {"pass": "cond", "map_ids": map_ids})
         return out
 
 
@@ -429,7 +419,7 @@ def sample(run: PipelineRun) -> np.ndarray:
         raise ConfigError("run needs at least one prompt")
     anchors = cfg.anchor_list(shots)
     model = ToyModel(spec)
-    sched = subject_mask.NoiseSchedule.geometric(cfg.total_steps, cfg.alpha_min)
+    alphas = subject_mask.geometric_alphas(cfg.total_steps, cfg.alpha_min)
     ts = cfg.timesteps()
     next_ts = ts[1:] + [0]
     got, run.resume_from = run.resume_from or Handoff(0), None
@@ -453,7 +443,7 @@ def sample(run: PipelineRun) -> np.ndarray:
         masks = got.masks  # read only by SDSA and refinement: built when they run
         if masks is None and (sdsa_on or refine_on):
             e_probe = model.forward(x, run.prompts, True) if got.probe is None else got.probe
-            x0_probe = subject_mask.estimate_x0(x, e_probe, t, sched)
+            x0_probe = subject_mask.estimate_x0(x, e_probe, alphas[t])
             masks = subject_mask.build_masks(x0_probe, cfg.subject_channel)
         hooks = _StepHooks(run, t, masks, anchors, sdsa_on, refine_on, hand)
         n = len(run.audit)
@@ -462,9 +452,8 @@ def sample(run: PipelineRun) -> np.ndarray:
         if hand is not None:  # vanilla's hooks act as none: its e_cond is the probe
             hand.masks, hand.probe = masks, e_cond if run.mode == RunMode.VANILLA else None
         if refine_on:  # the unconditional forward, when it runs, reuses this step's maps
-            run.audit.extend(
-                {**r, "pass": "uncond"} for r in run.audit[n:] if r["event"] == "refinement"
-            )
+            for r in [r for r in run.audit[n:] if r["event"] == "refinement"]:
+                hooks.record("refinement", r["layer"], {"pass": "uncond", "map_ids": r["map_ids"]})
         if cfg.cfg_scale != 1:  # at scale 1 guidance is e_cond (README)
             e_uncond = model.forward(x, run.prompts, cond=False, hooks=hooks)
         # overflow (e.g. a large cfg_scale) is reported below, not as numpy warnings
@@ -476,8 +465,8 @@ def sample(run: PipelineRun) -> np.ndarray:
                     e_uncond.astype(np.float64)
                     + cfg.cfg_scale * (e_cond.astype(np.float64) - e_uncond.astype(np.float64))
                 ).astype(tc.F32)
-            x0 = subject_mask.estimate_x0(x, e, t, sched)
-            a_next = sched.alpha(t_next)
+            x0 = subject_mask.estimate_x0(x, e, alphas[t])
+            a_next = alphas[t_next]
             x = (
                 math.sqrt(a_next) * x0.astype(np.float64)
                 + math.sqrt(1.0 - a_next) * e.astype(np.float64)

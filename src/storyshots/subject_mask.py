@@ -19,19 +19,11 @@ from . import tensor_core as tc
 OTSU_BINS = 256
 
 
-@dataclass
-class NoiseSchedule:
-    """Cumulative schedule parameter per timestep: alphas[t] for t in [0, T]."""
-
-    alphas: np.ndarray  # float64 (T + 1,), 1.0 at t = 0 and nonincreasing
-
-    @classmethod
-    def geometric(cls, total_steps: int, alpha_min: float = 0.02) -> "NoiseSchedule":
-        t = np.arange(total_steps + 1, dtype=np.float64) / total_steps
-        return cls(alpha_min**t)
-
-    def alpha(self, t: int) -> float:
-        return float(self.alphas[t])
+def geometric_alphas(total_steps: int, alpha_min: float = 0.02) -> np.ndarray:
+    """Cumulative schedule parameter per timestep, float64 (T + 1,): alpha_min
+    ** (t / T), 1.0 at t = 0 and nonincreasing."""
+    t = np.arange(total_steps + 1, dtype=np.float64) / total_steps
+    return alpha_min**t
 
 
 @dataclass
@@ -52,9 +44,9 @@ class SubjectMaskSet:
         return cls(masks)
 
 
-def estimate_x0(x: np.ndarray, e_t: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-    """Invert one forward-noising step: (x - sqrt(1 - a_t) * e_t) / sqrt(a_t)."""
-    a = sched.alpha(t)
+def estimate_x0(x: np.ndarray, e_t: np.ndarray, a: float) -> np.ndarray:
+    """Invert one forward-noising step at schedule value a = alphas[t]:
+    (x - sqrt(1 - a) * e_t) / sqrt(a)."""
     x0 = (x.astype(np.float64) - math.sqrt(1.0 - a) * e_t.astype(np.float64)) / math.sqrt(a)
     return x0.astype(tc.F32)
 

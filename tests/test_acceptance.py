@@ -222,18 +222,18 @@ def test_acceptance_05_otsu_oracle():
 
 def test_acceptance_06_x0_round_trip():
     def body():
-        schedule = sm.NoiseSchedule.geometric(1000, alpha_min=0.02)
+        alphas = sm.geometric_alphas(1000, alpha_min=0.02)
         rng = np.random.default_rng(600)
         x0 = rng.standard_normal((2, 3, 16, 8)).astype(np.float32)
         noise = rng.standard_normal(x0.shape).astype(np.float32)
         # t=766 lands near alpha_bar = 0.05; t=1 near 1.0
         for t in (1, 10, 100, 500, 766, 900, 1000):
-            a = schedule.alpha(t)
+            a = alphas[t]
             x_t = (math.sqrt(a) * x0 + math.sqrt(1 - a) * noise).astype(np.float32)
-            back = sm.estimate_x0(x_t, noise, t, schedule)
+            back = sm.estimate_x0(x_t, noise, a)
             assert np.abs(back - x0).max() < 1e-5
-        assert abs(schedule.alpha(766) - 0.05) < 0.002
-        assert schedule.alpha(1) > 0.99
+        assert abs(alphas[766] - 0.05) < 0.002
+        assert alphas[1] > 0.99
 
     _check("06 clean-latent estimate inverts forward noising", body)
 

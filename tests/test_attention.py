@@ -9,9 +9,8 @@ from storyshots.errors import NonFiniteError
 
 
 def random_weights(rng, d):
-    return attention.LayerWeights(
-        *(rng.standard_normal((d, d)).astype(np.float32) * 0.3 for _ in range(4))
-    )
+    """(w_q, w_k, w_v, w_o), as ToyModel keeps a layer's matrices."""
+    return tuple(rng.standard_normal((d, d)).astype(np.float32) * 0.3 for _ in range(4))
 
 
 def random_feats(rng, shots, frames, patches, d):
@@ -68,9 +67,10 @@ def same_bits(a, b) -> bool:
 
 def plain_attention(x, w):
     """One frame of the toy model's plain attention layer: (o, (q, k, v))."""
-    q, k, v = (tc.matmul(x, m) for m in (w.w_q, w.w_k, w.w_v))
+    w_q, w_k, w_v, w_o = w
+    q, k, v = (tc.matmul(x, m) for m in (w_q, w_k, w_v))
     h, _ = attention.masked_attention(q, k, v)
-    return tc.matmul(h, w.w_o), (q, k, v)
+    return tc.matmul(h, w_o), (q, k, v)
 
 
 class TestSelfAttention:
@@ -79,18 +79,18 @@ class TestSelfAttention:
         w = random_weights(rng, 6)
         x = rng.standard_normal((1, 6)).astype(np.float32)
         o, (q, k, v) = plain_attention(x, w)
-        assert np.array_equal(o, tc.matmul(v, w.w_o))
+        assert np.array_equal(o, tc.matmul(v, w[3]))
 
     def test_identical_keys_give_uniform_rows(self):
         rng = np.random.default_rng(1)
         d, P = 8, 5
-        w = random_weights(rng, d)
+        w_q, w_k, w_v, _ = random_weights(rng, d)
         x = rng.standard_normal((P, d)).astype(np.float32)
         # force identical K rows via identical input rows
         x[:] = x[0]
-        q = tc.matmul(x, w.w_q)
-        k = tc.matmul(x, w.w_k)
-        v = tc.matmul(x, w.w_v)
+        q = tc.matmul(x, w_q)
+        k = tc.matmul(x, w_k)
+        v = tc.matmul(x, w_v)
         _, weights = attention.masked_attention(q, k, v)
         assert np.abs(weights - 1.0 / P).max() < 1e-6
 
@@ -100,7 +100,7 @@ class TestSelfAttention:
         w = random_weights(rng, d)
         x = rng.standard_normal((P, d)).astype(np.float32)
         o, (q, k, v) = plain_attention(x, w)
-        expected = dense_masked_oracle(q, k, v, None) @ w.w_o.astype(np.float64)
+        expected = dense_masked_oracle(q, k, v, None) @ w[3].astype(np.float64)
         assert np.abs(o - expected).max() < 1e-6
 
 

@@ -1,8 +1,9 @@
 """The config space: a random small config either fails with ConfigError
 before any latents are written, or the CLI run succeeds and writes every
 artifact; run_passes, whose passes resume from each other's handoffs, writes
-the bytes of the sequential chain for every valid one; and each hand-picked
-malformed config fails when it is built."""
+the bytes of the sequential chain, run at one item per plain-attention call,
+for every valid one; and each hand-picked malformed config fails when it is
+built."""
 
 import json
 import math
@@ -76,11 +77,25 @@ def storyboards(draw):
         "model": {"layers": layers, "patches_per_side": 8, "channels": 4,
                   "frames": draw(st.integers(2, 4))},
     }
+    mode = draw(st.sampled_from(sorted(MODE_PASSES)))
+    if draw(st.sampled_from([False, True, True])):
+        # the refined pass's handoff shapes: refinement at both layers, in
+        # either order, of two or more shots, opening at a step t where SDSA
+        # is off, so the pass that hands over built no masks there: the
+        # consistent pass when SDSA ran at an earlier step (its query hooks
+        # still act at t), else vanilla when the flow phase starts later
+        ts = pipeline.StoryboardConfig(sampler_steps=config["sampler_steps"]).timesteps()
+        t = draw(st.sampled_from(ts))
+        config["refine_window"] = [draw(st.integers(0, t)), t]
+        config["sdsa_window"] = [t + 1, 1000] if t < 1000 else None
+        config["q_injection"] = True
+        config["model"]["layers"] = 2
+        config["refine_layers"] = draw(st.permutations(range(2)))
+        shots, mode = max(shots, 2), "refined"
     defect = draw(st.none() | st.sampled_from(DEFECT_CASES))
     if defect is not None:
         name, value = defect
         (config["model"] if name.startswith("model.") else config)[name.split(".")[-1]] = value
-    mode = draw(st.sampled_from(sorted(MODE_PASSES)))
     return config, shots, mode
 
 
@@ -130,7 +145,14 @@ def test_run_passes_equals_reference_chain(board):
     except ConfigError:
         assume(False)
     prompts = [f"a red fox, scene {s}, ink" for s in range(shots)]
-    want = reference_chain(cfg, prompts, pipeline.RunMode(mode))
+    # the oracle runs one (shot, frame) item per plain-attention call, so the
+    # equality also covers the chunk loop at run_passes' default budget
+    budget = pipeline.LOGITS_BUDGET_BYTES
+    pipeline.LOGITS_BUDGET_BYTES = 8 * cfg.model.patches**2
+    try:
+        want = reference_chain(cfg, prompts, pipeline.RunMode(mode))
+    finally:
+        pipeline.LOGITS_BUDGET_BYTES = budget
     got = list(pipeline.run_passes(cfg, prompts, pipeline.RunMode(mode)))
     assert [run.mode for run in got] == [run.mode for run in want]
     for run, ref in zip(got, want):

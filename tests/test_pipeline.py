@@ -253,13 +253,13 @@ def per_item_forward(model, x, prompts):
     h = np.array(x, dtype=np.float32, copy=True)
     for s, prompt in enumerate(prompts):
         h[s] = h[s] + model.prompt_bias(prompt)
-    for w in model.layers:
-        q, k, v = (tc.matmul(h, m) for m in (w.w_q, w.w_k, w.w_v))
+    for w_q, w_k, w_v, w_o in model.layers:
+        q, k, v = (tc.matmul(h, m) for m in (w_q, w_k, w_v))
         h_attn = np.zeros_like(q)
         for s in range(q.shape[0]):
             for f in range(q.shape[1]):
                 h_attn[s, f], _ = attention.masked_attention(q[s, f], k[s, f], v[s, f])
-        h = h + tc.matmul(h_attn, w.w_o)
+        h = h + tc.matmul(h_attn, w_o)
     return tc.matmul(h, model.w_out)
 
 

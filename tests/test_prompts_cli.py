@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,6 +31,22 @@ SMALL_CONFIG = {
     "keyframe_spacing": 2,
     "model": {"layers": 2, "patches_per_side": 8, "channels": 8, "frames": 4},
 }
+
+
+# cli.main with pipeline.sample wrapped to end the process (os._exit: no
+# except clause or cleanup runs) once argv[1] passes have been sampled
+KILL_AFTER_PASS = """
+import os, sys
+from storyshots import cli, pipeline
+sample, sampled = pipeline.sample, []
+def sample_then_exit(run):
+    sampled.append(sample(run))
+    if len(sampled) == int(sys.argv[1]):
+        os._exit(0)
+    return sampled[-1]
+pipeline.sample = sample_then_exit
+sys.exit(cli.main(sys.argv[2:]))
+"""
 
 
 def write_yaml(path, data):
@@ -303,6 +321,37 @@ class TestCli:
         assert (out / "FAILED").exists()
         assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 0
         assert not (out / "FAILED").exists()
+
+    def test_run_killed_after_any_pass_reads_as_failed(self, tmp_path):
+        cfg = write_yaml(tmp_path / "config.yaml", {**SMALL_CONFIG, "sampler_steps": 2})
+        owl = {"subject": "a snowy owl", "style": "ink", "settings": ["on a branch", "in flight"]}
+        pro = write_yaml(tmp_path / "prompts.yaml", {**PROMPT_DOC, "owl": owl})
+        passes = 2 * len(pipeline.RunMode)
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        # killed after each pass of both sets, and not killed (k = passes + 1), side by side
+        runs = {
+            k: subprocess.Popen(
+                [sys.executable, "-c", KILL_AFTER_PASS, str(k), "--config", str(cfg),
+                 "--prompts", str(pro), "--out", str(tmp_path / f"out{k}")], env=env)
+            for k in range(1, passes + 2)
+        }
+        try:
+            assert {k: run.wait(timeout=300) for k, run in runs.items()} == dict.fromkeys(runs, 0)
+        finally:
+            for run in runs.values():
+                run.kill()  # a no-op once the process has been waited for
+        for k in range(1, passes + 1):
+            assert (tmp_path / f"out{k}" / "FAILED").exists(), k
+        whole = tmp_path / f"out{passes + 1}"
+        assert not (whole / "FAILED").exists()
+        set_files = ["audit_consistent.jsonl", "audit_refined.jsonl", "latents_consistent.tensor",
+                     "latents_refined.tensor", "latents_vanilla.tensor", "manifest.json",
+                     "metrics.csv", "metrics.json"]
+        assert sorted(p.relative_to(whole).as_posix() for p in whole.rglob("*") if p.is_file()) == [
+            *(f"fox/{f}" for f in set_files), *(f"fox/slices/shot_{s}.pgm" for s in range(3)),
+            *(f"owl/{f}" for f in set_files), *(f"owl/slices/shot_{s}.pgm" for s in range(2)),
+        ]
 
     def test_parent_set_name_stays_inside_out(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "config.yaml", SMALL_CONFIG)
