@@ -12,28 +12,22 @@ import numpy as np
 
 from . import tensor_core as tc
 
-# Additive logit penalty standing in for -inf, so no NaN can appear. Its
-# entries fall below tc.EXP_ZERO and get weight +0.0 from the softmax, unless
-# a row is all masked; masked weights are zeroed after it in either case.
-MASK_LOGIT = -1e30
-
 
 def masked_attention(q, k, v, allowed=None):
-    """Core kernel: softmax(q kᵀ/√d + logmask) · v with exact zeroing of masked
-    weights, over any leading batch axes; allowed broadcasts to the logits
-    (..., Pq, Pk) and opens a key in every row. Each item gets the IEEE ops of
-    a lone call, in one float64 logits buffer updated in place and returned
-    as the weights. Returns (h, weights); h is float32, pre output-projection.
+    """Core kernel: softmax(q kᵀ/√d + logmask) · v over any leading batch
+    axes; allowed broadcasts to the logits (..., Pq, Pk) and must open a key
+    in every row. Masked logits are -inf, which tc.softmax weighs +0.0 (a row
+    with no open key raises NonFiniteError). Each item gets the IEEE ops of a
+    lone call, in one float64 logits buffer updated in place and returned as
+    the weights. Returns (h, weights); h is float32, pre output-projection.
     """
     d = np.shape(q)[-1]
     logits = np.matmul(np.asarray(q, np.float64), np.swapaxes(np.asarray(k, np.float64), -1, -2))
     logits /= math.sqrt(d)
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        logits += np.where(allowed, 0.0, MASK_LOGIT)
+    if allowed is not None:  # a masked +inf logit becomes NaN, which tc.softmax rejects
+        with np.errstate(invalid="ignore"):
+            logits += np.where(allowed, 0.0, -np.inf)
     weights = tc.softmax(logits, out=logits)
-    if allowed is not None:
-        weights *= allowed  # weights are finite and >= +0, so masked ones become +0.0
     h = np.matmul(weights, np.asarray(v, np.float64)).astype(tc.F32)
     return h, weights
 

@@ -56,11 +56,7 @@ def _write_metrics(out_dir: Path, run: pipeline.PipelineRun) -> None:
     rows = []
     if run.shots >= 2:
         masks = subject_mask.build_masks(run.outputs, cfg.subject_channel)
-        report = metrics_viz.set_consistency(run.outputs, masks)
-        rows.append(
-            ("set_consistency", report.set_consistency, report.set_consistency_sem, report.pair_count)
-        )
-        rows.append(("subject_consistency", report.subject_consistency, 0.0, run.shots))
+        rows += metrics_viz.set_consistency(run.outputs, masks)
     # through the module attribute, so a wrapped dynamic_degree sees every call
     scores = [metrics_viz.dynamic_degree(videos[s]) for s in range(run.shots)]
     rows.append(("dynamic_degree", *metrics_viz.mean_sem(scores), run.shots))
@@ -81,11 +77,16 @@ def _write_audit(path: Path, audit) -> None:
 def run_storyboard(config_path, prompts_path, out_dir, mode: str = "refined", overrides=None) -> int:
     """Run every prompt set; overrides maps `_FLAG_TEXT` fields to their
     command-line text (or None). Returns 0, or 1 after writing the error to
-    FAILED. FAILED is written first and removed after the last set's
-    manifest, so a run killed before then also reads as failed."""
+    FAILED (or to stderr alone when out_dir cannot hold FAILED). FAILED is
+    written first and removed after the last set's manifest, so a run killed
+    before then also reads as failed."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "FAILED").write_text("unfinished: the run has not completed\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "FAILED").write_text("unfinished: the run has not completed\n")
+    except OSError as exc:  # e.g. out_dir names a file, or lies under one
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     try:
         config = _effective_config(config_path, overrides or {})
         # dynamic_degree needs two frames and one search block per frame

@@ -9,7 +9,6 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,19 +23,13 @@ def _pair_cos(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
     return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
 
 
-@dataclass
-class ConsistencyReport:
-    set_consistency: float
-    set_consistency_sem: float
-    subject_consistency: float
-    pair_count: int
-
-
-def set_consistency(frames: np.ndarray, masks) -> ConsistencyReport:
+def set_consistency(frames: np.ndarray, masks) -> list:
     """Mean pairwise cosine similarity of masked frame features across all
-    cross-shot pairs, plus the mean adjacent-frame similarity within shots.
-    A frame's feature is the mean over its patches with the background
-    zeroed. Needs two or more shots: with one there is no cross-shot pair.
+    cross-shot pairs, plus the mean adjacent-frame similarity within shots,
+    as the report rows ("set_consistency", mean, sem, pair count) and
+    ("subject_consistency", mean, 0.0, shots). A frame's feature is the mean
+    over its patches with the background zeroed. Needs two or more shots:
+    with one there is no cross-shot pair.
     """
     shots, n_frames = frames.shape[:2]
     feats = (frames.astype(np.float64) * masks.masks[..., None]).mean(axis=2)
@@ -51,12 +44,7 @@ def set_consistency(frames: np.ndarray, masks) -> ConsistencyReport:
     mean, sem = mean_sem(sims)
     within = [cos((s, f), (s, f + 1)) for s, f in ids if f + 1 < n_frames]
     subject = float(np.mean(within)) if within else 1.0
-    return ConsistencyReport(
-        set_consistency=mean,
-        set_consistency_sem=sem,
-        subject_consistency=subject,
-        pair_count=len(sims),
-    )
+    return [("set_consistency", mean, sem, len(sims)), ("subject_consistency", subject, 0.0, shots)]
 
 
 def mean_sem(values) -> tuple:

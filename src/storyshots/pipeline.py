@@ -429,7 +429,7 @@ def sample(run: PipelineRun) -> np.ndarray:
         prefix = itertools.product(ts, range(spec.layers))
         for t, layer in itertools.islice(prefix, got.step * spec.layers + got.layer + 1):
             _StepHooks(run, t, None, anchors, False, False).substitute_q(
-                layer, run.cache.get(t, layer), True
+                layer, run.cache.entries[t, layer], True
             )
     for i in range(got.step, len(ts) + 1):
         hand = next((h for h in run.hand_over if h.step == i), None)

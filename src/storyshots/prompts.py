@@ -52,6 +52,8 @@ class ShotPromptSet:
 def parse_prompt_sets(data: dict) -> list:
     if not isinstance(data, dict):
         raise PromptError("prompt file must be a mapping of set name -> fields")
+    if not data:  # a run over no set would write nothing and succeed
+        raise PromptError("prompt file holds no prompt set")
     sets = []
     for name, entry in data.items():
         if not isinstance(entry, dict):

@@ -28,16 +28,13 @@ class FeatureCache:
     def put(self, t: int, layer_id: int, q: np.ndarray) -> None:
         self.entries[(t, layer_id)] = np.array(q, dtype=tc.F32, copy=True)
 
-    def get(self, t: int, layer_id: int) -> np.ndarray:
-        return self.entries[(t, layer_id)]
-
     def flow_field(self, t: int, layer_id: int, spacing: int) -> FlowField:
         """The match field of the cached queries at (t, layer_id), computed on
         first use and kept for the cache's life: the vanilla pass has put every
         entry before a later pass asks for a field."""
         key = (t, layer_id, spacing)
         if key not in self.flow_fields:
-            self.flow_fields[key] = match_field(self.get(t, layer_id), spacing)
+            self.flow_fields[key] = match_field(self.entries[t, layer_id], spacing)
         return self.flow_fields[key]
 
 
@@ -144,7 +141,7 @@ def select_q(t: int, layer: int, q_c: np.ndarray, cache, cfg, rng: np.random.Gen
     """
     injection_layers = cfg.injection_layer_set()
     if cfg.t_pres is not None and t >= cfg.t_pres:
-        q_inj = cache.get(t, layer)
+        q_inj = cache.entries[t, layer]
         role = "vanilla"
     elif layer in injection_layers:
         q_inj = q_flow(q_c, cache.flow_field(t, layer, cfg.keyframe_spacing), cfg.q_weight_mode)

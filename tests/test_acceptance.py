@@ -330,8 +330,7 @@ def test_acceptance_10_sdsa_direction():
                 )
                 *_, run = pipeline.run_passes(cfg, prompts, pipeline.RunMode.CONSISTENT)
                 masks = sm.build_masks(run.outputs, cfg.subject_channel)
-                report = mv.set_consistency(run.outputs, masks)
-                scores[sdsa_on] = report.set_consistency
+                scores[sdsa_on] = mv.set_consistency(run.outputs, masks)[0][1]
             if scores[True] > scores[False]:
                 wins += 1
         p = sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
@@ -347,12 +346,12 @@ def test_acceptance_11_metrics_oracles():
             data = rng.standard_normal((shots, frames, 4, 3)).astype(np.float32)
             ones = np.ones((shots, frames, 4), dtype=bool)
             masks = sm.SubjectMaskSet(masks=ones)
-            assert mv.set_consistency(data, masks).pair_count == expected
+            assert mv.set_consistency(data, masks)[0][3] == expected
 
         data = rng.standard_normal((3, 4, 8, 5)).astype(np.float32)
         mask_arr = rng.random((3, 4, 8)) < 0.6
         masks = sm.SubjectMaskSet(masks=mask_arr)
-        report = mv.set_consistency(data, masks)
+        _, mean, _, pair_count = mv.set_consistency(data, masks)[0]
         sims = []
         for s1 in range(3):
             for f1 in range(4):
@@ -364,8 +363,8 @@ def test_acceptance_11_metrics_oracles():
                         b = (data[s2, f2].astype(np.float64) * mask_arr[s2, f2][:, None]).mean(0)
                         na, nb = np.linalg.norm(a), np.linalg.norm(b)
                         sims.append(0.0 if na == 0 or nb == 0 else float(a @ b / (na * nb)))
-        assert report.pair_count == len(sims)
-        assert abs(report.set_consistency - np.mean(sims)) < 1e-6
+        assert pair_count == len(sims)
+        assert abs(mean - np.mean(sims)) < 1e-6
 
         for shift in (1, 2, 3, 4):
             base = np.random.default_rng(1100 + shift).random((40, 40))

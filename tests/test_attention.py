@@ -48,12 +48,13 @@ def dense_masked_oracle(q, k, v, allowed):
 
 
 def reference_masked_attention(q, k, v, allowed):
-    """masked_attention before the exact-zero softmax: every shifted logit
-    through np.exp, masked weights zeroed by np.copyto. Its outputs are the
-    reference bytes."""
+    """masked_attention before the exact-zero softmax and the -inf mask:
+    masked logits get -1e30, every shifted logit goes through np.exp and
+    masked weights are zeroed by np.copyto. Its outputs are the reference
+    bytes of every row with an open key."""
     logits = np.matmul(np.asarray(q, np.float64), np.swapaxes(np.asarray(k, np.float64), -1, -2))
     logits /= math.sqrt(np.shape(q)[-1])
-    logits += np.where(allowed, 0.0, attention.MASK_LOGIT)
+    logits += np.where(allowed, 0.0, -1e30)
     logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
@@ -209,27 +210,34 @@ class TestBatchedKernel:
     def test_bit_identical_to_reference_kernel(self, scale, row_mask):
         # SDSA-shaped calls: a frame group of n queries against K keys from
         # several shots, the logits scaled until most masked and many open
-        # entries underflow; one query row (or item) has every key masked
+        # entries underflow; then one query row (or item) has every key masked
         rng = np.random.default_rng(int(scale) + row_mask)
         n, P, K, d = 4, 16, 48, 8
         q = (rng.standard_normal((n, P, d)) * scale).astype(np.float32)
         k, v = (rng.standard_normal((n, K, d)).astype(np.float32) for _ in range(2))
         allowed = rng.random((n, 1 if row_mask else P, K)) < 0.5
         allowed[..., :P // 2] = True
-        allowed[1, 0] = False
         h, weights = attention.masked_attention(q, k, v, allowed)
         h_ref, weights_ref = reference_masked_attention(q, k, v, allowed)
         assert same_bits(h, h_ref) and same_bits(weights, weights_ref)
-        assert (weights[1, 0] == 0.0).all() and not np.signbit(weights).any()
+        assert (weights[~np.broadcast_to(allowed, weights.shape)] == 0.0).all()
+        assert not np.signbit(weights).any()
+        allowed[1, 0] = False
+        with pytest.raises(NonFiniteError):
+            attention.masked_attention(q, k, v, allowed)
 
     def test_non_finite_logits_rejected(self):
         rng = np.random.default_rng(15)
         q, k, v = (rng.standard_normal((3, 4, 4)).astype(np.float32) for _ in range(3))
+        k[2, :, 0] = np.abs(k[2, :, 0])  # the bad row's logits are all +inf (or NaN)
+        allowed = np.ones((3, 4, 4), dtype=bool)
+        allowed[2, 1, 1:] = False  # masked ones too
         for bad in (np.nan, np.inf):
             q_bad = q.copy()
             q_bad[2, 1, 0] = bad
-            with pytest.raises(NonFiniteError):
-                attention.masked_attention(q_bad, k, v)
+            for mask in (None, allowed):
+                with pytest.raises(NonFiniteError):
+                    attention.masked_attention(q_bad, k, v, mask)
 
     def test_mask_shape_mismatch_rejected(self):
         rng = np.random.default_rng(17)

@@ -1,9 +1,9 @@
 """The config space: a random small config either fails with ConfigError
 before any latents are written, or the CLI run succeeds and writes every
-artifact; run_passes, whose passes resume from each other's handoffs, writes
-the bytes of the sequential chain, run at one item per plain-attention call,
-for every valid one; and each hand-picked malformed config fails when it is
-built."""
+artifact, and a second run in the same process writes the same bytes;
+run_passes, whose passes resume from each other's handoffs, writes the bytes
+of the sequential chain, run at one item per plain-attention call, for every
+valid one; and each hand-picked malformed config fails when it is built."""
 
 import json
 import math
@@ -99,13 +99,18 @@ def storyboards(draw):
     return config, shots, mode
 
 
-def run_cli(tmp: Path, config, shots: int = 3, mode: str = "refined"):
+def run_cli(tmp: Path, config, shots: int = 3, mode: str = "refined", out: str = "out"):
     (tmp / "config.yaml").write_text(yaml.safe_dump(config))
     prompts = {"fox": {"subject": "a red fox", "style": "ink",
                        "settings": [f"scene {s}" for s in range(shots)]}}
     (tmp / "prompts.yaml").write_text(yaml.safe_dump(prompts))
     return cli.main(["--config", str(tmp / "config.yaml"), "--prompts", str(tmp / "prompts.yaml"),
-                     "--out", str(tmp / "out"), "--mode", mode])
+                     "--out", str(tmp / out), "--mode", mode])
+
+
+def tree(out: Path) -> dict:
+    """Every file under out, by its path relative to out, with its bytes."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
 def assert_failed_before_compute(out: Path):
@@ -133,6 +138,9 @@ def test_config_fails_early_or_run_writes_every_artifact(board):
         assert {p.name for p in (set_dir / "slices").iterdir()} == {
             f"shot_{s}.pgm" for s in range(shots)
         }
+        # nothing a run leaves in the process (a counter, a cache) moves a byte of the next
+        assert run_cli(tmp, config, shots, mode, "again") == 0
+        assert tree(tmp / "again") == tree(out)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -132,9 +132,10 @@ class TestReferenceBytes:
     )
     def test_set_consistency_equals_reference(self, kind):
         frames, masks = consistency_case(kind)
-        report = mv.set_consistency(frames, mask_set(masks))
-        got = (report.set_consistency, report.set_consistency_sem,
-               report.subject_consistency, report.pair_count)
+        pairs, subject = mv.set_consistency(frames, mask_set(masks))
+        assert pairs[0] == "set_consistency" and subject[0] == "subject_consistency"
+        assert subject[2:] == (0.0, frames.shape[0])
+        got = (pairs[1], pairs[2], subject[1], pairs[3])
         assert got == reference_set_consistency(frames, masks)
 
     @pytest.mark.parametrize("block, radius", BLOCK_RADIUS)
@@ -149,9 +150,9 @@ class TestSetConsistency:
         frame = np.random.default_rng(0).standard_normal((1, 1, 8, 4))
         frames = np.tile(frame, (3, 5, 1, 1)).astype(np.float32)
         masks = mask_set(np.ones((3, 5, 8)))
-        report = mv.set_consistency(frames, masks)
-        assert report.set_consistency == pytest.approx(1.0, abs=1e-6)
-        assert report.subject_consistency == pytest.approx(1.0, abs=1e-6)
+        pairs, subject = mv.set_consistency(frames, masks)
+        assert pairs[1] == pytest.approx(1.0, abs=1e-6)
+        assert subject[1] == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize(
         "shots,frames,expected",
@@ -160,25 +161,25 @@ class TestSetConsistency:
     def test_pair_count_formula(self, shots, frames, expected):
         data = np.random.default_rng(1).standard_normal((shots, frames, 4, 3)).astype(np.float32)
         masks = mask_set(np.ones((shots, frames, 4)))
-        assert mv.set_consistency(data, masks).pair_count == expected
+        assert mv.set_consistency(data, masks)[0][3] == expected
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(2)
         frames = rng.standard_normal((3, 4, 8, 5)).astype(np.float32)
         masks = mask_set(rng.random((3, 4, 8)) < 0.6)
-        report = mv.set_consistency(frames, masks)
+        _, mean, _, pair_count = mv.set_consistency(frames, masks)[0]
         expected, count = double_loop_oracle(frames, masks.masks)
-        assert report.pair_count == count
-        assert report.set_consistency == pytest.approx(expected, abs=1e-6)
+        assert pair_count == count
+        assert mean == pytest.approx(expected, abs=1e-6)
 
     def test_shot_permutation_symmetry(self):
         rng = np.random.default_rng(3)
         frames = rng.standard_normal((4, 3, 6, 4)).astype(np.float32)
         masks = rng.random((4, 3, 6)) < 0.5
-        base = mv.set_consistency(frames, mask_set(masks))
+        base = mv.set_consistency(frames, mask_set(masks))[0][1]
         perm = [2, 0, 3, 1]
-        permuted = mv.set_consistency(frames[perm], mask_set(masks[perm]))
-        assert base.set_consistency == pytest.approx(permuted.set_consistency, abs=1e-12)
+        permuted = mv.set_consistency(frames[perm], mask_set(masks[perm]))[0][1]
+        assert base == pytest.approx(permuted, abs=1e-12)
 
 
 def shifted_video(rng, n_frames, size, shift):

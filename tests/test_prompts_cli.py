@@ -33,19 +33,22 @@ SMALL_CONFIG = {
 }
 
 
-# cli.main with pipeline.sample wrapped to end the process (os._exit: no
-# except clause or cleanup runs) once argv[1] passes have been sampled
-KILL_AFTER_PASS = """
+# cli.main with the function argv[1] names (pipeline.sample, or
+# cli._run_prompt_set) wrapped to end the process (os._exit: no except clause
+# or cleanup runs) once it has returned argv[2] times
+KILL_AFTER = """
 import os, sys
 from storyshots import cli, pipeline
-sample, sampled = pipeline.sample, []
-def sample_then_exit(run):
-    sampled.append(sample(run))
-    if len(sampled) == int(sys.argv[1]):
+module, name = sys.argv[1].split(".")
+owner, returned = {"cli": cli, "pipeline": pipeline}[module], []
+func = getattr(owner, name)
+def call_then_exit(*args):
+    returned.append(func(*args))
+    if len(returned) == int(sys.argv[2]):
         os._exit(0)
-    return sampled[-1]
-pipeline.sample = sample_then_exit
-sys.exit(cli.main(sys.argv[2:]))
+    return returned[-1]
+setattr(owner, name, call_then_exit)
+sys.exit(cli.main(sys.argv[3:]))
 """
 
 
@@ -199,6 +202,22 @@ class TestPromptSets:
         assert again == loaded
 
 
+def two_set_run(tmp_path):
+    """(config, prompts) paths of a 2-step run over two sets, fox then owl."""
+    cfg = write_yaml(tmp_path / "config.yaml", {**SMALL_CONFIG, "sampler_steps": 2})
+    owl = {"subject": "a snowy owl", "style": "ink", "settings": ["on a branch", "in flight"]}
+    return cfg, write_yaml(tmp_path / "prompts.yaml", {**PROMPT_DOC, "owl": owl})
+
+
+def killed_run(func: str, calls: int, cfg, pro, out) -> subprocess.Popen:
+    """A CLI run in a subprocess that ends once func has returned calls times."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen(
+        [sys.executable, "-c", KILL_AFTER, func, str(calls), "--config", str(cfg),
+         "--prompts", str(pro), "--out", str(out)], env=env)
+
+
 @pytest.fixture
 def io_paths(tmp_path):
     cfg = write_yaml(tmp_path / "config.yaml", SMALL_CONFIG)
@@ -323,17 +342,11 @@ class TestCli:
         assert not (out / "FAILED").exists()
 
     def test_run_killed_after_any_pass_reads_as_failed(self, tmp_path):
-        cfg = write_yaml(tmp_path / "config.yaml", {**SMALL_CONFIG, "sampler_steps": 2})
-        owl = {"subject": "a snowy owl", "style": "ink", "settings": ["on a branch", "in flight"]}
-        pro = write_yaml(tmp_path / "prompts.yaml", {**PROMPT_DOC, "owl": owl})
+        cfg, pro = two_set_run(tmp_path)
         passes = 2 * len(pipeline.RunMode)
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
         # killed after each pass of both sets, and not killed (k = passes + 1), side by side
         runs = {
-            k: subprocess.Popen(
-                [sys.executable, "-c", KILL_AFTER_PASS, str(k), "--config", str(cfg),
-                 "--prompts", str(pro), "--out", str(tmp_path / f"out{k}")], env=env)
+            k: killed_run("pipeline.sample", k, cfg, pro, tmp_path / f"out{k}")
             for k in range(1, passes + 2)
         }
         try:
@@ -352,6 +365,29 @@ class TestCli:
             *(f"fox/{f}" for f in set_files), *(f"fox/slices/shot_{s}.pgm" for s in range(3)),
             *(f"owl/{f}" for f in set_files), *(f"owl/slices/shot_{s}.pgm" for s in range(2)),
         ]
+
+    def test_run_killed_after_a_set_manifest_reads_as_failed(self, tmp_path):
+        # the kill lands after the first set's manifest and before the second
+        # set's directory or first pass
+        cfg, pro = two_set_run(tmp_path)
+        out = tmp_path / "out"
+        run = killed_run("cli._run_prompt_set", 1, cfg, pro, out)
+        try:
+            assert run.wait(timeout=300) == 0
+        finally:
+            run.kill()
+        assert (out / "fox" / "manifest.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["FAILED", "fox"]
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_that_cannot_be_a_directory_fails_the_run(self, io_paths, capsys, under):
+        cfg, pro, out = io_paths
+        out.write_text("not a directory")
+        target = out / "run" if under else out
+        assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert out.read_text() == "not a directory"
 
     def test_parent_set_name_stays_inside_out(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "config.yaml", SMALL_CONFIG)
@@ -573,9 +609,10 @@ class TestCli:
             ("config", None, "ConfigError"),  # no such file
             ("prompts", None, "PromptError"),
             ("config", b"seed: 1\nsampler_steps: 4\nseed: 2\n", "ConfigError"),  # repeated key
+            ("prompts", b"{}\n", "PromptError"),  # no set: the run would write nothing
         ],
         ids=["config", "prompts", "config-utf8", "prompts-utf8", "config-missing", "prompts-missing",
-             "config-repeated-key"],
+             "config-repeated-key", "prompts-no-set"],
     )
     def test_malformed_yaml_fails_the_run(self, io_paths, capsys, which, data, error):
         cfg, pro, out = io_paths
@@ -588,7 +625,7 @@ class TestCli:
         assert (out / "FAILED").read_text().startswith(f"{error}: ")
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ") and "Traceback" not in err
-        assert not list(out.rglob("latents_*.tensor"))
+        assert [p.name for p in out.iterdir()] == ["FAILED"]
 
     def test_prompt_hash_is_of_the_parsed_bytes(self, io_paths, monkeypatch):
         cfg, pro, out = io_paths

@@ -111,11 +111,7 @@ class TestFeatureCache:
         q = np.ones((1, 1, 2, 2), dtype=np.float32)
         cache.put(100, 0, q)
         q[:] = 5.0
-        assert (cache.get(100, 0) == 1.0).all()
-
-    def test_miss(self):
-        with pytest.raises(KeyError):
-            qc.FeatureCache().get(100, 0)
+        assert (cache.entries[100, 0] == 1.0).all()
 
 
 class TestKeyframeIndex:
@@ -348,7 +344,7 @@ class TestFlowFieldMemo:
         cache.flow_field(500, 1, 4)
         fld = cache.flow_field(500, 1, 2)
         assert list(fld.f_a) == [oracle_bracket(8, 2, f)[0] for f in range(8)]
-        assert np.array_equal(fld.match_b, qc.match_field(cache.get(500, 1), 2).match_b)
+        assert np.array_equal(fld.match_b, qc.match_field(cache.entries[500, 1], 2).match_b)
         assert set(cache.flow_fields) == {(500, 1, 4), (500, 1, 2)}
 
 
@@ -397,7 +393,7 @@ class TestSelectQ:
         cfg, q, cache = self.make_setup()
         out, rec = qc.select_q(750, 0, q, cache, cfg, np.random.default_rng(0))
         assert rec.role == "vanilla"
-        assert np.array_equal(out, cache.get(750, 0))
+        assert np.array_equal(out, cache.entries[750, 0])
 
     def test_below_boundary_is_flow(self):
         cfg, q, cache = self.make_setup()
