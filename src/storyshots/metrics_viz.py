@@ -17,12 +17,6 @@ from . import tensor_core as tc
 
 # --- consistency -----------------------------------------------------------
 
-def _pair_cos(a: np.ndarray, b: np.ndarray, na: float, nb: float) -> float:
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
-
-
 def set_consistency(frames: np.ndarray, masks) -> list:
     """Mean pairwise cosine similarity of masked frame features across all
     cross-shot pairs, plus the mean adjacent-frame similarity within shots,
@@ -37,7 +31,9 @@ def set_consistency(frames: np.ndarray, masks) -> list:
     norms = {p: math.sqrt(float(feats[p] @ feats[p])) for p in ids}
 
     def cos(p, q):
-        return _pair_cos(feats[p], feats[q], norms[p], norms[q])
+        if norms[p] == 0.0 or norms[q] == 0.0:
+            return 0.0
+        return float(np.clip(float(feats[p] @ feats[q]) / (norms[p] * norms[q]), -1.0, 1.0))
 
     # mean_sem sums in list order, so the pair order (s1, f1, s2 > s1, f2) is in the bytes
     sims = [cos(p, q) for p in ids for q in ids if q[0] > p[0]]

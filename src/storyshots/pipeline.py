@@ -46,11 +46,6 @@ class ToyModelSpec:
     def patches(self) -> int:
         return self.patches_per_side**2
 
-    @property
-    def coarse_layer(self) -> int:
-        # the last layer stands in for the coarsest-resolution attention
-        return self.layers - 1
-
 
 @dataclass
 class StoryboardConfig:
@@ -131,7 +126,8 @@ class StoryboardConfig:
 
     def refine_layer_set(self) -> frozenset:
         if self.refine_layers is None:
-            return frozenset({self.model.coarse_layer})
+            # the last layer stands in for the coarsest-resolution attention
+            return frozenset({self.model.layers - 1})
         return frozenset(self.refine_layers)
 
     def anchor_list(self, shots: int) -> tuple:
@@ -204,10 +200,10 @@ LOGITS_BUDGET_BYTES = 512 * 1024
 
 class ToyModel:
     """Attention-only denoiser: a stack of spatial self-attention layers with
-    residual connections and an additive prompt-embedding bias."""
+    residual connections and an additive prompt-embedding bias per shot:
+    the mean token vector of that shot's prompt."""
 
-    def __init__(self, spec: ToyModelSpec):
-        self.spec = spec
+    def __init__(self, spec: ToyModelSpec, prompts):
         c = spec.channels
 
         def matrices(l: int, n: int) -> tuple:  # n (c, c) draws from stream l of the weight seed
@@ -216,16 +212,11 @@ class ToyModel:
 
         self.layers = [matrices(l, 4) for l in range(spec.layers)]  # (w_q, w_k, w_v, w_o) each
         (self.w_out,) = matrices(spec.layers, 1)
-        self._bias_cache: dict = {}
+        # one prompt at a time: prompts differ in token count
+        self.bias = np.stack([np.stack([_token_vector(tok, c) for tok in p.split() or [""]]).mean(axis=0)
+                              for p in prompts])  # (S, C) float32
 
-    def prompt_bias(self, prompt: str) -> np.ndarray:
-        if prompt not in self._bias_cache:
-            tokens = prompt.split() or [""]
-            vecs = np.stack([_token_vector(tok, self.spec.channels) for tok in tokens])
-            self._bias_cache[prompt] = vecs.mean(axis=0).astype(tc.F32)
-        return self._bias_cache[prompt]
-
-    def forward(self, x: np.ndarray, prompts, cond: bool, hooks=None, resume=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, cond: bool, hooks=None, resume=None) -> np.ndarray:
         """One denoiser evaluation: noise estimate for latents x (S,F,P,C).
 
         Hook points, in order per layer: query substitution before attention,
@@ -237,8 +228,7 @@ class ToyModel:
         if resume is None:
             h = np.array(x, dtype=tc.F32, copy=True)
             if cond:
-                for s, prompt in enumerate(prompts):
-                    h[s] = h[s] + self.prompt_bias(prompt)
+                h += self.bias[:, None, None]
         for l, (w_q, w_k, w_v, w_o) in enumerate(self.layers[first:], first):
             if resume is None or l > first:
                 q = tc.matmul(h, w_q)
@@ -418,7 +408,7 @@ def sample(run: PipelineRun) -> np.ndarray:
     if shots < 1:
         raise ConfigError("run needs at least one prompt")
     anchors = cfg.anchor_list(shots)
-    model = ToyModel(spec)
+    model = ToyModel(spec, run.prompts)
     alphas = subject_mask.geometric_alphas(cfg.total_steps, cfg.alpha_min)
     ts = cfg.timesteps()
     next_ts = ts[1:] + [0]
@@ -442,12 +432,12 @@ def sample(run: PipelineRun) -> np.ndarray:
         refine_on = run.mode == RunMode.REFINED and _in_window(cfg.refine_window, t)
         masks = got.masks  # read only by SDSA and refinement: built when they run
         if masks is None and (sdsa_on or refine_on):
-            e_probe = model.forward(x, run.prompts, True) if got.probe is None else got.probe
+            e_probe = model.forward(x, True) if got.probe is None else got.probe
             x0_probe = subject_mask.estimate_x0(x, e_probe, alphas[t])
             masks = subject_mask.build_masks(x0_probe, cfg.subject_channel)
         hooks = _StepHooks(run, t, masks, anchors, sdsa_on, refine_on, hand)
         n = len(run.audit)
-        e_cond = model.forward(x, run.prompts, cond=True, hooks=hooks, resume=got.resume)
+        e_cond = model.forward(x, cond=True, hooks=hooks, resume=got.resume)
         got = Handoff(i + 1)  # the earlier pass's state is read; let it go
         if hand is not None:  # vanilla's hooks act as none: its e_cond is the probe
             hand.masks, hand.probe = masks, e_cond if run.mode == RunMode.VANILLA else None
@@ -455,7 +445,7 @@ def sample(run: PipelineRun) -> np.ndarray:
             for r in [r for r in run.audit[n:] if r["event"] == "refinement"]:
                 hooks.record("refinement", r["layer"], {"pass": "uncond", "map_ids": r["map_ids"]})
         if cfg.cfg_scale != 1:  # at scale 1 guidance is e_cond (README)
-            e_uncond = model.forward(x, run.prompts, cond=False, hooks=hooks)
+            e_uncond = model.forward(x, cond=False, hooks=hooks)
         # overflow (e.g. a large cfg_scale) is reported below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.cfg_scale == 1:

@@ -54,17 +54,22 @@ def parse_prompt_sets(data: dict) -> list:
         raise PromptError("prompt file must be a mapping of set name -> fields")
     if not data:  # a run over no set would write nothing and succeed
         raise PromptError("prompt file holds no prompt set")
-    sets = []
+    known = {"subject", "style", "settings"}
+    sets, folded = [], {}  # folded: each name's casefold -> the first name with it
     for name, entry in data.items():
         if not isinstance(entry, dict):
             raise PromptError(f"prompt set {name!r}: expected a mapping")
-        missing = {"subject", "style", "settings"} - set(entry)
-        if missing:
-            raise PromptError(f"prompt set {name!r}: missing fields {sorted(missing)}")
+        if set(entry) != known:  # a misspelt field would otherwise be dropped unread
+            missing, unknown = sorted(known - set(entry)), sorted(set(entry) - known, key=str)
+            raise PromptError(f"prompt set {name!r}: missing fields {missing}, unknown fields {unknown}")
         settings = entry["settings"]
         if not isinstance(settings, list):
             raise PromptError(f"prompt set {name!r}: field 'settings' must be a list")
         sets.append(ShotPromptSet(name, entry["subject"], settings, entry["style"]))
+        # one directory each under --out, where default macOS and Windows filesystems fold case
+        other = folded.setdefault(name.casefold(), name)
+        if other != name:
+            raise PromptError(f"prompt sets {other!r} and {name!r} differ only in letter case")
     return sets
 
 

@@ -8,6 +8,7 @@ dropout can soften either injection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,9 +99,10 @@ def q_flow(q_c: np.ndarray, fld: FlowField, weight_mode: str = "sigmoid") -> np.
     when weight_mode == "linear"); queries the field flags as zero keep
     their live value.
     """
-    weight = tc.sigmoid if weight_mode == "sigmoid" else float
-    ratio = (fld.f_b - np.arange(len(fld.f_b))) / (fld.f_b - fld.f_a)
-    w = np.array([weight(r) for r in ratio.tolist()])[:, None, None]
+    # keyframe_brackets keeps f_a <= f <= f_b and f_a < f_b, so ratio is in [0, 1]
+    ratio = ((fld.f_b - np.arange(len(fld.f_b))) / (fld.f_b - fld.f_a)).tolist()
+    w = [1.0 / (1.0 + math.exp(-r)) for r in ratio] if weight_mode == "sigmoid" else ratio
+    w = np.array(w)[:, None, None]
     out = np.empty(q_c.shape, tc.F32)
     for s in range(q_c.shape[0]):
         blended = (

@@ -78,15 +78,6 @@ def best_match(units: np.ndarray, key_units: np.ndarray):
     return best, np.take_along_axis(sims, best[..., None], axis=-1)[..., 0]
 
 
-def sigmoid(x: float) -> float:
-    """Numerically stable logistic function."""
-    x = float(x)
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def write_atomic(path, data: bytes) -> None:
     """Write data to a temp file next to path, then rename it into place, so
     path never holds a truncated file; the temp file never outlives the call."""

@@ -278,11 +278,11 @@ class TestSubBatchedAttention:
 
     def test_chunk_sizes_bit_identical(self, monkeypatch):
         spec = pipeline.ToyModelSpec(layers=2, patches_per_side=2, channels=4, frames=3)
-        model = pipeline.ToyModel(spec)
+        model = pipeline.ToyModel(spec, ["a", "b"])
         x = np.random.default_rng(10).standard_normal((2, 3, 4, 4)).astype(np.float32)
         outs = []
         for items in (1, 2, 4, 6):  # items per plain-attention kernel call
             monkeypatch.setattr(pipeline, "LOGITS_BUDGET_BYTES", items * 8 * 4 * 4)
-            outs.append(model.forward(x, ["a", "b"], cond=True))
+            outs.append(model.forward(x, cond=True))
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)

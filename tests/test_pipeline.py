@@ -202,30 +202,54 @@ class TestToyModel:
     def test_forward_deterministic(self):
         spec = pipeline.ToyModelSpec(**SMALL_SPEC)
         x = np.random.default_rng(0).standard_normal((2, 4, 16, 8)).astype(np.float32)
-        e1 = pipeline.ToyModel(spec).forward(x, PROMPTS[:2], cond=True)
-        e2 = pipeline.ToyModel(spec).forward(x, PROMPTS[:2], cond=True)
+        e1 = pipeline.ToyModel(spec, PROMPTS[:2]).forward(x, cond=True)
+        e2 = pipeline.ToyModel(spec, PROMPTS[:2]).forward(x, cond=True)
         assert np.array_equal(e1, e2)
 
     def test_same_prompt_same_noise_same_output(self):
         spec = pipeline.ToyModelSpec(**SMALL_SPEC)
-        model = pipeline.ToyModel(spec)
+        model = pipeline.ToyModel(spec, [PROMPTS[0], PROMPTS[0]])
         x1 = np.random.default_rng(1).standard_normal((1, 4, 16, 8)).astype(np.float32)
         x = np.concatenate([x1, x1])
-        e = model.forward(x, [PROMPTS[0], PROMPTS[0]], cond=True)
+        e = model.forward(x, cond=True)
         assert np.array_equal(e[0], e[1])
 
     def test_uncond_ignores_prompts(self):
         spec = pipeline.ToyModelSpec(**SMALL_SPEC)
-        model = pipeline.ToyModel(spec)
         x = np.random.default_rng(2).standard_normal((2, 4, 16, 8)).astype(np.float32)
-        a = model.forward(x, PROMPTS[:2], cond=False)
-        b = model.forward(x, ["other", "words"], cond=False)
+        a = pipeline.ToyModel(spec, PROMPTS[:2]).forward(x, cond=False)
+        b = pipeline.ToyModel(spec, ["other", "words"]).forward(x, cond=False)
         assert np.array_equal(a, b)
+
+    def test_prompt_work_is_done_once_at_construction(self, monkeypatch):
+        spec = pipeline.ToyModelSpec(**SMALL_SPEC)
+        token_vector = pipeline._token_vector
+        tokens = []
+
+        def counted(token, channels):
+            tokens.append(token)
+            return token_vector(token, channels)
+
+        monkeypatch.setattr(pipeline, "_token_vector", counted)
+        model = pipeline.ToyModel(spec, ["a b b", ""])
+        # one call per token; a prompt with no token stands for the empty one
+        assert tokens == ["a", "b", "b", ""]
+        x = np.random.default_rng(4).standard_normal((2, 4, 16, 8)).astype(np.float32)
+        tokens.clear()
+        model.forward(x, cond=True)
+        model.forward(x, cond=False)
+        assert tokens == []
+        c = spec.channels
+        expected = np.stack([
+            np.stack([token_vector(t, c) for t in ("a", "b", "b")]).mean(axis=0),
+            np.stack([token_vector("", c)]).mean(axis=0),
+        ])
+        assert model.bias.dtype == np.float32 and model.bias.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("layer", [0, 1])
     @pytest.mark.parametrize("cond", [True, False])
     def test_resume_at_an_injection_equals_the_whole_forward(self, monkeypatch, layer, cond):
-        model = pipeline.ToyModel(pipeline.ToyModelSpec(**SMALL_SPEC))
+        model = pipeline.ToyModel(pipeline.ToyModelSpec(**SMALL_SPEC), PROMPTS[:2])
         x = np.random.default_rng(3).standard_normal((2, 4, 16, 8)).astype(np.float32)
 
         class Keep:  # hooks that change nothing and keep what one injection is given
@@ -240,19 +264,19 @@ class TestToyModel:
                 return o
 
         hooks = Keep()
-        whole = model.forward(x, PROMPTS[:2], cond, hooks)
+        whole = model.forward(x, cond, hooks)
         kernels = count_calls(monkeypatch, attention, "masked_attention")
-        resumed = model.forward(x, PROMPTS[:2], cond, resume=hooks.state)
+        resumed = model.forward(x, cond, resume=hooks.state)
         assert resumed.tobytes() == whole.tobytes()
         # one plain-attention call per layer at this size, none up to the resumed one
         assert len(kernels) == SMALL_SPEC["layers"] - 1 - layer
 
 
-def per_item_forward(model, x, prompts):
+def per_item_forward(model, x):
     """ToyModel.forward without hooks, one masked_attention call per (shot, frame)."""
     h = np.array(x, dtype=np.float32, copy=True)
-    for s, prompt in enumerate(prompts):
-        h[s] = h[s] + model.prompt_bias(prompt)
+    for s in range(h.shape[0]):
+        h[s] = h[s] + model.bias[s]
     for w_q, w_k, w_v, w_o in model.layers:
         q, k, v = (tc.matmul(h, m) for m in (w_q, w_k, w_v))
         h_attn = np.zeros_like(q)
@@ -267,12 +291,12 @@ class TestPlainAttentionChunks:
     def test_partial_last_chunk_equals_per_item_loop(self):
         # 21 items of 64 patches: chunks of 16 and 5
         spec = pipeline.ToyModelSpec(layers=2, patches_per_side=8, channels=8, frames=7)
-        model = pipeline.ToyModel(spec)
+        model = pipeline.ToyModel(spec, PROMPTS)
         x = np.random.default_rng(20).standard_normal((3, 7, 64, 8)).astype(np.float32)
         step = pipeline.LOGITS_BUDGET_BYTES // (8 * 64 * 64)
         assert 1 < step < 21 and 21 % step
-        got = model.forward(x, PROMPTS, cond=True)
-        assert np.array_equal(got, per_item_forward(model, x, PROMPTS))
+        got = model.forward(x, cond=True)
+        assert np.array_equal(got, per_item_forward(model, x))
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -468,12 +492,12 @@ class TestSample:
         forward = pipeline.ToyModel.forward
         steps, uncond = [], []  # guided conditional forwards; unconditional ones
 
-        def recording(model, x, prompts, cond, hooks=None, resume=None):
-            e = forward(model, x, prompts, cond, hooks, resume)
+        def recording(model, x, cond, hooks=None, resume=None):
+            e = forward(model, x, cond, hooks, resume)
             if not cond:
                 uncond.append(hooks.t)
             elif hooks is not None:  # not a mask probe
-                steps.append((model, x, prompts, hooks, e))
+                steps.append((model, x, hooks, e))
             return e
 
         monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
@@ -482,10 +506,10 @@ class TestSample:
             ts, start = cfg.timesteps(), pass_starts(cfg)
             for run in pipeline.run_passes(cfg, FIVE_PROMPTS):
                 # a pass runs, and guides, the steps from its start on
-                assert [hooks.t for _, _, _, hooks, _ in steps] == ts[start[run.mode] :]
+                assert [hooks.t for _, _, hooks, _ in steps] == ts[start[run.mode] :]
                 assert uncond == []
-                for model, x, prompts, hooks, c in steps:
-                    u = forward(model, x, prompts, False, hooks)
+                for model, x, hooks, c in steps:
+                    u = forward(model, x, False, hooks)
                     u64 = u.astype(np.float64)
                     e = (u64 + 1.0 * (c.astype(np.float64) - u64)).astype(np.float32)
                     assert e.tobytes() == c.tobytes(), (seed, run.mode, hooks.t)
@@ -514,9 +538,9 @@ class TestSample:
         forward = pipeline.ToyModel.forward
         written = []  # records each unconditional forward appended
 
-        def recording(model, x, prompts, cond, hooks=None, resume=None):
+        def recording(model, x, cond, hooks=None, resume=None):
             n = None if hooks is None else len(hooks.run.audit)
-            e = forward(model, x, prompts, cond, hooks, resume)
+            e = forward(model, x, cond, hooks, resume)
             if not cond:
                 written.append(len(hooks.run.audit) - n)
             return e
@@ -536,10 +560,10 @@ class TestSample:
         forward = pipeline.ToyModel.forward
         uncond = []
 
-        def recording(model, x, prompts, cond, hooks=None, resume=None):
+        def recording(model, x, cond, hooks=None, resume=None):
             if not cond:
                 uncond.append(hooks.t)
-            return forward(model, x, prompts, cond, hooks, resume)
+            return forward(model, x, cond, hooks, resume)
 
         monkeypatch.setattr(pipeline.ToyModel, "forward", recording)
         for run in pipeline.run_passes(cfg, PROMPTS):

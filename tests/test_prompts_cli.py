@@ -92,6 +92,17 @@ class TestPromptSets:
         with pytest.raises(PromptError):
             prompts.parse_prompt_sets({"n": {"subject": "a dog", "style": "ink"}})
 
+    def test_unknown_field_rejected(self):
+        entry = {"subject": "a dog", "style": "ink", "setting": ["beach"], "negative": "blurry"}
+        with pytest.raises(PromptError, match=r"missing fields \['settings'\], "
+                           r"unknown fields \['negative', 'setting'\]"):
+            prompts.parse_prompt_sets({"n": entry})
+
+    def test_names_equal_under_casefold_rejected(self):
+        entry = {"subject": "a dog", "style": "ink", "settings": ["beach"]}
+        with pytest.raises(PromptError, match="'Straße' and 'STRASSE' differ only in letter case"):
+            prompts.parse_prompt_sets({"Straße": entry, "dog": entry, "STRASSE": entry})
+
     def test_non_list_settings_rejected(self):
         with pytest.raises(PromptError):
             prompts.parse_prompt_sets(
@@ -610,9 +621,14 @@ class TestCli:
             ("prompts", None, "PromptError"),
             ("config", b"seed: 1\nsampler_steps: 4\nseed: 2\n", "ConfigError"),  # repeated key
             ("prompts", b"{}\n", "PromptError"),  # no set: the run would write nothing
+            ("prompts", b"fox: {subject: a fox, style: ink, settings: [x], negative: blurry}\n",
+             "PromptError"),
+            # one directory on a filesystem that folds case
+            ("prompts", b"fox: {subject: a fox, style: ink, settings: [x]}\n"
+                        b"Fox: {subject: a fox, style: oil, settings: [y]}\n", "PromptError"),
         ],
         ids=["config", "prompts", "config-utf8", "prompts-utf8", "config-missing", "prompts-missing",
-             "config-repeated-key", "prompts-no-set"],
+             "config-repeated-key", "prompts-no-set", "prompts-unknown-field", "prompts-case-collision"],
     )
     def test_malformed_yaml_fails_the_run(self, io_paths, capsys, which, data, error):
         cfg, pro, out = io_paths

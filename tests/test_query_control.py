@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,11 @@ def oracle_bracket(frames, spacing, frame):
 def brackets(frames, spacing):
     """keyframe_brackets as a list of (f_a, f_b) per frame."""
     return list(zip(*(a.tolist() for a in qc.keyframe_brackets(frames, spacing))))
+
+
+def logistic(r):
+    """The flow weight of a keyframe ratio r, which lies in [0, 1]."""
+    return 1.0 / (1.0 + math.exp(-r))
 
 
 def oracle_flow(q_c, q_v, spacing, frame, w):
@@ -97,7 +104,7 @@ def per_frame_flow(q_c, q_v, spacing, frame, weight_mode):
     blend computed for that frame alone."""
     f_a, f_b = oracle_bracket(len(q_v), spacing, frame)
     ratio = (f_b - frame) / (f_b - f_a)
-    w = tc.sigmoid(ratio) if weight_mode == "sigmoid" else ratio
+    w = logistic(ratio) if weight_mode == "sigmoid" else ratio
     ma = np.argmax(cosine_matrix(q_v[frame], q_v[f_a]), axis=1)
     mb = np.argmax(cosine_matrix(q_v[frame], q_v[f_b]), axis=1)
     blended = (w * q_c[f_a][ma].astype(np.float64) + (1.0 - w) * q_c[f_b][mb].astype(np.float64)).astype(np.float32)
@@ -181,7 +188,7 @@ class TestQFlow:
         q_c = rng.standard_normal((F, P, d)).astype(np.float32)
         out, skipped = flow_frame(q_c, q_v, 4, frame=4)
         assert skipped.size == 0
-        w = tc.sigmoid(1.0)
+        w = logistic(1.0)
         match_b = exhaustive_match(q_v[4], q_v[7])
         expected = (w * q_c[4].astype(np.float64) + (1 - w) * q_c[7][match_b].astype(np.float64)).astype(np.float32)
         assert np.abs(out - expected).max() < 1e-6
@@ -204,7 +211,7 @@ class TestQFlow:
         f = 3
         f_a, f_b = oracle_bracket(F, spacing, f)
         out, _ = flow_frame(q_c, q_v, spacing, frame=f)
-        expected = oracle_flow(q_c, q_v, spacing, f, tc.sigmoid((f_b - f) / (f_b - f_a)))
+        expected = oracle_flow(q_c, q_v, spacing, f, logistic((f_b - f) / (f_b - f_a)))
         assert np.array_equal(out, expected)
         fld = qc.match_field(q_v[None], spacing)
         for g in range(F):
@@ -245,7 +252,7 @@ class TestQFlow:
     def test_interior_weight_range(self):
         for f in range(12):
             f_a, f_b = oracle_bracket(12, 4, f)
-            w = tc.sigmoid((f_b - f) / (f_b - f_a))
+            w = logistic((f_b - f) / (f_b - f_a))
             assert 0.5 <= w <= 0.731059 + 1e-6
 
     def test_convex_hull_norm_bound(self):

@@ -262,24 +262,6 @@ class TestBestMatch:
 
 
 
-class TestSigmoid:
-    def test_symmetry_point(self):
-        assert tc.sigmoid(0.0) == 0.5
-
-    def test_direct_evaluation(self):
-        assert tc.sigmoid(1.0) == pytest.approx(0.731059, abs=1e-6)
-
-    def test_complement_identity(self):
-        for x in np.linspace(-20, 20, 17):
-            assert tc.sigmoid(x) + tc.sigmoid(-x) == pytest.approx(1.0, abs=1e-9)
-
-    def test_monotone_and_bounded(self):
-        xs = np.linspace(-30, 30, 101)
-        ys = [tc.sigmoid(x) for x in xs]
-        assert all(0.0 < y < 1.0 for y in ys)
-        assert all(b > a for a, b in zip(ys, ys[1:]))
-
-
 class TestDumpLoad:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(4)
