@@ -16,18 +16,23 @@ from . import tensor_core as tc
 def masked_attention(q, k, v, allowed=None):
     """Core kernel: softmax(q kᵀ/√d + logmask) · v over any leading batch
     axes; allowed broadcasts to the logits (..., Pq, Pk) and must open a key
-    in every row. Masked logits are -inf, which tc.softmax weighs +0.0 (a row
-    with no open key raises NonFiniteError). Each item gets the IEEE ops of a
-    lone call, in one float64 logits buffer updated in place and returned as
-    the weights. Returns (h, weights); h is float32, pre output-projection.
+    in every row. Masked logits are -inf, which tc.softmax weighs +0.0; a row
+    with no open key, or an -inf logit in an unmasked call, raises
+    NonFiniteError. Each item gets the IEEE ops of a lone call, in one float64
+    logits buffer updated in place and returned as the weights.
+    Returns (h, weights); h is float32, pre output-projection.
     """
-    d = np.shape(q)[-1]
-    logits = np.matmul(np.asarray(q, np.float64), np.swapaxes(np.asarray(k, np.float64), -1, -2))
-    logits /= math.sqrt(d)
+    root = math.sqrt(np.shape(q)[-1])
+    # a power-of-two √d scales exactly, so a new q takes it in place of the Pq·Pk logits
+    folded = math.frexp(root)[0] == 0.5
+    q = np.multiply(q, 1.0 / root, dtype=np.float64) if folded else np.asarray(q, np.float64)
+    logits = np.matmul(q, np.swapaxes(np.asarray(k, np.float64), -1, -2))
+    if not folded:
+        logits /= root
     if allowed is not None:  # a masked +inf logit becomes NaN, which tc.softmax rejects
         with np.errstate(invalid="ignore"):
             logits += np.where(allowed, 0.0, -np.inf)
-    weights = tc.softmax(logits, out=logits)
+    weights = tc.softmax(logits, out=logits, masked=allowed is not None)
     h = np.matmul(weights, np.asarray(v, np.float64)).astype(tc.F32)
     return h, weights
 

@@ -33,7 +33,7 @@ def set_consistency(frames: np.ndarray, masks) -> list:
     def cos(p, q):
         if norms[p] == 0.0 or norms[q] == 0.0:
             return 0.0
-        return float(np.clip(float(feats[p] @ feats[q]) / (norms[p] * norms[q]), -1.0, 1.0))
+        return min(max(float(feats[p] @ feats[q]) / (norms[p] * norms[q]), -1.0), 1.0)
 
     # mean_sem sums in list order, so the pair order (s1, f1, s2 > s1, f2) is in the bytes
     sims = [cos(p, q) for p in ids for q in ids if q[0] > p[0]]

@@ -32,13 +32,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
 
 
-def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def softmax(logits: np.ndarray, out: np.ndarray | None = None, masked: bool = True) -> np.ndarray:
     """Softmax over the last axis in float64 with per-row max subtraction,
     written to out (which may be logits itself) when given, as in numpy.
 
-    Accepts -inf entries as masking sentinels. Every row max must be finite:
-    NaN or +inf anywhere in a row, or a row that is entirely -inf, raises
-    NonFiniteError. Shifted logits at or below EXP_ZERO (-inf included) get
+    Accepts -inf entries as masking sentinels if masked (else -inf raises
+    NonFiniteError). NaN or +inf anywhere in a row, or a row that is entirely
+    -inf, raises NonFiniteError. Shifted logits at or below EXP_ZERO get
     weight +0.0 without passing through exp, as exp would give them; every
     other entry gets numpy's exp, so the result is bit-identical to plain exp.
     """
@@ -47,12 +47,17 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFiniteError("softmax needs a finite max in every row (-inf only as a mask)")
     w = np.subtract(logits, m, out=out)
-    np.maximum(w, EXP_ZERO, out=w)  # finite, so the products below make no NaN
+    if masked:
+        np.maximum(w, EXP_ZERO, out=w)  # finite, so the products below make no NaN
     live = w > EXP_ZERO
-    w *= live  # dead lanes enter exp as -0.0, off its underflow path
+    with np.errstate(invalid="ignore"):  # unmasked, -inf·0 is NaN: its row sum raises below
+        w *= live  # dead lanes enter exp as -0.0, off its underflow path
     np.exp(w, out=w)
     w *= live
-    w /= w.sum(axis=-1, keepdims=True)
+    total = w.sum(axis=-1, keepdims=True)  # in [1, Pk] in every valid row
+    if not np.isfinite(total).all():
+        raise NonFiniteError("softmax got -inf in a row without a mask")
+    w /= total
     return w
 
 
@@ -70,12 +75,16 @@ def best_match(units: np.ndarray, key_units: np.ndarray):
     all g·n rows. Returns the index in each group of the first maximum of the
     cosine clipped to [-1, 1], and that cosine, each as an (m, g) array;
     clipped, parallel rows of any scale score exactly 1, so ties among them
-    break to the lowest index."""
+    break to the lowest index. Only the winners are clipped: a row past 1
+    takes its first key at or past 1, a row at or below -1 ties at index 0."""
     g, n, d = key_units.shape
-    sims = units @ key_units.reshape(g * n, d).T
-    sims = np.clip(sims, -1.0, 1.0, out=sims).reshape(-1, g, n)
+    sims = (units @ key_units.reshape(g * n, d).T).reshape(-1, g, n)
     best = np.argmax(sims, axis=-1)
-    return best, np.take_along_axis(sims, best[..., None], axis=-1)[..., 0]
+    score = np.take_along_axis(sims, best[..., None], axis=-1)[..., 0]
+    high = score > 1.0
+    best[high] = np.argmax(sims[high] >= 1.0, axis=-1)
+    best[score <= -1.0] = 0
+    return best, np.clip(score, -1.0, 1.0)
 
 
 def write_atomic(path, data: bytes) -> None:

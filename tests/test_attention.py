@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,17 +49,20 @@ def dense_masked_oracle(q, k, v, allowed):
 
 
 def reference_masked_attention(q, k, v, allowed):
-    """masked_attention before the exact-zero softmax and the -inf mask:
-    masked logits get -1e30, every shifted logit goes through np.exp and
-    masked weights are zeroed by np.copyto. Its outputs are the reference
-    bytes of every row with an open key."""
+    """masked_attention before the exact-zero softmax, the -inf mask and the
+    scale folded into q: logits are divided by sqrt(d), masked ones get
+    -1e30, every shifted logit goes through np.exp and masked weights are
+    zeroed by np.copyto. Its outputs are the reference bytes of every row
+    with an open key (allowed None: every row)."""
     logits = np.matmul(np.asarray(q, np.float64), np.swapaxes(np.asarray(k, np.float64), -1, -2))
     logits /= math.sqrt(np.shape(q)[-1])
-    logits += np.where(allowed, 0.0, -1e30)
+    if allowed is not None:
+        logits += np.where(allowed, 0.0, -1e30)
     logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
-    np.copyto(logits, 0.0, where=~allowed)
+    if allowed is not None:
+        np.copyto(logits, 0.0, where=~allowed)
     return np.matmul(logits, np.asarray(v, np.float64)).astype(np.float32), logits
 
 
@@ -206,25 +210,36 @@ class TestBatchedKernel:
             assert (weights[i][:, ~rows[i]] == 0.0).all()
 
     @pytest.mark.parametrize("scale", [1.0, 30.0, 300.0])
-    @pytest.mark.parametrize("row_mask", [False, True])
+    @pytest.mark.parametrize("row_mask", [False, True, None])
     def test_bit_identical_to_reference_kernel(self, scale, row_mask):
         # SDSA-shaped calls: a frame group of n queries against K keys from
-        # several shots, the logits scaled until most masked and many open
-        # entries underflow; then one query row (or item) has every key masked
-        rng = np.random.default_rng(int(scale) + row_mask)
-        n, P, K, d = 4, 16, 48, 8
-        q = (rng.standard_normal((n, P, d)) * scale).astype(np.float32)
-        k, v = (rng.standard_normal((n, K, d)).astype(np.float32) for _ in range(2))
-        allowed = rng.random((n, 1 if row_mask else P, K)) < 0.5
-        allowed[..., :P // 2] = True
-        h, weights = attention.masked_attention(q, k, v, allowed)
-        h_ref, weights_ref = reference_masked_attention(q, k, v, allowed)
-        assert same_bits(h, h_ref) and same_bits(weights, weights_ref)
-        assert (weights[~np.broadcast_to(allowed, weights.shape)] == 0.0).all()
-        assert not np.signbit(weights).any()
-        allowed[1, 0] = False
-        with pytest.raises(NonFiniteError):
-            attention.masked_attention(q, k, v, allowed)
+        # several shots (row_mask None: plain attention's unmasked calls), the
+        # logits scaled until most masked and many open entries underflow;
+        # then one query row (or item) has every key masked. d = 8 divides
+        # the logits by sqrt(8); d = 16 folds 1/4 into a new q.
+        for d in (8, 16):
+            rng = np.random.default_rng(int(scale) + bool(row_mask) + (d != 8) * 1000)
+            n, P, K = 4, 16, 48
+            q = (rng.standard_normal((n, P, d)) * scale).astype(np.float32)
+            k, v = (rng.standard_normal((n, K, d)).astype(np.float32) for _ in range(2))
+            allowed = None
+            if row_mask is not None:
+                allowed = rng.random((n, 1 if row_mask else P, K)) < 0.5
+                allowed[..., :P // 2] = True
+            h, weights = attention.masked_attention(q, k, v, allowed)
+            h_ref, weights_ref = reference_masked_attention(q, k, v, allowed)
+            assert same_bits(h, h_ref) and same_bits(weights, weights_ref)
+            assert not np.signbit(weights).any()
+            q64 = q.astype(np.float64)  # asarray hands the kernel this very array
+            h64, weights64 = attention.masked_attention(q64, k, v, allowed)
+            assert same_bits(q64, q.astype(np.float64))
+            assert same_bits(h64, h) and same_bits(weights64, weights)
+            if allowed is None:
+                continue
+            assert (weights[~np.broadcast_to(allowed, weights.shape)] == 0.0).all()
+            allowed[1, 0] = False
+            with pytest.raises(NonFiniteError):
+                attention.masked_attention(q, k, v, allowed)
 
     def test_non_finite_logits_rejected(self):
         rng = np.random.default_rng(15)
@@ -238,6 +253,14 @@ class TestBatchedKernel:
             for mask in (None, allowed):
                 with pytest.raises(NonFiniteError):
                     attention.masked_attention(q_bad, k, v, mask)
+        # an -inf key: finite row maxima, but -inf logits in item 2, which only
+        # a mask may hold; unmasked they raise rather than warn or return NaN
+        q_pos, k_bad = np.abs(q) + 0.5, k.copy()
+        k_bad[2, 3, 0] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                attention.masked_attention(q_pos, k_bad, v)
 
     def test_mask_shape_mismatch_rejected(self):
         rng = np.random.default_rng(17)

@@ -163,6 +163,11 @@ class TestSoftmaxExactZero:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_bit_identical_to_plain_exp(self, x):
         assert same_bits(tc.softmax(x), reference_softmax(x))
+        if np.isneginf(x).any():  # -inf is a mask, which an unmasked call may not hold
+            with pytest.raises(NonFiniteError):
+                tc.softmax(x, masked=False)
+        else:
+            assert same_bits(tc.softmax(x, masked=False), reference_softmax(x))
 
     @given(logit_rows())
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -259,6 +264,56 @@ class TestBestMatch:
         best, score = tc.best_match(tc.unit_rows(np.stack([x, -x, 0 * x])), keys)
         assert best.tolist() == [[1, 0], [0, 2], [0, 0]]
         assert score.tolist() == [[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
+
+    def test_equals_clipped_matrix_kernel(self):
+        # small-integer rows and their scaled copies read cosines just past
+        # +-1: group 0 is anti-parallel copies of one query direction (rows
+        # whose best is exactly -1.0 behind an earlier key below -1), group 1
+        # parallel copies of another, group 2 +-scaled and zeroed query rows
+        edges = {"max -1 behind a key below -1": 0, "past 1 behind a key at 1": 0}
+        for seed in range(10):
+            units, key_units = tie_heavy_units(seed)
+            best, score = tc.best_match(units, key_units)
+            best_ref, score_ref = reference_best_match(units, key_units)
+            assert np.array_equal(best, best_ref) and same_bits(score, score_ref)
+            g, n, d = key_units.shape
+            sims = (units @ key_units.reshape(g * n, d).T).reshape(-1, g, n)
+            top, top_score = sims.argmax(axis=-1), sims.max(axis=-1)
+            below_before_top = ((sims < -1.0) & (np.arange(n) < top[..., None])).any(axis=-1)
+            edges["max -1 behind a key below -1"] += int(((top_score == -1.0) & below_before_top).sum())
+            first_at_1 = np.argmax(sims >= 1.0, axis=-1)
+            edges["past 1 behind a key at 1"] += int(((top_score > 1.0) & (first_at_1 != top)).sum())
+        assert all(edges.values()), edges
+
+
+def reference_best_match(units, key_units):
+    """best_match clipping the whole cosine matrix before its argmax. Its
+    outputs are the reference bytes."""
+    g, n, d = key_units.shape
+    sims = units @ key_units.reshape(g * n, d).T
+    sims = np.clip(sims, -1.0, 1.0, out=sims).reshape(-1, g, n)
+    best = np.argmax(sims, axis=-1)
+    return best, np.take_along_axis(sims, best[..., None], axis=-1)[..., 0]
+
+
+def tie_heavy_units(seed, n=10, d=4):
+    """unit_rows of 24 query rows (scaled copies of four small-integer
+    directions, some zero) and of three key groups (3, n, d), as in
+    TestBestMatch.test_equals_clipped_matrix_kernel."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-3, 4, (4, d)).astype(np.float64)
+    base[:2] += base[:2] == 0  # the first two directions have no zero component
+    scales = np.float64([1, 2, 3, 5, 7, 11])
+    queries = np.concatenate([
+        base[:2, None] * rng.choice(scales, (2, 6, 1)),
+        base[2:, None] * rng.choice(np.concatenate([-scales, scales, [0.0]]), (2, 6, 1)),
+    ]).reshape(-1, d)
+    keys = np.stack([
+        -base[0] * rng.choice(scales, (n, 1)),
+        base[1] * rng.choice(scales, (n, 1)),
+        queries[rng.integers(0, len(queries), n)] * rng.choice([-3.0, -1.0, 0.0, 1.0, 2.0], (n, 1)),
+    ])
+    return tc.unit_rows(queries), tc.unit_rows(keys)
 
 
 
