@@ -11,17 +11,28 @@ import math
 import numpy as np
 
 from . import tensor_core as tc
+from .errors import NonFiniteError
+
+# numpy's exp returns exactly +0.0 for every input at or below this, but takes
+# a slow path on any SIMD block that holds such an input; masked_attention keeps
+# those lanes out of exp and writes the +0.0 itself.
+EXP_ZERO = -746.0
 
 
 def masked_attention(q, k, v, allowed=None):
     """Core kernel: softmax(q kᵀ/√d + logmask) · v over any leading batch
     axes; allowed broadcasts to the logits (..., Pq, Pk) and must open a key
-    in every row. Masked logits are -inf, which tc.softmax weighs +0.0; a row
-    with no open key, or an -inf logit in an unmasked call, raises
-    NonFiniteError. Each item gets the IEEE ops of a lone call, in one float64
-    logits buffer updated in place and returned as the weights.
-    Returns (h, weights); h is float32, pre output-projection.
+    in every row. A non-finite q or k, or a row with no open key, raises
+    NonFiniteError; finite float32 q and k give finite logits, so the only
+    -inf logits are the masked ones. The softmax is float64 with per-row max
+    subtraction; shifted logits at or below EXP_ZERO (masked ones among them)
+    get weight +0.0 without passing through exp, as exp would give them, so
+    the weights are the bytes plain exp gives. Each item gets the IEEE ops of
+    a lone call, in one float64 logits buffer updated in place and returned
+    as the weights. Returns (h, weights); h is float32, pre output-projection.
     """
+    if not (np.isfinite(q).all() and np.isfinite(k).all()):
+        raise NonFiniteError("attention needs finite queries and keys")
     root = math.sqrt(np.shape(q)[-1])
     # a power-of-two √d scales exactly, so a new q takes it in place of the Pq·Pk logits
     folded = math.frexp(root)[0] == 0.5
@@ -29,12 +40,21 @@ def masked_attention(q, k, v, allowed=None):
     logits = np.matmul(q, np.swapaxes(np.asarray(k, np.float64), -1, -2))
     if not folded:
         logits /= root
-    if allowed is not None:  # a masked +inf logit becomes NaN, which tc.softmax rejects
-        with np.errstate(invalid="ignore"):
-            logits += np.where(allowed, 0.0, -np.inf)
-    weights = tc.softmax(logits, out=logits, masked=allowed is not None)
-    h = np.matmul(weights, np.asarray(v, np.float64)).astype(tc.F32)
-    return h, weights
+    if allowed is not None:
+        logits += np.where(allowed, 0.0, -np.inf)
+    m = logits.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise NonFiniteError("attention needs an open key in every row")
+    logits -= m
+    if allowed is not None:  # masked lanes turn finite, so the products below make no NaN
+        np.maximum(logits, EXP_ZERO, out=logits)
+    live = logits > EXP_ZERO
+    logits *= live  # dead lanes enter exp as -0.0, off its underflow path
+    np.exp(logits, out=logits)
+    logits *= live
+    logits /= logits.sum(axis=-1, keepdims=True)  # in [1, Pk] in every row
+    h = np.matmul(logits, np.asarray(v, np.float64)).astype(tc.F32)
+    return h, logits
 
 
 def framewise_sdsa(q, k, v, masks, frames, shot: int, key_shots, attend_middle_frame: bool):

@@ -14,7 +14,8 @@ class ConfigError(StoryshotsError, ValueError):
 
 
 class NonFiniteError(StoryshotsError, FloatingPointError):
-    """A value that must be finite is not: a pass's latents or a softmax row max."""
+    """A value that must be finite is not: a pass's latents, an attention
+    call's queries or keys, or the logit max of an attention row with no open key."""
 
 
 class PromptError(ConfigError):

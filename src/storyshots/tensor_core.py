@@ -1,8 +1,8 @@
 """Dense float32 array substrate and the numeric kernels everything else uses.
 
 Arrays are plain numpy ndarrays, float32, row-major (C order). Reductions
-(softmax denominators, dot products, norms) accumulate in float64 and cast
-back to float32 so results are reproducible bit-for-bit across runs.
+(dot products, norms) accumulate in float64 and cast back to float32 so
+results are reproducible bit-for-bit across runs.
 """
 
 from __future__ import annotations
@@ -14,14 +14,9 @@ import os
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError
+from .errors import DimensionError
 
 F32 = np.float32
-
-# numpy's exp returns exactly +0.0 for every input at or below this, but takes
-# a slow path on any SIMD block that holds such an input; softmax keeps those
-# lanes out of exp and writes the +0.0 itself.
-EXP_ZERO = -746.0
 
 _HEADER_DTYPE = "f32"
 _HEADER_ORDER = "row-major"
@@ -30,35 +25,6 @@ _HEADER_ORDER = "row-major"
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., k) @ (k, n) row projection, float64 accumulation, float32 result."""
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
-
-
-def softmax(logits: np.ndarray, out: np.ndarray | None = None, masked: bool = True) -> np.ndarray:
-    """Softmax over the last axis in float64 with per-row max subtraction,
-    written to out (which may be logits itself) when given, as in numpy.
-
-    Accepts -inf entries as masking sentinels if masked (else -inf raises
-    NonFiniteError). NaN or +inf anywhere in a row, or a row that is entirely
-    -inf, raises NonFiniteError. Shifted logits at or below EXP_ZERO get
-    weight +0.0 without passing through exp, as exp would give them; every
-    other entry gets numpy's exp, so the result is bit-identical to plain exp.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    m = logits.max(axis=-1, keepdims=True)
-    if not np.isfinite(m).all():
-        raise NonFiniteError("softmax needs a finite max in every row (-inf only as a mask)")
-    w = np.subtract(logits, m, out=out)
-    if masked:
-        np.maximum(w, EXP_ZERO, out=w)  # finite, so the products below make no NaN
-    live = w > EXP_ZERO
-    with np.errstate(invalid="ignore"):  # unmasked, -inf·0 is NaN: its row sum raises below
-        w *= live  # dead lanes enter exp as -0.0, off its underflow path
-    np.exp(w, out=w)
-    w *= live
-    total = w.sum(axis=-1, keepdims=True)  # in [1, Pk] in every valid row
-    if not np.isfinite(total).all():
-        raise NonFiniteError("softmax got -inf in a row without a mask")
-    w /= total
-    return w
 
 
 def unit_rows(x) -> np.ndarray:

@@ -244,23 +244,24 @@ class TestBatchedKernel:
     def test_non_finite_logits_rejected(self):
         rng = np.random.default_rng(15)
         q, k, v = (rng.standard_normal((3, 4, 4)).astype(np.float32) for _ in range(3))
-        k[2, :, 0] = np.abs(k[2, :, 0])  # the bad row's logits are all +inf (or NaN)
+        k[2, :, 0] = np.abs(k[2, :, 0])  # a bad query's row of logits is all +inf (or NaN)
         allowed = np.ones((3, 4, 4), dtype=bool)
         allowed[2, 1, 1:] = False  # masked ones too
-        for bad in (np.nan, np.inf):
-            q_bad = q.copy()
-            q_bad[2, 1, 0] = bad
-            for mask in (None, allowed):
-                with pytest.raises(NonFiniteError):
-                    attention.masked_attention(q_bad, k, v, mask)
-        # an -inf key: finite row maxima, but -inf logits in item 2, which only
-        # a mask may hold; unmasked they raise rather than warn or return NaN
-        q_pos, k_bad = np.abs(q) + 0.5, k.copy()
-        k_bad[2, 3, 0] = -np.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError):
-                attention.masked_attention(q_pos, k_bad, v)
+        # an -inf key against positive queries leaves finite row maxima but -inf
+        # logits in open lanes of item 2, with a mask or without one
+        q_pos, k_neg = np.abs(q) + 0.5, k.copy()
+        k_neg[2, 3, 0] = -np.inf
+        cases = [(q_pos, k_neg)]
+        for bad in (np.nan, np.inf, -np.inf):
+            q_bad, k_bad = q.copy(), k.copy()
+            q_bad[2, 1, 0] = k_bad[2, 1, 0] = bad
+            cases += [(q_bad, k), (q, k_bad)]
+        for q_case, k_case in cases:
+            for mask in (None, allowed, np.ones_like(allowed)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NonFiniteError):
+                        attention.masked_attention(q_case, k_case, v, mask)
 
     def test_mask_shape_mismatch_rejected(self):
         rng = np.random.default_rng(17)
@@ -284,7 +285,7 @@ class TestBatchedKernel:
                 assert np.array_equal(h[i], sdsa(feats, masks, f, shot, key_shots, middle))
 
 
-class TestSubBatchedAttention:
+class TestPlainAttentionChunks:
     def test_full_chunk_equals_unbatched(self):
         rng = np.random.default_rng(9)
         feats = random_feats(rng, 2, 3, 5, 4)

@@ -121,7 +121,7 @@ class TestFeatureCache:
         assert (cache.entries[100, 0] == 1.0).all()
 
 
-class TestKeyframeIndex:
+class TestKeyframeBrackets:
     """keyframe_brackets against the keyframe-list rule (oracle_bracket)."""
 
     def test_build_includes_endpoints(self):

@@ -23,7 +23,7 @@ def exhaustive_otsu(scores):
     return best[1]
 
 
-class TestNoiseSchedule:
+class TestGeometricAlphas:
     def test_geometric_shape_and_endpoints(self):
         alphas = sm.geometric_alphas(100, alpha_min=0.02)
         assert alphas.shape == (101,)

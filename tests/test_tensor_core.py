@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from storyshots import tensor_core as tc
+from storyshots import attention, tensor_core as tc
 from storyshots.errors import DimensionError, NonFiniteError
 
 
@@ -57,60 +57,69 @@ class TestMatmul:
             assert np.abs(out[i] - naive_matmul(a[i], b)).max() < 1e-6
 
 
-class TestSoftmaxRows:
-    def test_symmetry(self):
-        out = tc.softmax(np.array([[0.0, 0.0]]))
-        assert np.allclose(out, [[0.5, 0.5]])
-
-    def test_mask_sentinel(self):
-        out = tc.softmax(np.array([[-np.inf, 0.0]]))
-        assert out[0, 0] == 0.0
-        assert out[0, 1] == pytest.approx(1.0)
-
-    def test_row_sums(self):
-        rng = np.random.default_rng(2)
-        out = tc.softmax(rng.standard_normal((4, 6)).astype(np.float32) * 5)
-        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-6
-
-    def test_all_minus_inf_row(self):
-        with pytest.raises(NonFiniteError):
-            tc.softmax(np.full((1, 3), -np.inf))
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((3, 5))
-        shifted = x + np.array([[10.0], [-7.0], [3.0]])
-        assert np.abs(tc.softmax(x) - tc.softmax(shifted)).max() < 1e-6
-
-    def test_rejects_nan_and_plus_inf(self):
-        with pytest.raises(NonFiniteError):
-            tc.softmax(np.array([[np.nan, 0.0]]))
-        with pytest.raises(NonFiniteError):
-            tc.softmax(np.array([[np.inf, 0.0]]))
-
-    def test_out_in_place_equals_fresh_result(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 3, 5))
-        x[0, 1, :2] = -np.inf
-        expected = tc.softmax(x)
-        out = tc.softmax(x, out=x)
-        assert out is x
-        assert np.array_equal(x, expected)
-
-
-def reference_softmax(logits, out=None):
-    """tc.softmax before its exact-zero lanes: every shifted logit through
-    np.exp. Its outputs are the reference bytes."""
-    logits = np.asarray(logits, dtype=np.float64)
-    m = logits.max(axis=-1, keepdims=True)
-    w = np.subtract(logits, m, out=out)
+def reference_softmax(logits):
+    """The kernel's softmax before its exact-zero lanes: every shifted logit
+    through np.exp. Its outputs are the reference bytes."""
+    w = np.asarray(logits, dtype=np.float64)
+    w = w - w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
     return w
 
 
+def softmax_weights(x, masked=True):
+    """masked_attention's weights for float64 logits x (..., Pk), realised
+    exactly: q = x·√d against the first Pk rows of I_d, with d a power of 4
+    and d >= Pk, so 1/√d folds into q exactly and each logit is x plus
+    zeros. -inf lanes are masked, with 0 in q there; masked=False passes no
+    mask, for x without -inf."""
+    x = np.asarray(x, dtype=np.float64)
+    keys = x.shape[-1]
+    d = 1
+    while d < keys:
+        d *= 4
+    open_lanes = ~np.isneginf(x)
+    q = np.zeros((*x.shape[:-1], d))
+    q[..., :keys] = np.where(open_lanes, x, 0.0) * math.sqrt(d)
+    k = np.eye(d, dtype=np.float32)[:keys]
+    _, weights = attention.masked_attention(q, k, k, open_lanes if masked else None)
+    return weights
+
+
 def same_bits(a, b) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestSoftmaxRows:
+    def test_symmetry(self):
+        out = softmax_weights(np.array([[0.0, 0.0]]))
+        assert np.allclose(out, [[0.5, 0.5]])
+
+    def test_mask_sentinel(self):
+        out = softmax_weights(np.array([[-np.inf, 0.0]]))
+        assert out[0, 0] == 0.0
+        assert out[0, 1] == pytest.approx(1.0)
+
+    def test_row_sums(self):
+        rng = np.random.default_rng(2)
+        out = softmax_weights(rng.standard_normal((4, 6)).astype(np.float32) * 5)
+        assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-6
+
+    def test_all_minus_inf_row(self):
+        with pytest.raises(NonFiniteError):  # a row with no open key
+            softmax_weights(np.full((1, 3), -np.inf))
+
+    def test_shift_invariance(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 5))
+        shifted = x + np.array([[10.0], [-7.0], [3.0]])
+        assert np.abs(softmax_weights(x) - softmax_weights(shifted)).max() < 1e-6
+
+    def test_rejects_nan_and_plus_inf(self):
+        for bad in (np.nan, np.inf):
+            for masked in (True, False):
+                with pytest.raises(NonFiniteError):
+                    softmax_weights(np.array([[bad, 0.0]]), masked)
 
 
 # shifted-logit values by band: ordinary, subnormal exp results, exp == +0.0
@@ -118,10 +127,10 @@ def same_bits(a, b) -> bool:
 _BANDS = st.one_of(
     st.floats(-60.0, 0.0),
     st.floats(-745.2, -708.3),
-    st.floats(-1e6, tc.EXP_ZERO),
+    st.floats(-1e6, attention.EXP_ZERO),
     st.sampled_from([
-        -708.4, -745.13, -745.14, np.nextafter(tc.EXP_ZERO, 0.0), tc.EXP_ZERO,
-        np.nextafter(tc.EXP_ZERO, -np.inf), -1.3e5, -1e30, -np.inf,
+        -708.4, -745.13, -745.14, np.nextafter(attention.EXP_ZERO, 0.0), attention.EXP_ZERO,
+        np.nextafter(attention.EXP_ZERO, -np.inf), -1.3e5, -1e30, -np.inf,
     ]),
 )
 
@@ -146,14 +155,14 @@ def logit_rows(draw):
 class TestSoftmaxExactZero:
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 31, 64, 1000])
     def test_exp_is_plus_zero_at_and_below_exp_zero(self, size):
-        # the rule softmax relies on: numpy's exp gives +0.0 for x <= EXP_ZERO,
+        # the rule the kernel relies on: numpy's exp gives +0.0 for x <= EXP_ZERO,
         # at every SIMD tail length and alignment
         rng = np.random.default_rng(size)
         x = np.concatenate([
-            -np.logspace(math.log10(-tc.EXP_ZERO), 308, size),
-            [tc.EXP_ZERO, np.nextafter(tc.EXP_ZERO, -np.inf), -1e30, -np.inf,
+            -np.logspace(math.log10(-attention.EXP_ZERO), 308, size),
+            [attention.EXP_ZERO, np.nextafter(attention.EXP_ZERO, -np.inf), -1e30, -np.inf,
              -np.finfo(np.float64).max],
-            tc.EXP_ZERO - rng.random(size) * 1e3,
+            attention.EXP_ZERO - rng.random(size) * 1e3,
         ])
         for start in range(4):
             e = np.exp(x[start:])
@@ -162,28 +171,18 @@ class TestSoftmaxExactZero:
     @given(logit_rows())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_bit_identical_to_plain_exp(self, x):
-        assert same_bits(tc.softmax(x), reference_softmax(x))
-        if np.isneginf(x).any():  # -inf is a mask, which an unmasked call may not hold
-            with pytest.raises(NonFiniteError):
-                tc.softmax(x, masked=False)
-        else:
-            assert same_bits(tc.softmax(x, masked=False), reference_softmax(x))
-
-    @given(logit_rows())
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_out_aliasing_bit_identical(self, x):
         expected = reference_softmax(x)
-        got = tc.softmax(x, out=x)
-        assert got is x
-        assert same_bits(x, expected)
+        assert same_bits(softmax_weights(x), expected)
+        if not np.isneginf(x).any():  # -inf is a mask, which an unmasked call cannot hold
+            assert same_bits(softmax_weights(x, masked=False), expected)
 
     def test_bands_and_lone_finite_rows(self):
         x = np.array([
-            [0.0, -708.4, -745.0, -745.14, tc.EXP_ZERO, -1e30, -np.inf, -1.0],
+            [0.0, -708.4, -745.0, -745.14, attention.EXP_ZERO, -1e30, -np.inf, -1.0],
             [-np.inf, -np.inf, 5.0, -np.inf, -np.inf, -np.inf, -np.inf, -np.inf],
             [-1e30, -1e30, -1e30, -1e30, -1e30, -1e30, -1e30, -1e30],
         ])
-        got = tc.softmax(x)
+        got = softmax_weights(x)
         assert same_bits(got, reference_softmax(x))
         assert got[0, 2] > 0.0 and got[0, 3:7].tolist() == [0.0] * 4
         assert got[1].tolist() == [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -195,7 +194,7 @@ class TestSoftmaxExactZero:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((3, 16, 192)) * rng.choice([1.0, 50.0, 3e4], (3, 16, 1))
         x[rng.random(x.shape) < 0.3] = -1e30
-        assert same_bits(tc.softmax(x), reference_softmax(x))
+        assert same_bits(softmax_weights(x), reference_softmax(x))
 
 
 def cosines(a, b) -> np.ndarray:
