@@ -22,17 +22,19 @@ EXP_ZERO = -746.0
 def masked_attention(q, k, v, allowed=None):
     """Core kernel: softmax(q kᵀ/√d + logmask) · v over any leading batch
     axes; allowed broadcasts to the logits (..., Pq, Pk) and must open a key
-    in every row. A non-finite q or k, or a row with no open key, raises
-    NonFiniteError; finite float32 q and k give finite logits, so the only
-    -inf logits are the masked ones. The softmax is float64 with per-row max
-    subtraction; shifted logits at or below EXP_ZERO (masked ones among them)
-    get weight +0.0 without passing through exp, as exp would give them, so
-    the weights are the bytes plain exp gives. Each item gets the IEEE ops of
-    a lone call, in one float64 logits buffer updated in place and returned
-    as the weights. Returns (h, weights); h is float32, pre output-projection.
+    in every row. A q or k entry outside float32's finite range (NaN
+    included), or a row with no open key, raises NonFiniteError; q and k in
+    that range give finite float64 logits, so the only -inf logits are the
+    masked ones. The softmax is float64 with per-row max subtraction; shifted
+    logits at or below EXP_ZERO (masked ones among them) get weight +0.0
+    without passing through exp, as exp would give them, so the weights are
+    the bytes plain exp gives. Each item gets the IEEE ops of a lone call, in
+    one float64 logits buffer updated in place and returned as the weights.
+    Returns (h, weights); h is float32, pre output-projection.
     """
-    if not (np.isfinite(q).all() and np.isfinite(k).all()):
-        raise NonFiniteError("attention needs finite queries and keys")
+    top = np.finfo(tc.F32).max
+    if not (np.abs(q).max(initial=0.0) <= top and np.abs(k).max(initial=0.0) <= top):
+        raise NonFiniteError("attention needs queries and keys in float32's finite range")
     root = math.sqrt(np.shape(q)[-1])
     # a power-of-two √d scales exactly, so a new q takes it in place of the Pq·Pk logits
     folded = math.frexp(root)[0] == 0.5
@@ -49,9 +51,12 @@ def masked_attention(q, k, v, allowed=None):
     if allowed is not None:  # masked lanes turn finite, so the products below make no NaN
         np.maximum(logits, EXP_ZERO, out=logits)
     live = logits > EXP_ZERO
-    logits *= live  # dead lanes enter exp as -0.0, off its underflow path
-    np.exp(logits, out=logits)
-    logits *= live
+    if live.all():  # no dead lane: both multiplies would be the identity
+        np.exp(logits, out=logits)
+    else:
+        logits *= live  # dead lanes enter exp as -0.0, off its underflow path
+        np.exp(logits, out=logits)
+        logits *= live
     logits /= logits.sum(axis=-1, keepdims=True)  # in [1, Pk] in every row
     h = np.matmul(logits, np.asarray(v, np.float64)).astype(tc.F32)
     return h, logits

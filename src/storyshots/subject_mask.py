@@ -47,7 +47,9 @@ class SubjectMaskSet:
 def estimate_x0(x: np.ndarray, e_t: np.ndarray, a: float) -> np.ndarray:
     """Invert one forward-noising step at schedule value a = alphas[t]:
     (x - sqrt(1 - a) * e_t) / sqrt(a)."""
-    x0 = (x.astype(np.float64) - math.sqrt(1.0 - a) * e_t.astype(np.float64)) / math.sqrt(a)
+    x0 = np.multiply(math.sqrt(1.0 - a), e_t, dtype=np.float64)
+    np.subtract(x, x0, out=x0)
+    x0 /= math.sqrt(a)
     return x0.astype(tc.F32)
 
 

@@ -23,8 +23,16 @@ _HEADER_ORDER = "row-major"
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., k) @ (k, n) row projection, float64 accumulation, float32 result."""
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(F32)
+    """(..., k) @ (k, n) row projection, float64 accumulation, float32 result.
+    Stacked input is cast one leading index at a time: the stacked matmul
+    makes one gemm per matrix either way, so only the float64 copy shrinks."""
+    b = b.astype(np.float64)
+    if a.ndim < 3:
+        return (a.astype(np.float64) @ b).astype(F32)
+    out = np.empty((*a.shape[:-1], b.shape[-1]), F32)
+    for i, block in enumerate(a):
+        out[i] = block.astype(np.float64) @ b
+    return out
 
 
 def unit_rows(x) -> np.ndarray:

@@ -241,6 +241,37 @@ class TestBatchedKernel:
             with pytest.raises(NonFiniteError):
                 attention.masked_attention(q, k, v, allowed)
 
+    def test_all_live_and_dead_lane_branches(self):
+        # unmasked calls with no dead lane (one exp pass), with exactly one,
+        # and with all but one (the live multiplies), then a masked call. With
+        # d = 4, a query of 2 on channel 0 folds to 1.0, so its logits are
+        # exactly the keys' channel 0; a query of 0 gives a row of zeros.
+        rng = np.random.default_rng(19)
+        K, far = 8, [-746.0, -800.0, -3e4, -746.0, -1e3, -2e3, -760.0]
+        live_col = (rng.standard_normal(K) * 20).astype(np.float32)
+        cases = [  # (rows' channel-0 queries, keys' channel 0, dead lanes)
+            ([2, 2, 0], live_col, 0),
+            ([2, 0, 0], [0.0] * (K - 1) + [-800.0], 1),
+            ([2], [0.0] + far, K - 1),
+        ]
+        for rows, col, dead in cases:
+            q = np.zeros((1, len(rows), 4), np.float32)
+            q[..., 0] = rows
+            k, v = (rng.standard_normal((1, K, 4)).astype(np.float32) for _ in range(2))
+            k[..., 0] = col
+            logits = q[..., :1].astype(np.float64) / 2 * k[:, None, :, 0]
+            assert ((logits - logits.max(-1, keepdims=True)) <= attention.EXP_ZERO).sum() == dead
+            h, weights = attention.masked_attention(q, k, v)
+            h_ref, weights_ref = reference_masked_attention(q, k, v, None)
+            assert same_bits(h, h_ref) and same_bits(weights, weights_ref)
+            assert (weights == 0.0).sum() >= dead
+        q, k, v = (rng.standard_normal((2, 6, 4)).astype(np.float32) for _ in range(3))
+        allowed = rng.random((2, 6, 6)) < 0.5
+        allowed[..., 0] = True
+        h, weights = attention.masked_attention(q, k, v, allowed)
+        h_ref, weights_ref = reference_masked_attention(q, k, v, allowed)
+        assert same_bits(h, h_ref) and same_bits(weights, weights_ref)
+
     def test_non_finite_logits_rejected(self):
         rng = np.random.default_rng(15)
         q, k, v = (rng.standard_normal((3, 4, 4)).astype(np.float32) for _ in range(3))
@@ -252,6 +283,13 @@ class TestBatchedKernel:
         q_pos, k_neg = np.abs(q) + 0.5, k.copy()
         k_neg[2, 3, 0] = -np.inf
         cases = [(q_pos, k_neg)]
+        # finite float64 past float32's range: q·k overflows to ±inf in the
+        # matmul, and the key of -1e200 would be weighed +0.0 (or NaN unmasked)
+        q_huge, k_tiny = np.full((3, 4, 4), 1e200), np.full((3, 4, 4), 1e-200)
+        k_tiny[2, 3] = -1e200
+        q_over = q.astype(np.float64)
+        q_over[0, 0, 0] = np.nextafter(np.finfo(np.float32).max, np.inf, dtype=np.float64)
+        cases += [(q_huge, k_tiny), (q_over, k)]
         for bad in (np.nan, np.inf, -np.inf):
             q_bad, k_bad = q.copy(), k.copy()
             q_bad[2, 1, 0] = k_bad[2, 1, 0] = bad
@@ -262,6 +300,11 @@ class TestBatchedKernel:
                     warnings.simplefilter("error")
                     with pytest.raises(NonFiniteError):
                         attention.masked_attention(q_case, k_case, v, mask)
+        # float32's own extremes are in range and give finite weights
+        q_top, k_top = q.copy(), k.copy()
+        q_top[0, 0, 0], k_top[0, 1, 0] = np.finfo(np.float32).max, -np.finfo(np.float32).max
+        h, weights = attention.masked_attention(q_top, k_top, v)
+        assert np.isfinite(h).all() and weights[0, 0, 1] == 0.0
 
     def test_mask_shape_mismatch_rejected(self):
         rng = np.random.default_rng(17)

@@ -60,6 +60,22 @@ class TestEstimateX0:
         )
         assert out[0] == pytest.approx((1 - math.sqrt(0.75)) / 0.5, abs=1e-4)
 
+    def test_bit_identical_to_whole_expression(self):
+        # the in-place ops are the expression's, in its order: signed zeros
+        # and float32 overflow to ±inf come out the same
+        rng = np.random.default_rng(2)
+        big = np.finfo(np.float32).max
+        x = np.concatenate([rng.standard_normal(64) * 10, [0.0, -0.0, 0.0, -0.0, big, -big, big]])
+        e = np.concatenate([rng.standard_normal(64) * 10, [0.0, 0.0, -0.0, -0.0, -big, big, big]])
+        x, e = x.astype(np.float32), e.astype(np.float32)
+        for a in (1.0, *sm.geometric_alphas(10)[[1, 5, 10]], 1e-6):
+            with np.errstate(over="ignore"):
+                got = sm.estimate_x0(x, e, a)
+                want = ((x.astype(np.float64) - math.sqrt(1.0 - a) * e.astype(np.float64))
+                        / math.sqrt(a)).astype(np.float32)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.isinf(got[-3:-1]).all() and np.signbit(got[-7:-3]).tolist() == [0, 1, 0, 0]
+
     def test_linearity(self):
         rng = np.random.default_rng(1)
         a = sm.geometric_alphas(100)[40]

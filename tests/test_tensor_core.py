@@ -56,6 +56,25 @@ class TestMatmul:
         for i in range(2):
             assert np.abs(out[i] - naive_matmul(a[i], b)).max() < 1e-6
 
+    @pytest.mark.parametrize("patches", [64, 256])
+    @pytest.mark.parametrize("lead", [1, 5])
+    @pytest.mark.parametrize("ndim", [2, 3, 4])
+    def test_bit_identical_to_whole_array_float64(self, ndim, lead, patches):
+        # the per-shot casts give the bytes of one whole-array float64 product
+        rng = np.random.default_rng(ndim * 100 + lead * 10 + patches)
+        shape = {2: (lead * patches,), 3: (lead, patches), 4: (lead, 3, patches)}[ndim]
+        a = (rng.standard_normal((*shape, 16)) * 30).astype(np.float32)
+        a.reshape(-1)[::7] = -0.0
+        b = rng.standard_normal((16, 16)).astype(np.float32)
+        b[3] = 0.0
+        a_in, b_in = a.copy(), b.copy()
+        out = tc.matmul(a, b)
+        want = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+        assert out.dtype == np.float32 and out.shape == want.shape
+        assert np.array_equal(out, want) and np.array_equal(np.signbit(out), np.signbit(want))
+        assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
+        assert a.tobytes() == a_in.tobytes() and b.tobytes() == b_in.tobytes()
+
 
 def reference_softmax(logits):
     """The kernel's softmax before its exact-zero lanes: every shifted logit
