@@ -450,10 +450,11 @@ def sample(run: PipelineRun) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.cfg_scale == 1:
                 e = e_cond
-            else:  # e_uncond + cfg_scale * (e_cond - e_uncond), in one float64 buffer
-                e = np.subtract(e_cond, e_uncond, dtype=np.float64)
-                np.multiply(cfg.cfg_scale, e, out=e)
-                e = np.add(e_uncond, e, out=e).astype(tc.F32)
+            else:
+                e = (
+                    e_uncond.astype(np.float64)
+                    + cfg.cfg_scale * (e_cond.astype(np.float64) - e_uncond.astype(np.float64))
+                ).astype(tc.F32)
             x0 = subject_mask.estimate_x0(x, e, alphas[t])
             a_next = alphas[t_next]
             x = np.multiply(math.sqrt(a_next), x0, dtype=np.float64)

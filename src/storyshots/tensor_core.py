@@ -24,14 +24,13 @@ _HEADER_ORDER = "row-major"
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(..., k) @ (k, n) row projection, float64 accumulation, float32 result.
-    Stacked input is cast one leading index at a time: the stacked matmul
-    makes one gemm per matrix either way, so only the float64 copy shrinks."""
+    Stacked (3-D or more) input is cast one leading index at a time, 1-D and
+    2-D input as one block: the stacked matmul makes one gemm per matrix
+    either way, so only the float64 copy shrinks."""
     b = b.astype(np.float64)
-    if a.ndim < 3:
-        return (a.astype(np.float64) @ b).astype(F32)
     out = np.empty((*a.shape[:-1], b.shape[-1]), F32)
-    for i, block in enumerate(a):
-        out[i] = block.astype(np.float64) @ b
+    for i in np.ndindex(a.shape[:-2][:1]):
+        out[i] = a[i].astype(np.float64) @ b
     return out
 
 
