@@ -230,29 +230,33 @@ class ToyModel:
             if cond:
                 h += self.bias[:, None, None]
         for l, (w_q, w_k, w_v, w_o) in enumerate(self.layers[first:], first):
-            if resume is None or l > first:
-                q = tc.matmul(h, w_q)
-                k = tc.matmul(h, w_k)
-                v = tc.matmul(h, w_v)
-                if hooks is not None:
-                    q = hooks.substitute_q(l, q, cond)
-                if hooks is not None and hooks.sdsa_on:
-                    h_attn = hooks.extended_attention(l, q, k, v, cond)
-                else:
-                    # plain attention over the flattened (shot, frame) items
-                    qi, ki, vi = (a.reshape(-1, *a.shape[2:]) for a in (q, k, v))
-                    h_attn = np.empty_like(qi)
-                    step = max(1, LOGITS_BUDGET_BYTES // (8 * qi.shape[1] ** 2))
-                    for i in range(0, len(qi), step):
-                        h_attn[i : i + step], _ = attention.masked_attention(
-                            qi[i : i + step], ki[i : i + step], vi[i : i + step]
-                        )
-                    h_attn = h_attn.reshape(q.shape)
-                o = tc.matmul(h_attn, w_o)
+            if o is None:  # not the resumed layer; its q, k and v die in _attend
+                o = tc.matmul(_attend(l, h, w_q, w_k, w_v, cond, hooks), w_o)
             if hooks is not None:
                 o = hooks.inject_o(l, h, o, cond)
-            h = h + o
+            h, o = h + o, None  # o is read: let it go before the next layer's projections
         return tc.matmul(h, self.w_out)
+
+
+def _attend(l: int, h: np.ndarray, w_q, w_k, w_v, cond: bool, hooks) -> np.ndarray:
+    """Layer l's attention output from the residual h, before its output
+    projection; its queries, keys and values are released when it returns."""
+    q = tc.matmul(h, w_q)
+    k = tc.matmul(h, w_k)
+    v = tc.matmul(h, w_v)
+    if hooks is not None:
+        q = hooks.substitute_q(l, q, cond)
+    if hooks is not None and hooks.sdsa_on:
+        return hooks.extended_attention(l, q, k, v, cond)
+    # plain attention over the flattened (shot, frame) items
+    qi, ki, vi = (a.reshape(-1, *a.shape[2:]) for a in (q, k, v))
+    h_attn = np.empty_like(qi)
+    step = max(1, LOGITS_BUDGET_BYTES // (8 * qi.shape[1] ** 2))
+    for i in range(0, len(qi), step):  # each chunk's weights die with its call
+        h_attn[i : i + step] = attention.masked_attention(
+            qi[i : i + step], ki[i : i + step], vi[i : i + step]
+        )[0]
+    return h_attn.reshape(q.shape)
 
 
 # --- runs -----------------------------------------------------------------
@@ -431,10 +435,10 @@ def sample(run: PipelineRun) -> np.ndarray:
         sdsa_on = run.mode != RunMode.VANILLA and _in_window(cfg.sdsa_window, t)
         refine_on = run.mode == RunMode.REFINED and _in_window(cfg.refine_window, t)
         masks = got.masks  # read only by SDSA and refinement: built when they run
-        if masks is None and (sdsa_on or refine_on):
-            e_probe = model.forward(x, True) if got.probe is None else got.probe
-            x0_probe = subject_mask.estimate_x0(x, e_probe, alphas[t])
-            masks = subject_mask.build_masks(x0_probe, cfg.subject_channel)
+        if masks is None and (sdsa_on or refine_on):  # the probe and its x0 are temporaries
+            masks = subject_mask.build_masks(subject_mask.estimate_x0(
+                x, model.forward(x, True) if got.probe is None else got.probe, alphas[t],
+            ), cfg.subject_channel)
         hooks = _StepHooks(run, t, masks, anchors, sdsa_on, refine_on, hand)
         n = len(run.audit)
         e_cond = model.forward(x, cond=True, hooks=hooks, resume=got.resume)
@@ -444,27 +448,28 @@ def sample(run: PipelineRun) -> np.ndarray:
         if refine_on:  # the unconditional forward, when it runs, reuses this step's maps
             for r in [r for r in run.audit[n:] if r["event"] == "refinement"]:
                 hooks.record("refinement", r["layer"], {"pass": "uncond", "map_ids": r["map_ids"]})
-        if cfg.cfg_scale != 1:  # at scale 1 guidance is e_cond (README)
-            e_uncond = model.forward(x, cond=False, hooks=hooks)
-        # overflow (e.g. a large cfg_scale) is reported below, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            if cfg.cfg_scale == 1:
-                e = e_cond
-            else:
-                e = (
-                    e_uncond.astype(np.float64)
-                    + cfg.cfg_scale * (e_cond.astype(np.float64) - e_uncond.astype(np.float64))
-                ).astype(tc.F32)
-            x0 = subject_mask.estimate_x0(x, e, alphas[t])
-            a_next = alphas[t_next]
-            x = np.multiply(math.sqrt(a_next), x0, dtype=np.float64)
-            x += np.multiply(math.sqrt(1.0 - a_next), e, dtype=np.float64)
-            x = x.astype(tc.F32)
+        # the step's estimates die in _ddim_step; e_cond lives on only as a probe
+        x, e_cond = _ddim_step(model, x, e_cond, hooks, cfg.cfg_scale, alphas[t], alphas[t_next]), None
         if not np.isfinite(x).all():
             raise NonFiniteError(f"{run.mode.value} pass produced non-finite latents at t={t}")
     run.hand_over = []
     run.outputs = x
     return x
+
+
+def _ddim_step(model: ToyModel, x, e_cond, hooks, scale: float, a: float, a_next: float):
+    """The latents at the next timestep: the guided estimate e, running the
+    unconditional forward unless scale is 1, then the DDIM update through x0."""
+    if scale != 1:  # at scale 1 guidance is e_cond (README)
+        e_uncond = model.forward(x, cond=False, hooks=hooks)
+    # overflow (e.g. a large cfg_scale) is reported by sample, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = e_cond if scale == 1 else (e_uncond.astype(np.float64) + scale * (
+            e_cond.astype(np.float64) - e_uncond.astype(np.float64))).astype(tc.F32)
+        # x0 is a temporary: it is gone before the second product is made
+        x_next = np.multiply(math.sqrt(a_next), subject_mask.estimate_x0(x, e, a), dtype=np.float64)
+        x_next += np.multiply(math.sqrt(1.0 - a_next), e, dtype=np.float64)
+        return x_next.astype(tc.F32)
 
 
 def _handoffs(cfg: StoryboardConfig) -> tuple:

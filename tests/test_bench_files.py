@@ -5,7 +5,9 @@ Optional `controls` entries (pairs on other workloads, to show that nothing
 moved there) are held to the same rule. The claimed metric must meet the
 claim rule: at least ten pairs, the change better in nine of every ten (in
 the direction BENCHMARK.json gives; a tie counts for neither side), and the
-medians apart by more than the parent's quartile spread.
+medians apart by more than the parent's quartile spread. On the claim's
+workload and on every control, no end-to-end metric's median may be worse
+than the parent's by more than its BENCHMARK.json bound.
 """
 
 import json
@@ -19,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 WORKLOADS = {w["name"] for w in BENCHMARK["workloads"]}
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 
@@ -69,3 +72,19 @@ def test_bench_file_meets_the_claim_rule(path):
     q1, _, q3 = statistics.quantiles(parent, n=4)
     gain = sign * (statistics.median(parent) - statistics.median(change))
     assert gain > q3 - q1, (path.name, gain, q3 - q1)
+
+
+def median(entry, side, name):
+    return statistics.median(pair[side]["metrics"][name]["value"] for pair in entry["pairs"])
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_bench_file_worsens_no_metric_past_its_bound(path):
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    # entry 0 is the claim's workload, the rest are its controls
+    for j, entry in enumerate([bench, *bench.get("controls", [])]):
+        for name in END_TO_END:
+            parent, change = median(entry, "parent", name), median(entry, "change", name)
+            # the change's loss relative to the parent: > 0 is worse
+            loss = (change - parent) / parent * (1 if BETTER[name] == "lower" else -1)
+            assert loss <= BOUND[name], (path.name, j, name, loss, BOUND[name])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,30 @@ def small_config(**overrides):
     )
     kwargs.update(overrides)
     return pipeline.StoryboardConfig(**kwargs)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes of traced (numpy included) memory that call holds above
+    what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# vanilla_wide's shape: 5 shots of 8 frames of 256 patches, one 256-patch item
+# (LOGITS_BUDGET_BYTES of float64 logits) per plain-attention kernel call
+WIDE_SPEC = pipeline.ToyModelSpec(patches_per_side=16)
+# the float32 (S, F, P, C) arrays a forward holds at its peak, inside a layer's
+# plain attention: the residual h, the layer's q, k and v, and its output h_attn
+# (the caller's x was allocated before). One kernel call adds its logits, its
+# bool live mask and float64 copies of one item's q, k and v: under 1.5 budgets,
+# so two leave half a budget for small temporaries.
+FORWARD_LIVE_ARRAYS = 5
 
 
 class TestStoryboardConfig:
@@ -270,6 +295,17 @@ class TestToyModel:
         assert resumed.tobytes() == whole.tobytes()
         # one plain-attention call per layer at this size, none up to the resumed one
         assert len(kernels) == SMALL_SPEC["layers"] - 1 - layer
+
+    def test_forward_peak_is_its_live_set(self):
+        # a layer's q, k, v, h_attn and o die before the next layer's projections
+        # and each kernel call's weights with the call; holding the last layer's
+        # five arrays beside the new ones peaks at about 10.6 x
+        model = pipeline.ToyModel(WIDE_SPEC, FIVE_PROMPTS)
+        x = pipeline._init_latents(pipeline.StoryboardConfig(model=WIDE_SPEC), len(FIVE_PROMPTS))
+        model.forward(x, True)  # numpy's first-call allocations are not the forward's
+        peak = traced_peak(lambda: model.forward(x, True))
+        bound = FORWARD_LIVE_ARRAYS * x.nbytes + 2 * pipeline.LOGITS_BUDGET_BYTES
+        assert peak <= bound, (peak / x.nbytes, bound / x.nbytes)
 
 
 def per_item_forward(model, x):
@@ -580,6 +616,20 @@ class TestSample:
         monkeypatch.undo()
         (cached,) = reference_chain(cfg, PROMPTS, pipeline.RunMode.VANILLA)
         assert run.outputs.tobytes() == cached.outputs.tobytes()
+
+    def test_vanilla_pass_peak_is_its_live_set(self):
+        # the latents x plus one forward's live set: step i's estimates (e_cond,
+        # e, x0) die before step i + 1's forward, and the DDIM update holds x,
+        # e and two float64 buffers, under that. Keeping them into the next
+        # step peaks at about 13.7 x.
+        cfg = pipeline.StoryboardConfig(sampler_steps=3, model=WIDE_SPEC)
+        model = pipeline.ToyModel(WIDE_SPEC, FIVE_PROMPTS)
+        x = pipeline._init_latents(cfg, len(FIVE_PROMPTS))
+        model.forward(x, True)  # numpy's first-call allocations are not the pass's
+        run = pipeline.PipelineRun(cfg, FIVE_PROMPTS, pipeline.RunMode.VANILLA)
+        peak = traced_peak(lambda: pipeline.sample(run))
+        bound = (1 + FORWARD_LIVE_ARRAYS) * x.nbytes + 2 * pipeline.LOGITS_BUDGET_BYTES
+        assert peak <= bound, (peak / x.nbytes, bound / x.nbytes)
 
     def test_vanilla_fills_the_cache_it_is_given(self):
         cfg = small_config()
