@@ -403,7 +403,8 @@ def sample(run: PipelineRun) -> np.ndarray:
     """Deterministic denoising of one pass; fills run.outputs and run.audit,
     or raises NonFiniteError naming the pass and the first step whose latents
     are not finite. A vanilla run puts its queries into run.cache when it has
-    one; an injecting run reads them from it (run_passes builds that cache).
+    one; an injecting run reads what the cache's hand_over kept of them
+    (run_passes builds that cache and hands it over).
     A run with a resume_from Handoff starts where it points; each Handoff in
     run.hand_over is filled at its point and let go when the pass ends."""
     cfg = run.config
@@ -488,12 +489,13 @@ def _handoffs(cfg: StoryboardConfig) -> tuple:
 def run_passes(config: StoryboardConfig, prompts, mode: RunMode = RunMode.REFINED):
     """Run every pass declared up to mode, in declaration order, yielding each
     run once it is sampled. The vanilla queries are cached only when a later
-    pass injects them, in one FeatureCache that every later pass reads. Each
+    pass injects them, in one FeatureCache that every later pass reads, handed
+    over when the vanilla pass ends, outside every pass's sample call. Each
     later pass resumes from a Handoff of the pass before it, or of vanilla,
     where their hooks first act differently (a hand-built run runs every step)."""
     modes = list(RunMode)[: list(RunMode).index(mode) + 1]
     prompts = list(prompts)
-    cache = query_control.FeatureCache() if len(modes) > 1 and config.q_injection else None
+    cache = query_control.FeatureCache(config) if len(modes) > 1 and config.q_injection else None
     runs = [PipelineRun(config, prompts, run_mode, cache=cache) for run_mode in modes]
     for run, hand in zip(runs[1:], _handoffs(config)):
         runs[0 if hand.from_vanilla else 1].hand_over.append(hand)
@@ -502,4 +504,6 @@ def run_passes(config: StoryboardConfig, prompts, mode: RunMode = RunMode.REFINE
         run = runs.pop(0)
         # through the module attribute, so a wrapped sample sees every pass
         sample(run)
+        if run.mode == RunMode.VANILLA and cache is not None:
+            cache.hand_over()
         yield run

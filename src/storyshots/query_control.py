@@ -18,25 +18,27 @@ from . import tensor_core as tc
 
 @dataclass
 class FeatureCache:
-    """(timestep, layer_id) -> cached vanilla-pass queries (S, F, P, d), and
-    the flow match fields computed from them, memoised per keyframe spacing."""
+    """The vanilla-pass queries the later passes of one config read: entries
+    maps (timestep, layer_id) to queries (S, F, P, d), put for every (t, layer)
+    by the vanilla pass; hand_over keeps each flow-phase one as its FlowField."""
 
+    config: object  # the StoryboardConfig of the passes that read the cache
     entries: dict = field(default_factory=dict)
-    # (t, layer_id, spacing) -> FlowField; the vanilla pass of run_passes puts
-    # each key once, into a new cache, and only later passes build fields
     flow_fields: dict = field(default_factory=dict, repr=False)
 
     def put(self, t: int, layer_id: int, q: np.ndarray) -> None:
         self.entries[(t, layer_id)] = np.array(q, dtype=tc.F32, copy=True)
 
-    def flow_field(self, t: int, layer_id: int, spacing: int) -> FlowField:
-        """The match field of the cached queries at (t, layer_id), computed on
-        first use and kept for the cache's life: the vanilla pass has put every
-        entry before a later pass asks for a field."""
-        key = (t, layer_id, spacing)
-        if key not in self.flow_fields:
-            self.flow_fields[key] = match_field(self.entries[t, layer_id], spacing)
-        return self.flow_fields[key]
+    def hand_over(self) -> None:
+        """Keep only what select_q reads, once the vanilla pass has put every
+        (t, layer): the queries it copies verbatim, and the match field of
+        each flow-phase one in place of its queries."""
+        for key in list(self.entries):
+            role = query_role(*key, self.config)
+            if role == "flow":
+                self.flow_fields[key] = match_field(self.entries.pop(key), self.config.keyframe_spacing)
+            elif role == "consistent":
+                del self.entries[key]
 
 
 def keyframe_brackets(frames: int, spacing: int):
@@ -133,23 +135,26 @@ class QueryAudit:
     dropout_kept_fraction: float = 0.0
 
 
-def select_q(t: int, layer: int, q_c: np.ndarray, cache, cfg, rng: np.random.Generator):
-    """Dispatch one (timestep, layer) query decision.
-
-    t >= t_pres: preservation (the cached vanilla queries verbatim); below
-    t_pres on injection layers: flow; otherwise live queries pass through.
-    Dropout applies to whichever injection was chosen. Returns
-    (q, QueryAudit).
-    """
-    injection_layers = cfg.injection_layer_set()
+def query_role(t: int, layer: int, cfg) -> str:
+    """What an injecting pass does with (t, layer)'s queries: "vanilla" at
+    t >= t_pres (the cached queries verbatim, on every layer), "flow" below
+    t_pres on injection layers, "consistent" (the live queries) otherwise."""
     if cfg.t_pres is not None and t >= cfg.t_pres:
-        q_inj = cache.entries[t, layer]
-        role = "vanilla"
-    elif layer in injection_layers:
-        q_inj = q_flow(q_c, cache.flow_field(t, layer, cfg.keyframe_spacing), cfg.q_weight_mode)
-        role = "flow"
-    else:
-        return q_c, QueryAudit("consistent", 0.0)
+        return "vanilla"
+    return "flow" if layer in cfg.injection_layer_set() else "consistent"
 
+
+def select_q(t: int, layer: int, q_c: np.ndarray, cache, cfg, rng: np.random.Generator):
+    """Dispatch one (timestep, layer) query decision by query_role, reading a
+    handed-over cache. Dropout applies to whichever injection was chosen.
+    Returns (q, QueryAudit).
+    """
+    role = query_role(t, layer, cfg)
+    if role == "consistent":
+        return q_c, QueryAudit(role, 0.0)
+    if role == "vanilla":
+        q_inj = cache.entries[t, layer]
+    else:
+        q_inj = q_flow(q_c, cache.flow_fields[t, layer], cfg.q_weight_mode)
     q_out, kept = q_dropout(q_inj, q_c, cfg.q_dropout, rng)
     return q_out, QueryAudit(role, kept)

@@ -3,7 +3,9 @@ before any latents are written, or the CLI run succeeds and writes every
 artifact, and a second run in the same process writes the same bytes;
 run_passes, whose passes resume from each other's handoffs, writes the bytes
 of the sequential chain, run at one item per plain-attention call, for every
-valid one; and each hand-picked malformed config fails when it is built."""
+valid one, and hands the later passes only the cached queries and match
+fields they read; and each hand-picked malformed config fails when it is
+built."""
 
 import json
 import math
@@ -166,6 +168,28 @@ def test_run_passes_equals_reference_chain(board):
     for run, ref in zip(got, want):
         assert run.outputs.tobytes() == ref.outputs.tobytes(), run.mode
         assert json.dumps(run.audit) == json.dumps(ref.audit), run.mode
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(storyboards())
+def test_vanilla_hands_later_passes_only_what_they_read(board):
+    config, shots, _ = board
+    try:
+        cfg = pipeline.StoryboardConfig.from_dict(config)
+        cfg.anchor_list(shots)
+    except ConfigError:
+        assume(False)
+    prompts = [f"a red fox, scene {s}, ink" for s in range(shots)]
+    # the refined run's passes start only once the vanilla run is yielded
+    cache = next(pipeline.run_passes(cfg, prompts)).cache
+    if not cfg.q_injection:
+        assert cache is None
+        return
+    keys = {(t, layer) for t in cfg.timesteps() for layer in range(cfg.model.layers)}
+    preserved = {(t, layer) for t, layer in keys if cfg.t_pres is not None and t >= cfg.t_pres}
+    assert cache.entries.keys() == preserved
+    flow = {(t, layer) for t, layer in keys - preserved if layer in cfg.injection_layer_set()}
+    assert cache.flow_fields.keys() == flow
 
 
 # Malformed values that once ran with another meaning ([0.5] as shot 0, [True]

@@ -408,9 +408,15 @@ class TestRunPasses:
             assert json.dumps(run.audit) == json.dumps(ref.audit), run.mode
         cache = got[0].cache
         if mode != pipeline.RunMode.VANILLA and cfg.q_injection:
+            # the hand-over keeps what the oracle's does, byte for byte
             assert all(run.cache is cache for run in got)
-            assert cache.entries.keys() == want[0].cache.entries.keys()
-            assert cache.flow_fields.keys() == want[0].cache.flow_fields.keys()
+            ref = want[0].cache
+            assert cache.entries.keys() == ref.entries.keys()
+            assert all(cache.entries[k].tobytes() == ref.entries[k].tobytes() for k in ref.entries)
+            assert cache.flow_fields.keys() == ref.flow_fields.keys()
+            for key, fld in ref.flow_fields.items():
+                for name in ("f_a", "f_b", "match_a", "match_b", "zero"):
+                    assert np.array_equal(getattr(cache.flow_fields[key], name), getattr(fld, name))
         else:  # no later pass reads the vanilla queries
             assert all(run.cache is None for run in got)
 
@@ -425,21 +431,53 @@ class TestRunPasses:
     ):
         cfg = small_config()
         every = {(t, layer) for t in cfg.timesteps() for layer in range(cfg.model.layers)}
-        sampled = []  # (mode, cached (t, layer)s) as each pass starts
+        preserved = {(t, layer) for t, layer in every if t >= cfg.t_pres}
+        # (mode, cached (t, layer)s, (t, layer)s with a match field) as each pass starts
+        sampled = []
         sample = pipeline.sample
 
         def logged(run):
-            sampled.append((run.mode, set(run.cache.entries)))
+            sampled.append((run.mode, set(run.cache.entries), set(run.cache.flow_fields)))
             return sample(run)
 
         monkeypatch.setattr(pipeline, "sample", logged)
         for run in pipeline.run_passes(cfg, PROMPTS):
             assert sampled[-1][0] == run.mode and run.outputs is not None
+        # every layer injects: each (t, layer) is read verbatim or through its field
         assert sampled == [
-            (pipeline.RunMode.VANILLA, set()),
-            (pipeline.RunMode.CONSISTENT, every),
-            (pipeline.RunMode.REFINED, every),
+            (pipeline.RunMode.VANILLA, set(), set()),
+            (pipeline.RunMode.CONSISTENT, preserved, every - preserved),
+            (pipeline.RunMode.REFINED, preserved, every - preserved),
         ]
+
+
+    def test_hand_over_lets_the_flow_phase_queries_go(self, monkeypatch):
+        # refined_default's shape: the default model at 10 steps with five
+        # shots. Of the 10 x 4 (t, layer) query arrays vanilla caches, the 7
+        # steps below t_pres = 750 on every (injection) layer are flow-phase.
+        cfg = pipeline.StoryboardConfig(sampler_steps=10)
+        sample, held = pipeline.sample, []  # traced bytes as each pass starts and ends
+
+        def measured(run):
+            held.append(tracemalloc.get_traced_memory()[0])
+            sample(run)
+            held.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(pipeline, "sample", measured)
+        tracemalloc.start()
+        try:
+            vanilla, _ = pipeline.run_passes(cfg, FIVE_PROMPTS, pipeline.RunMode.CONSISTENT)
+        finally:
+            tracemalloc.stop()
+        spec = cfg.model
+        query_bytes = len(FIVE_PROMPTS) * spec.frames * spec.patches * spec.channels * 4
+        fields = vanilla.cache.flow_fields.values()
+        assert len(fields) == 28
+        field_bytes = sum(a.nbytes for fld in fields for a in vars(fld).values())
+        # the fields that replace the queries take 3 bytes per (shot, frame,
+        # patch) plus their brackets, under 5% of a query array, and their
+        # Python objects less than as much again
+        assert held[1] - held[2] >= 28 * query_bytes - 2 * field_bytes, (held, field_bytes)
 
 
 class TestSample:
@@ -633,7 +671,7 @@ class TestSample:
 
     def test_vanilla_fills_the_cache_it_is_given(self):
         cfg = small_config()
-        cache = qc.FeatureCache()
+        cache = qc.FeatureCache(cfg)
         run = pipeline.PipelineRun(cfg, PROMPTS, pipeline.RunMode.VANILLA, cache=cache)
         pipeline.sample(run)
         assert run.cache is cache
@@ -643,10 +681,15 @@ class TestSample:
         cfg = small_config()
         passes = pipeline.run_passes(cfg, PROMPTS)
         cache = next(passes).cache
-        fresh = qc.FeatureCache(dict(cache.entries))
-        next(passes)  # the consistent pass builds the fields
-        assert cache.flow_fields and not fresh.flow_fields
+        fields = dict(cache.flow_fields)  # built at the hand-over, before any later pass
+        # a hand-built vanilla pass fills a fresh cache, handed over as run_passes does
+        fresh = qc.FeatureCache(cfg)
+        pipeline.sample(pipeline.PipelineRun(cfg, PROMPTS, pipeline.RunMode.VANILLA, cache=fresh))
+        fresh.hand_over()
+        next(passes)  # the consistent pass only reads the fields
+        assert fields and all(cache.flow_fields[key] is fld for key, fld in fields.items())
         shared = next(passes)
+        assert cache.flow_fields.keys() == fields.keys()
         alone = pipeline.PipelineRun(cfg, PROMPTS, pipeline.RunMode.REFINED, cache=fresh)
         pipeline.sample(alone)
         assert shared.outputs.tobytes() == alone.outputs.tobytes()

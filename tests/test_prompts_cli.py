@@ -464,29 +464,32 @@ class TestCli:
         assert not list(out.rglob("latents_*.tensor"))
         assert "ConfigError" in capsys.readouterr().err
 
-    def test_match_fields_computed_once_in_consistent_pass(self, io_paths, monkeypatch):
+    def test_match_fields_computed_once_between_vanilla_and_consistent(self, io_paths, monkeypatch):
         cfg, pro, out = io_paths
-        modes, calls = [], []
+        events = []  # each pass's start and end, and each match_field call
         real_sample, real_match_field = pipeline.sample, query_control.match_field
 
         def sample(run):
-            modes.append(run.mode)
-            return real_sample(run)
+            events.append(("start", run.mode.value))
+            x = real_sample(run)
+            events.append(("end", run.mode.value))
+            return x
 
         def match_field(q_v, spacing):
-            calls.append(modes[-1])
+            events.append("match")
             return real_match_field(q_v, spacing)
 
         monkeypatch.setattr(pipeline, "sample", sample)
         monkeypatch.setattr(query_control, "match_field", match_field)
         assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 0
-        assert [m.value for m in modes] == ["vanilla", "consistent", "refined"]
         for mode in ("consistent", "refined"):
             lines = (out / "fox" / f"audit_{mode}.jsonl").read_text().splitlines()
             records = [json.loads(line) for line in lines]
             flows = [(r["t"], r["layer"]) for r in records if r.get("role") == "flow"]
             assert flows and len(set(flows)) == len(flows)
-        assert calls == [pipeline.RunMode.CONSISTENT] * len(flows)
+        # one field per flow (t, layer), outside every pass's sample call
+        passes = [(side, mode) for mode in ("consistent", "refined") for side in ("start", "end")]
+        assert events == [("start", "vanilla"), ("end", "vanilla")] + ["match"] * len(flows) + passes
 
     @pytest.mark.parametrize(
         "mode, q_injection", [("vanilla", True), ("refined", False)],
@@ -509,7 +512,7 @@ class TestCli:
         shot_prompts = prompts.load_prompts(pro)[0].full_prompts
         lib = tmp_path / "library"
         lib.mkdir()
-        cache = query_control.FeatureCache()
+        cache = query_control.FeatureCache(cfg)
         run = pipeline.PipelineRun(cfg, shot_prompts, pipeline.RunMode.VANILLA, cache=cache)
         pipeline.sample(run)
         assert len(cache.entries) == cfg.sampler_steps * cfg.model.layers

@@ -114,7 +114,7 @@ def per_frame_flow(q_c, q_v, spacing, frame, weight_mode):
 
 class TestFeatureCache:
     def test_put_get_copy(self):
-        cache = qc.FeatureCache()
+        cache = qc.FeatureCache(pipeline.StoryboardConfig())
         q = np.ones((1, 1, 2, 2), dtype=np.float32)
         cache.put(100, 0, q)
         q[:] = 5.0
@@ -161,14 +161,17 @@ class TestQPreserve:
     """select_q's preservation phase, t >= t_pres, which covers every layer,
     not only the injection layers."""
 
-    def select(self, cache, t):
+    def make_cache(self):
         spec = pipeline.ToyModelSpec(layers=3, patches_per_side=2, channels=4, frames=4)
         cfg = pipeline.StoryboardConfig(t_pres=750, injection_layers=(0,), model=spec, keyframe_spacing=2)
+        return qc.FeatureCache(cfg)
+
+    def select(self, cache, t):
         live = np.zeros((1, 4, 4, 4), dtype=np.float32)
-        return qc.select_q(t, 2, live, cache, cfg, np.random.default_rng(0))
+        return qc.select_q(t, 2, live, cache, cache.config, np.random.default_rng(0))
 
     def test_returns_cached_verbatim(self):
-        cache = qc.FeatureCache()
+        cache = self.make_cache()
         cached = np.arange(64, dtype=np.float32).reshape(1, 4, 4, 4)
         cache.put(800, 2, cached)
         out, rec = self.select(cache, 800)
@@ -177,7 +180,7 @@ class TestQPreserve:
 
     def test_cache_miss_hard_fails(self):
         with pytest.raises(KeyError):
-            self.select(qc.FeatureCache(), 800)
+            self.select(self.make_cache(), 800)
 
 
 class TestQFlow:
@@ -324,35 +327,64 @@ class TestMatchFieldReference:
 
 
 class TestFlowFieldMemo:
-    def make_cache(self, frames=8):
+    """hand_over builds each flow-phase field once, at the config's keyframe
+    spacing, from the queries the vanilla pass put; select_q only reads it."""
+
+    def make_cache(self, spacing=4):
+        cfg = pipeline.StoryboardConfig(
+            t_pres=750, injection_layers=(1, 2), keyframe_spacing=spacing,
+            model=pipeline.ToyModelSpec(layers=3, patches_per_side=3, channels=4, frames=8),
+        )
         rng = np.random.default_rng(8)
-        cache = qc.FeatureCache()
-        cache.put(500, 1, rng.standard_normal((2, frames, 6, 4)).astype(np.float32))
-        return cache, rng
+        cache = qc.FeatureCache(cfg)
+        puts = {}
+        for t in (800, 500):
+            for layer in range(3):
+                puts[t, layer] = rng.standard_normal((2, 8, 9, 4)).astype(np.float32)
+                cache.put(t, layer, puts[t, layer])
+        return cache, puts
 
-    def test_field_is_memoised(self):
-        cache, _ = self.make_cache()
-        spacing = 4
-        fld = cache.flow_field(500, 1, spacing)
-        assert cache.flow_field(500, 1, spacing) is fld
+    def test_field_is_memoised(self, monkeypatch):
+        cache, puts = self.make_cache()
+        cache.hand_over()
+        fld = cache.flow_fields[500, 1]
+        want = qc.match_field(puts[500, 1], 4)
+        for name in ("f_a", "f_b", "match_a", "match_b", "zero"):
+            assert np.array_equal(getattr(fld, name), getattr(want, name)), name
+
+        def no_match(*args):
+            raise AssertionError("select_q built a field")
+
+        monkeypatch.setattr(qc, "match_field", no_match)
+        live = np.random.default_rng(9).standard_normal((2, 8, 9, 4)).astype(np.float32)
+        for _ in range(2):
+            out, rec = qc.select_q(500, 1, live, cache, cache.config, np.random.default_rng(0))
+            assert rec.role == "flow"
+            assert np.array_equal(out, qc.q_flow(live, fld))
+        assert cache.flow_fields[500, 1] is fld
         with pytest.raises(KeyError):
-            cache.flow_field(400, 1, spacing)
+            qc.select_q(400, 1, live, cache, cache.config, np.random.default_rng(0))
 
-    def test_put_keeps_other_fields(self):
-        cache, rng = self.make_cache()
-        cache.put(500, 2, rng.standard_normal((2, 8, 6, 4)).astype(np.float32))
-        spacing = 4
-        kept = cache.flow_field(500, 2, spacing)
-        cache.put(500, 1, rng.standard_normal((2, 8, 6, 4)).astype(np.float32))
-        assert cache.flow_field(500, 2, spacing) is kept
+    def test_hand_over_keeps_read_queries_drops_the_rest(self):
+        cache, _ = self.make_cache()
+        kept = {key: cache.entries[key] for key in cache.entries if key[0] == 800}
+        cache.hand_over()
+        # t >= t_pres is read verbatim on every layer; below it, layer 0 is not
+        # an injection layer, so nothing reads its queries
+        assert cache.entries.keys() == kept.keys()
+        assert all(cache.entries[key] is kept[key] for key in kept)
+        assert set(cache.flow_fields) == {(500, 1), (500, 2)}
+        fields = dict(cache.flow_fields)
+        cache.hand_over()  # a second hand-over finds nothing left to replace
+        assert cache.entries.keys() == kept.keys()
+        assert all(cache.flow_fields[key] is fields[key] for key in fields)
 
     def test_other_keyframe_spacing_gets_fresh_field(self):
-        cache, _ = self.make_cache()
-        cache.flow_field(500, 1, 4)
-        fld = cache.flow_field(500, 1, 2)
+        cache, puts = self.make_cache(spacing=2)
+        cache.hand_over()
+        fld = cache.flow_fields[500, 1]
         assert list(fld.f_a) == [oracle_bracket(8, 2, f)[0] for f in range(8)]
-        assert np.array_equal(fld.match_b, qc.match_field(cache.entries[500, 1], 2).match_b)
-        assert set(cache.flow_fields) == {(500, 1, 4), (500, 1, 2)}
+        assert np.array_equal(fld.match_b, qc.match_field(puts[500, 1], 2).match_b)
 
 
 class TestQDropout:
@@ -390,10 +422,11 @@ class TestSelectQ:
         )
         rng = np.random.default_rng(0)
         q = rng.standard_normal((1, 4, 4, 4)).astype(np.float32)
-        cache = qc.FeatureCache()
+        cache = qc.FeatureCache(cfg)
         for t in (300, 749, 750):
             for layer in (0, 1):
                 cache.put(t, layer, rng.standard_normal((1, 4, 4, 4)).astype(np.float32))
+        cache.hand_over()
         return cfg, q, cache
 
     def test_boundary_is_preservation(self):
@@ -425,9 +458,15 @@ class TestCacheVanilla:
             next(pipeline.run_passes(cfg, ["a cat, oil"], pipeline.RunMode.CONSISTENT)).cache
             for _ in range(2)
         )
-        assert len(cache.entries) == 5 * 3
+        # t = 1000 and 800 are at or above t_pres = 750, and every layer injects
+        assert len(cache.entries) == 2 * 3
+        assert len(cache.flow_fields) == 3 * 3
         for (t, layer), entry in cache.entries.items():
-            assert entry.shape == (1, 2, 4, 4)
+            assert t >= cfg.t_pres and entry.shape == (1, 2, 4, 4)
+        for (t, layer), fld in cache.flow_fields.items():
+            assert t < cfg.t_pres and fld.match_a.shape == fld.zero.shape == (1, 2, 4)
         for key in cache.entries:
             assert np.array_equal(cache.entries[key], cache2.entries[key])
-
+        for key, fld in cache.flow_fields.items():
+            for name in ("match_a", "match_b", "zero"):
+                assert np.array_equal(getattr(fld, name), getattr(cache2.flow_fields[key], name))
