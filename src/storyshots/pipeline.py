@@ -193,11 +193,6 @@ def _token_vector(token: str, channels: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / math.sqrt(channels), channels).astype(tc.F32)
 
 
-# Float64 logits per plain-attention kernel call: 16 (shot, frame) items at 64
-# patches, 1 at 256, the fastest split measured on a 2-core x86 VM.
-LOGITS_BUDGET_BYTES = 512 * 1024
-
-
 class ToyModel:
     """Attention-only denoiser: a stack of spatial self-attention layers with
     residual connections and an additive prompt-embedding bias per shot:
@@ -248,15 +243,7 @@ def _attend(l: int, h: np.ndarray, w_q, w_k, w_v, cond: bool, hooks) -> np.ndarr
         q = hooks.substitute_q(l, q, cond)
     if hooks is not None and hooks.sdsa_on:
         return hooks.extended_attention(l, q, k, v, cond)
-    # plain attention over the flattened (shot, frame) items
-    qi, ki, vi = (a.reshape(-1, *a.shape[2:]) for a in (q, k, v))
-    h_attn = np.empty_like(qi)
-    step = max(1, LOGITS_BUDGET_BYTES // (8 * qi.shape[1] ** 2))
-    for i in range(0, len(qi), step):  # each chunk's weights die with its call
-        h_attn[i : i + step] = attention.masked_attention(
-            qi[i : i + step], ki[i : i + step], vi[i : i + step]
-        )[0]
-    return h_attn.reshape(q.shape)
+    return attention.masked_attention(q, k, v)[0]  # plain: one call over the (shot, frame) items
 
 
 # --- runs -----------------------------------------------------------------

@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -315,13 +318,93 @@ class TestPlainAttentionChunks:
             )
             assert np.array_equal(full, expected)
 
-    def test_chunk_sizes_bit_identical(self, monkeypatch):
+    def test_chunk_sizes_bit_identical(self, monkeypatch, allow_cpus):
         spec = pipeline.ToyModelSpec(layers=2, patches_per_side=2, channels=4, frames=3)
         model = pipeline.ToyModel(spec, ["a", "b"])
         x = np.random.default_rng(10).standard_normal((2, 3, 4, 4)).astype(np.float32)
+        allow_cpus(0, 1)
+        threads = kernel_threads(monkeypatch)
         outs = []
-        for items in (1, 2, 4, 6):  # items per plain-attention kernel call
-            monkeypatch.setattr(pipeline, "LOGITS_BUDGET_BYTES", items * 8 * 4 * 4)
+        for items in (1, 2, 4, 6):  # items per chunk: 6 and 3 chunks a layer, then 2 and 1
+            monkeypatch.setattr(attention, "LOGITS_BUDGET_BYTES", items * 8 * 4 * 4)
             outs.append(model.forward(x, cond=True))
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
+        assert set(threads) - {threading.get_ident()}  # the 6-chunk calls ran the helper
+
+
+def kernel_threads(monkeypatch) -> list:
+    """Log the thread of every chunk masked_attention computes."""
+    threads = []
+    kernel = attention._kernel
+
+    def logged(*args):
+        threads.append(threading.get_ident())
+        return kernel(*args)
+
+    monkeypatch.setattr(attention, "_kernel", logged)
+    return threads
+
+
+class TestHelperThread:
+    """An unmasked call over items of 4 patches, one item per budget chunk."""
+
+    def inputs(self, monkeypatch, items=6):
+        monkeypatch.setattr(attention, "LOGITS_BUDGET_BYTES", 8 * 4 * 4)
+        rng = np.random.default_rng(21)
+        return tuple(rng.standard_normal((items, 4, 4)).astype(np.float32) for _ in range(3))
+
+    def test_odd_chunks_run_on_one_helper(self, monkeypatch, allow_cpus):
+        q, k, v = self.inputs(monkeypatch, items=7)
+        allow_cpus(0, 1)
+        threads = kernel_threads(monkeypatch)
+        h, weights = attention.masked_attention(q, k, v)
+        assert weights is None and h.dtype == np.float32
+        for i in range(7):
+            assert same_bits(h[i], attention.masked_attention(q[i], k[i], v[i])[0])
+        caller = threading.get_ident()
+        assert threads[7:] == [caller] * 7  # the lone calls above
+        assert threads[:7].count(caller) == 4 and len(set(threads[:7])) == 2
+
+    @pytest.mark.parametrize("cpus, items", [((0,), 6), ((0, 1), 3), (None, 6)])
+    def test_one_cpu_or_under_four_chunks_stay_on_the_caller(
+        self, monkeypatch, allow_cpus, cpus, items
+    ):
+        q, k, v = self.inputs(monkeypatch, items)
+        if cpus is None:  # no affinity call: the CPU count decides
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            allow_cpus(*cpus)
+        threads = kernel_threads(monkeypatch)
+        attention.masked_attention(q, k, v)
+        assert threads == [threading.get_ident()] * items
+        if cpus is None:
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            attention.masked_attention(q, k, v)
+            assert len(set(threads)) == 2
+
+    def test_helper_is_joined_and_its_exception_raised_on_the_caller(
+        self, monkeypatch, allow_cpus
+    ):
+        q, k, v = self.inputs(monkeypatch)
+        allow_cpus(0, 1)
+        caller = threading.get_ident()
+        kernel = attention._kernel
+
+        def slow_helper(*args):  # the caller's chunks finish first
+            if threading.get_ident() != caller:
+                time.sleep(0.02)
+            return kernel(*args)
+
+        monkeypatch.setattr(attention, "_kernel", slow_helper)
+        before = threading.active_count()
+        h, _ = attention.masked_attention(q, k, v)
+        assert threading.active_count() == before
+        assert same_bits(h, np.stack([kernel(q[i], k[i], v[i])[0] for i in range(6)]))
+        for item in (1, 3, 0):  # in the helper's chunks 1 and 3, then in the caller's 0
+            q_bad = q.copy()
+            q_bad[item, 2, 1] = np.nan
+            with pytest.raises(NonFiniteError):
+                attention.masked_attention(q_bad, k, v)
+            assert threading.active_count() == before

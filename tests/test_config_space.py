@@ -9,6 +9,7 @@ built."""
 
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 import yaml
 from hypothesis import assume, given, settings, strategies as st
 
-from storyshots import cli, pipeline
+from storyshots import attention, cli, pipeline
 from storyshots.errors import ConfigError
 
 from chain_oracle import reference_chain
@@ -155,14 +156,13 @@ def test_run_passes_equals_reference_chain(board):
     except ConfigError:
         assume(False)
     prompts = [f"a red fox, scene {s}, ink" for s in range(shots)]
-    # the oracle runs one (shot, frame) item per plain-attention call, so the
-    # equality also covers the chunk loop at run_passes' default budget
-    budget = pipeline.LOGITS_BUDGET_BYTES
-    pipeline.LOGITS_BUDGET_BYTES = 8 * cfg.model.patches**2
-    try:
+    # the oracle runs one (shot, frame) item per budget chunk, as two CPUs
+    # would (from four items on, the odd ones on the helper thread), so the
+    # equality also covers the chunk walk against run_passes' default budget
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attention, "LOGITS_BUDGET_BYTES", 8 * cfg.model.patches**2)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         want = reference_chain(cfg, prompts, pipeline.RunMode(mode))
-    finally:
-        pipeline.LOGITS_BUDGET_BYTES = budget
     got = list(pipeline.run_passes(cfg, prompts, pipeline.RunMode(mode)))
     assert [run.mode for run in got] == [run.mode for run in want]
     for run, ref in zip(got, want):

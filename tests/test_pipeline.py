@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 import tracemalloc
 import warnings
 
@@ -49,14 +50,21 @@ def traced_peak(call) -> int:
 
 
 # vanilla_wide's shape: 5 shots of 8 frames of 256 patches, one 256-patch item
-# (LOGITS_BUDGET_BYTES of float64 logits) per plain-attention kernel call
+# (LOGITS_BUDGET_BYTES of float64 logits) per budget chunk of plain attention,
+# 40 chunks a layer, so the odd ones run on masked_attention's helper thread
 WIDE_SPEC = pipeline.ToyModelSpec(patches_per_side=16)
 # the float32 (S, F, P, C) arrays a forward holds at its peak, inside a layer's
 # plain attention: the residual h, the layer's q, k and v, and its output h_attn
-# (the caller's x was allocated before). One kernel call adds its logits, its
-# bool live mask and float64 copies of one item's q, k and v: under 1.5 budgets,
-# so two leave half a budget for small temporaries.
+# (the caller's x was allocated before). One budget chunk in flight adds its
+# logits, its bool live mask and float64 copies of one item's q, k and v: under
+# 1.5 budgets, so two budgets leave half a budget for small temporaries. With
+# the helper thread two chunks are in flight, and three budgets bound them.
 FORWARD_LIVE_ARRAYS = 5
+
+
+# the CPUs masked_attention is let see, with the budgets of float64 logits its
+# chunks in flight may add to a forward's live arrays: one chunk, or two
+CHUNK_BUDGETS = {(0,): 2, (0, 1): 3}
 
 
 class TestStoryboardConfig:
@@ -296,16 +304,18 @@ class TestToyModel:
         # one plain-attention call per layer at this size, none up to the resumed one
         assert len(kernels) == SMALL_SPEC["layers"] - 1 - layer
 
-    def test_forward_peak_is_its_live_set(self):
+    def test_forward_peak_is_its_live_set(self, allow_cpus):
         # a layer's q, k, v, h_attn and o die before the next layer's projections
-        # and each kernel call's weights with the call; holding the last layer's
+        # and each chunk's weights with the chunk; holding the last layer's
         # five arrays beside the new ones peaks at about 10.6 x
         model = pipeline.ToyModel(WIDE_SPEC, FIVE_PROMPTS)
         x = pipeline._init_latents(pipeline.StoryboardConfig(model=WIDE_SPEC), len(FIVE_PROMPTS))
         model.forward(x, True)  # numpy's first-call allocations are not the forward's
-        peak = traced_peak(lambda: model.forward(x, True))
-        bound = FORWARD_LIVE_ARRAYS * x.nbytes + 2 * pipeline.LOGITS_BUDGET_BYTES
-        assert peak <= bound, (peak / x.nbytes, bound / x.nbytes)
+        for cpus, budgets in CHUNK_BUDGETS.items():
+            allow_cpus(*cpus)
+            peak = traced_peak(lambda: model.forward(x, True))
+            bound = FORWARD_LIVE_ARRAYS * x.nbytes + budgets * attention.LOGITS_BUDGET_BYTES
+            assert peak <= bound, (cpus, peak / x.nbytes, bound / x.nbytes)
 
 
 def per_item_forward(model, x):
@@ -324,15 +334,24 @@ def per_item_forward(model, x):
 
 
 class TestPlainAttentionChunks:
-    def test_partial_last_chunk_equals_per_item_loop(self):
-        # 21 items of 64 patches: chunks of 16 and 5
+    def test_partial_last_chunk_equals_per_item_loop(self, monkeypatch, allow_cpus):
+        # 21 items of 64 patches: at the default budget chunks of 16 and 5, at
+        # 5 items a chunk four of 5 and one of 1, the odd ones on the helper
+        allow_cpus(0, 1)
         spec = pipeline.ToyModelSpec(layers=2, patches_per_side=8, channels=8, frames=7)
         model = pipeline.ToyModel(spec, PROMPTS)
         x = np.random.default_rng(20).standard_normal((3, 7, 64, 8)).astype(np.float32)
-        step = pipeline.LOGITS_BUDGET_BYTES // (8 * 64 * 64)
-        assert 1 < step < 21 and 21 % step
-        got = model.forward(x, cond=True)
-        assert np.array_equal(got, per_item_forward(model, x))
+        want = per_item_forward(model, x)
+        assert attention.LOGITS_BUDGET_BYTES == 16 * 8 * 64 * 64
+        for items in (16, 5):
+            monkeypatch.setattr(attention, "LOGITS_BUDGET_BYTES", items * 8 * 64 * 64)
+            assert np.array_equal(model.forward(x, cond=True), want), items
+
+    def test_wide_shape_equals_per_item_loop(self, allow_cpus):
+        allow_cpus(0, 1)  # 40 one-item chunks a layer, half of them on the helper
+        model = pipeline.ToyModel(WIDE_SPEC, FIVE_PROMPTS)
+        x = pipeline._init_latents(pipeline.StoryboardConfig(model=WIDE_SPEC), len(FIVE_PROMPTS))
+        assert np.array_equal(model.forward(x, cond=True), per_item_forward(model, x))
 
 
 def count_calls(monkeypatch, owner, name) -> list:
@@ -420,6 +439,27 @@ class TestRunPasses:
         else:  # no later pass reads the vanilla queries
             assert all(run.cache is None for run in got)
 
+    def test_only_the_kernel_runs_off_the_calling_thread(self, monkeypatch, allow_cpus):
+        # a span tracer that keeps one stack per process wraps these three
+        allow_cpus(0, 1)
+        monkeypatch.setattr(attention, "LOGITS_BUDGET_BYTES", 2 * 8 * 16 * 16)  # 6 chunks a call
+        threads = {}
+        for owner, name in ((pipeline.ToyModel, "forward"), (attention, "masked_attention"),
+                            (attention, "framewise_sdsa"), (attention, "_kernel")):
+            fn, log = getattr(owner, name), threads.setdefault(name, [])
+
+            def logged(*args, fn=fn, log=log, **kwargs):
+                log.append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, logged)
+        runs = list(pipeline.run_passes(small_config(), PROMPTS))
+        assert len(runs) == 3
+        caller = {threading.get_ident()}
+        for name in ("forward", "masked_attention", "framewise_sdsa"):
+            assert threads[name] and set(threads[name]) == caller, name
+        assert set(threads["_kernel"]) - caller  # the helper ran
+
     @pytest.mark.parametrize("overrides", CHAIN_CONFIGS.values(), ids=CHAIN_CONFIGS)
     def test_every_handoff_is_let_go_once_read(self, overrides):
         # a pass's arrays stay with its own run, not with the runs it handed to
@@ -492,11 +532,14 @@ class TestSample:
         vanilla, consistent = pipeline.run_passes(cfg, PROMPTS, pipeline.RunMode.CONSISTENT)
         assert vanilla.outputs.tobytes() == consistent.outputs.tobytes()
 
-    def test_plain_attention_chunking_transparent(self, monkeypatch):
+    def test_plain_attention_chunking_transparent(self, monkeypatch, allow_cpus):
         cfg = small_config()
+        allow_cpus(0, 1)
         outs = []
-        for items in (1, 2, 5, 12):  # (shot, frame) items of 16 patches per plain-attention call
-            monkeypatch.setattr(pipeline, "LOGITS_BUDGET_BYTES", items * 8 * 16 * 16)
+        # (shot, frame) items of 16 patches per budget chunk: 12 and 6 chunks a
+        # call run the helper thread, 3 and 1 do not
+        for items in (1, 2, 5, 12):
+            monkeypatch.setattr(attention, "LOGITS_BUDGET_BYTES", items * 8 * 16 * 16)
             v, c = pipeline.run_passes(cfg, PROMPTS, pipeline.RunMode.CONSISTENT)
             outs.append(v.outputs.tobytes() + c.outputs.tobytes())
         for other in outs[1:]:
@@ -655,7 +698,7 @@ class TestSample:
         (cached,) = reference_chain(cfg, PROMPTS, pipeline.RunMode.VANILLA)
         assert run.outputs.tobytes() == cached.outputs.tobytes()
 
-    def test_vanilla_pass_peak_is_its_live_set(self):
+    def test_vanilla_pass_peak_is_its_live_set(self, allow_cpus):
         # the latents x plus one forward's live set: step i's estimates (e_cond,
         # e, x0) die before step i + 1's forward, and the DDIM update holds x,
         # e and two float64 buffers, under that. Keeping them into the next
@@ -664,10 +707,12 @@ class TestSample:
         model = pipeline.ToyModel(WIDE_SPEC, FIVE_PROMPTS)
         x = pipeline._init_latents(cfg, len(FIVE_PROMPTS))
         model.forward(x, True)  # numpy's first-call allocations are not the pass's
-        run = pipeline.PipelineRun(cfg, FIVE_PROMPTS, pipeline.RunMode.VANILLA)
-        peak = traced_peak(lambda: pipeline.sample(run))
-        bound = (1 + FORWARD_LIVE_ARRAYS) * x.nbytes + 2 * pipeline.LOGITS_BUDGET_BYTES
-        assert peak <= bound, (peak / x.nbytes, bound / x.nbytes)
+        for cpus, budgets in CHUNK_BUDGETS.items():
+            allow_cpus(*cpus)
+            run = pipeline.PipelineRun(cfg, FIVE_PROMPTS, pipeline.RunMode.VANILLA)
+            peak = traced_peak(lambda: pipeline.sample(run))
+            bound = (1 + FORWARD_LIVE_ARRAYS) * x.nbytes + budgets * attention.LOGITS_BUDGET_BYTES
+            assert peak <= bound, (cpus, peak / x.nbytes, bound / x.nbytes)
 
     def test_vanilla_fills_the_cache_it_is_given(self):
         cfg = small_config()
