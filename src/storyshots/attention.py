@@ -38,43 +38,37 @@ def masked_attention(q, k, v, allowed=None):
     one float64 logits buffer updated in place and returned as the weights.
     Returns (h, weights); h is float32, pre output-projection.
 
-    A call with no mask whose q, k and v share their leading axes, and whose
-    logits exceed LOGITS_BUDGET_BYTES, walks its flattened items in chunks of
+    A call with no mask (q, k and v then share their leading axes) whose
+    logits exceed LOGITS_BUDGET_BYTES walks its flattened items in chunks of
     at most that budget; each chunk's weights die with it, and the call
     returns None for the weights. From four chunks on, when the process may
-    run on two or more CPUs, the odd chunks run on one helper thread, which
-    is joined before the call returns; its exception is raised here.
+    run on two or more CPUs, a helper thread walks the odd chunks; the call
+    joins it and then raises the first failure either walk recorded.
     """
     lead = np.shape(q)[:-2]
     n = math.prod(lead)
     step = max(1, LOGITS_BUDGET_BYTES // (8 * np.shape(q)[-2] * np.shape(k)[-2]))
-    if allowed is not None or n <= step or not (lead == np.shape(k)[:-2] == np.shape(v)[:-2]):
+    if allowed is not None or n <= step:
         return _kernel(q, k, v, allowed)
     q, k, v = (np.reshape(a, (n, *np.shape(a)[-2:])) for a in (q, k, v))
     h = np.empty((n, q.shape[1], v.shape[2]), tc.F32)
+    failed = []
 
     def walk(starts):
-        for i in starts:
-            h[i : i + step] = _kernel(q[i : i + step], k[i : i + step], v[i : i + step])[0]
+        try:
+            for i in starts:
+                h[i : i + step] = _kernel(q[i : i + step], k[i : i + step], v[i : i + step])[0]
+        except BaseException as exc:  # raised on the calling thread, after the join
+            failed.append(exc)
 
     starts = range(0, n, step)
     if len(starts) < 4 or _cpus() < 2:
         walk(starts)
-        return h.reshape(*lead, *h.shape[1:]), None
-    failed = []
-
-    def helper():
-        try:
-            walk(starts[1::2])
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
+    else:
+        helper = threading.Thread(target=walk, args=(starts[1::2],))
+        helper.start()
         walk(starts[::2])
-    finally:
-        thread.join()
+        helper.join()
     if failed:
         raise failed[0]
     return h.reshape(*lead, *h.shape[1:]), None

@@ -258,8 +258,8 @@ class PipelineRun:
     audit: list = field(default_factory=list)
     # correspondence-map ids, numbered from 1 in build order within this run
     map_ids: itertools.count = field(default_factory=lambda: itertools.count(1), repr=False)
-    # set by run_passes: the Handoffs this pass fills, and the one it resumes from
-    hand_over: list = field(default_factory=list, repr=False)
+    # set by run_passes: the Handoffs this pass fills, by step, and the one it resumes from
+    hand_over: dict = field(default_factory=dict, repr=False)
     resume_from: Handoff | None = field(default=None, repr=False)
 
     @property
@@ -393,7 +393,7 @@ def sample(run: PipelineRun) -> np.ndarray:
     one; an injecting run reads what the cache's hand_over kept of them
     (run_passes builds that cache and hands it over).
     A run with a resume_from Handoff starts where it points; each Handoff in
-    run.hand_over is filled at its point and let go when the pass ends."""
+    run.hand_over is popped at its step, where the pass fills it."""
     cfg = run.config
     spec = cfg.model
     shots = run.shots
@@ -414,7 +414,7 @@ def sample(run: PipelineRun) -> np.ndarray:
                 layer, run.cache.entries[t, layer], True
             )
     for i in range(got.step, len(ts) + 1):
-        hand = next((h for h in run.hand_over if h.step == i), None)
+        hand = run.hand_over.pop(i, None)
         if hand is not None:  # inject_o retakes a handoff's records at its layer
             hand.x, hand.audit = x, run.audit[:]
         if i == len(ts):  # the later pass has nothing left to run
@@ -440,7 +440,6 @@ def sample(run: PipelineRun) -> np.ndarray:
         x, e_cond = _ddim_step(model, x, e_cond, hooks, cfg.cfg_scale, alphas[t], alphas[t_next]), None
         if not np.isfinite(x).all():
             raise NonFiniteError(f"{run.mode.value} pass produced non-finite latents at t={t}")
-    run.hand_over = []
     run.outputs = x
     return x
 
@@ -485,7 +484,7 @@ def run_passes(config: StoryboardConfig, prompts, mode: RunMode = RunMode.REFINE
     cache = query_control.FeatureCache(config) if len(modes) > 1 and config.q_injection else None
     runs = [PipelineRun(config, prompts, run_mode, cache=cache) for run_mode in modes]
     for run, hand in zip(runs[1:], _handoffs(config)):
-        runs[0 if hand.from_vanilla else 1].hand_over.append(hand)
+        runs[0 if hand.from_vanilla else 1].hand_over[hand.step] = hand
         run.resume_from = hand
     while runs:
         run = runs.pop(0)

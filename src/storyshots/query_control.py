@@ -19,26 +19,23 @@ from . import tensor_core as tc
 @dataclass
 class FeatureCache:
     """The vanilla-pass queries the later passes of one config read: entries
-    maps (timestep, layer_id) to queries (S, F, P, d), put for every (t, layer)
-    by the vanilla pass; hand_over keeps each flow-phase one as its FlowField."""
+    maps (timestep, layer_id) to queries (S, F, P, d), put by the vanilla pass
+    for each (t, layer) whose query_role is not "consistent"; hand_over keeps
+    each flow-phase one as its FlowField."""
 
     config: object  # the StoryboardConfig of the passes that read the cache
     entries: dict = field(default_factory=dict)
     flow_fields: dict = field(default_factory=dict, repr=False)
 
     def put(self, t: int, layer_id: int, q: np.ndarray) -> None:
-        self.entries[(t, layer_id)] = np.array(q, dtype=tc.F32, copy=True)
+        if query_role(t, layer_id, self.config) != "consistent":  # there a pass reads its live queries
+            self.entries[(t, layer_id)] = np.array(q, dtype=tc.F32, copy=True)
 
     def hand_over(self) -> None:
-        """Keep only what select_q reads, once the vanilla pass has put every
-        (t, layer): the queries it copies verbatim, and the match field of
-        each flow-phase one in place of its queries."""
-        for key in list(self.entries):
-            role = query_role(*key, self.config)
-            if role == "flow":
-                self.flow_fields[key] = match_field(self.entries.pop(key), self.config.keyframe_spacing)
-            elif role == "consistent":
-                del self.entries[key]
+        """Replace each flow-phase entry by its match field, once the vanilla
+        pass has put every (t, layer); select_q reads the rest verbatim."""
+        for key in [key for key in self.entries if query_role(*key, self.config) == "flow"]:
+            self.flow_fields[key] = match_field(self.entries.pop(key), self.config.keyframe_spacing)
 
 
 def keyframe_brackets(frames: int, spacing: int):

@@ -395,7 +395,11 @@ class TestHelperThread:
         def slow_helper(*args):  # the caller's chunks finish first
             if threading.get_ident() != caller:
                 time.sleep(0.02)
-            return kernel(*args)
+            try:
+                return kernel(*args)
+            except NonFiniteError as exc:
+                exc.thread = threading.get_ident()
+                raise
 
         monkeypatch.setattr(attention, "_kernel", slow_helper)
         before = threading.active_count()
@@ -408,3 +412,11 @@ class TestHelperThread:
             with pytest.raises(NonFiniteError):
                 attention.masked_attention(q_bad, k, v)
             assert threading.active_count() == before
+        # both walks fail, the caller's in chunk 0 before the helper's in
+        # chunk 1: the first recorded failure alone reaches the caller
+        q_bad = q.copy()
+        q_bad[[0, 1], 2, 1] = np.nan
+        with pytest.raises(NonFiniteError) as raised:
+            attention.masked_attention(q_bad, k, v)
+        assert raised.value.thread == caller
+        assert threading.active_count() == before

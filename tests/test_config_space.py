@@ -4,9 +4,12 @@ artifact, and a second run in the same process writes the same bytes;
 run_passes, whose passes resume from each other's handoffs, writes the bytes
 of the sequential chain, run at one item per plain-attention call, for every
 valid one, and hands the later passes only the cached queries and match
-fields they read; and each hand-picked malformed config fails when it is
-built."""
+fields they read; the CLI writes the tree the sequential chain gives through
+the CLI's writers; at cfg_scale 1 the guided estimate the sampler skips is
+the conditional one at every step; and each hand-picked malformed config
+fails when it is built."""
 
+import hashlib
 import json
 import math
 import os
@@ -14,11 +17,12 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
-from storyshots import attention, cli, pipeline
+from storyshots import attention, cli, pipeline, prompts as prompt_files, tensor_core
 from storyshots.errors import ConfigError
 
 from chain_oracle import reference_chain
@@ -116,6 +120,17 @@ def tree(out: Path) -> dict:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
+def built(config, shots: int) -> pipeline.StoryboardConfig:
+    """The drawn config as run_passes takes it; a config the CLI would fail
+    on is no example."""
+    try:
+        cfg = pipeline.StoryboardConfig.from_dict(config)
+        cfg.anchor_list(shots)
+    except ConfigError:
+        assume(False)
+    return cfg
+
+
 def assert_failed_before_compute(out: Path):
     assert (out / "FAILED").read_text().startswith("ConfigError")
     assert not list(out.rglob("latents_*.tensor"))
@@ -150,11 +165,7 @@ def test_config_fails_early_or_run_writes_every_artifact(board):
 @given(storyboards())
 def test_run_passes_equals_reference_chain(board):
     config, shots, mode = board
-    try:
-        cfg = pipeline.StoryboardConfig.from_dict(config)
-        cfg.anchor_list(shots)
-    except ConfigError:
-        assume(False)
+    cfg = built(config, shots)
     prompts = [f"a red fox, scene {s}, ink" for s in range(shots)]
     # the oracle runs one (shot, frame) item per budget chunk, as two CPUs
     # would (from four items on, the odd ones on the helper thread), so the
@@ -174,11 +185,7 @@ def test_run_passes_equals_reference_chain(board):
 @given(storyboards())
 def test_vanilla_hands_later_passes_only_what_they_read(board):
     config, shots, _ = board
-    try:
-        cfg = pipeline.StoryboardConfig.from_dict(config)
-        cfg.anchor_list(shots)
-    except ConfigError:
-        assume(False)
+    cfg = built(config, shots)
     prompts = [f"a red fox, scene {s}, ink" for s in range(shots)]
     # the refined run's passes start only once the vanilla run is yielded
     cache = next(pipeline.run_passes(cfg, prompts)).cache
@@ -190,6 +197,74 @@ def test_vanilla_hands_later_passes_only_what_they_read(board):
     assert cache.entries.keys() == preserved
     flow = {(t, layer) for t, layer in keys - preserved if layer in cfg.injection_layer_set()}
     assert cache.flow_fields.keys() == flow
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(storyboards())
+def test_cli_writes_the_reference_chain(board):
+    config, shots, mode = board
+    cfg = built(config, shots)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert run_cli(tmp, config, shots, mode) == 0
+        shot_prompts = prompt_files.load_prompts(tmp / "prompts.yaml")[0].full_prompts
+        lib = tmp / "library"
+        lib.mkdir()
+        fingerprints = {}
+        for run in reference_chain(cfg, shot_prompts, pipeline.RunMode(mode)):
+            path = lib / f"latents_{run.mode.value}.tensor"
+            fingerprints[run.mode.value] = tensor_core.save_tensor(path, run.outputs)
+            if run.mode != pipeline.RunMode.VANILLA:
+                cli._write_audit(lib / f"audit_{run.mode.value}.jsonl", run.audit)
+        cli._write_metrics(lib, run)
+        written, want = tree(tmp / "out" / "fox"), tree(lib)
+        manifest = json.loads(written.pop("manifest.json"))
+        assert written.keys() == want.keys()
+        for name, data in want.items():
+            assert written[name] == data, name
+        assert manifest == {
+            "config": cfg.to_dict(),
+            "prompt_file_hash": hashlib.sha256((tmp / "prompts.yaml").read_bytes()).hexdigest(),
+            "seed": cfg.seed,
+            "mode": mode,
+            "run_fingerprint": pipeline.run_fingerprint(cfg, shot_prompts),
+            "pass_fingerprints": fingerprints,
+        }
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(storyboards())
+def test_scale_one_guidance_is_the_conditional_estimate(board):
+    config, shots, mode = board
+    cfg = built(dict(config, cfg_scale=1.0), shots)
+    ddim_step, ran = pipeline._ddim_step, []
+
+    def guided(model, x, c, hooks, scale, a, a_next):
+        # the unconditional forward that scale 1 skips, with the step's hooks
+        u = model.forward(x, cond=False, hooks=hooks).astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = (u + 1.0 * (c.astype(np.float64) - u)).astype(np.float32)
+        off = e.view(np.uint32) != c.view(np.uint32)
+        signed_zero = off & (e == c)
+        gap = off & ~signed_zero & (np.abs(u) >= 2.0**29 * np.abs(c.astype(np.float64)))
+        assert not (off & ~signed_zero & ~gap).any(), (cfg, hooks.t)
+        # the README's two named cases are counted, not failed on: pytest
+        # --hypothesis-show-statistics reports the share of examples with each
+        for name, found in (("signed zero", signed_zero), ("|u| >= 2^29·|c|", gap)):
+            if found.any():
+                event(f"scale-1 blend is not c: {name}")
+        ran.append(hooks.t)
+        return ddim_step(model, x, c, hooks, scale, a, a_next)
+
+    prompts = [f"a red fox, scene {s}, ink" for s in range(shots)]
+    ts = cfg.timesteps()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_ddim_step", guided)
+        for run in pipeline.run_passes(cfg, prompts, pipeline.RunMode(mode)):
+            # every step the pass ran: those from its handoff on, all of vanilla's
+            assert ran == ts[len(ts) - len(ran) :], run.mode
+            assert run.mode != pipeline.RunMode.VANILLA or ran == ts
+            ran.clear()
 
 
 # Malformed values that once ran with another meaning ([0.5] as shot 0, [True]

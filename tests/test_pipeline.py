@@ -464,7 +464,22 @@ class TestRunPasses:
     def test_every_handoff_is_let_go_once_read(self, overrides):
         # a pass's arrays stay with its own run, not with the runs it handed to
         for run in pipeline.run_passes(small_config(**overrides), PROMPTS):
-            assert run.resume_from is None and run.hand_over == [], run.mode
+            assert run.resume_from is None and not run.hand_over, run.mode
+
+    def test_vanilla_puts_no_query_that_no_pass_reads(self, monkeypatch):
+        # below t_pres only injection layer 0 is read, through its match field
+        cfg = small_config(injection_layers=(0,))
+        held = []
+        hand_over = qc.FeatureCache.hand_over
+
+        def logged(cache):
+            held.append(set(cache.entries))
+            hand_over(cache)
+
+        monkeypatch.setattr(qc.FeatureCache, "hand_over", logged)
+        list(pipeline.run_passes(cfg, PROMPTS, pipeline.RunMode.CONSISTENT))
+        every = {(t, layer) for t in cfg.timesteps() for layer in range(cfg.model.layers)}
+        assert held == [{(t, layer) for t, layer in every if t >= cfg.t_pres or layer == 0}]
 
     def test_each_pass_is_yielded_once_sampled_and_injecting_ones_read_every_query(
         self, monkeypatch
