@@ -40,10 +40,10 @@ def masked_attention(q, k, v, allowed=None):
 
     A call with no mask (q, k and v then share their leading axes) whose
     logits exceed LOGITS_BUDGET_BYTES walks its flattened items in chunks of
-    at most that budget; each chunk's weights die with it, and the call
-    returns None for the weights. From four chunks on, when the process may
-    run on two or more CPUs, a helper thread walks the odd chunks; the call
-    joins it and then raises the first failure either walk recorded.
+    at most that budget, all in one logits buffer per walk, and returns None
+    for the weights. From four chunks on, when the process may run on two or
+    more CPUs, a helper thread walks the odd chunks; the call joins it and
+    then raises the first failure either walk recorded.
     """
     lead = np.shape(q)[:-2]
     n = math.prod(lead)
@@ -56,8 +56,10 @@ def masked_attention(q, k, v, allowed=None):
 
     def walk(starts):
         try:
+            logits = np.empty((step, q.shape[1], k.shape[1]))
             for i in starts:
-                h[i : i + step] = _kernel(q[i : i + step], k[i : i + step], v[i : i + step])[0]
+                h[i : i + step] = _kernel(q[i : i + step], k[i : i + step], v[i : i + step], None,
+                                          logits[: n - i])[0]
         except BaseException as exc:  # raised on the calling thread, after the join
             failed.append(exc)
 
@@ -81,8 +83,8 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _kernel(q, k, v, allowed=None):
-    """masked_attention on one chunk: the whole call, weights included."""
+def _kernel(q, k, v, allowed=None, logits=None):
+    """masked_attention on one chunk: the whole call, weights included (made in logits if given)."""
     top = np.finfo(tc.F32).max
     if not (np.abs(q).max(initial=0.0) <= top and np.abs(k).max(initial=0.0) <= top):
         raise NonFiniteError("attention needs queries and keys in float32's finite range")
@@ -90,7 +92,8 @@ def _kernel(q, k, v, allowed=None):
     # a power-of-two √d scales exactly, so a new q takes it in place of the Pq·Pk logits
     folded = math.frexp(root)[0] == 0.5
     q = np.multiply(q, 1.0 / root, dtype=np.float64) if folded else np.asarray(q, np.float64)
-    logits = np.matmul(q, np.swapaxes(np.asarray(k, np.float64), -1, -2))
+    logits = np.matmul(q, np.swapaxes(np.asarray(k, np.float64), -1, -2), out=logits)
+    q = None  # read by the product alone: the chunk's softmax runs without the float64 q
     if not folded:
         logits /= root
     if allowed is not None:

@@ -362,26 +362,10 @@ class _StepHooks:
             hand.resume, hand.audit = (layer, h, o), self.run.audit[:]
         if not self.refine_on or layer not in cfg.refine_layer_set():
             return o
-        out = o.copy()
-        map_ids = []
-        for s in range(o.shape[0]):
-            sources = sorted(a for a in self.anchors if a != s)
-            if not sources:
-                continue
-            anchor_feats = np.concatenate([o[a] for a in sources], axis=0)
-            units = tc.unit_rows(anchor_feats) if cond else None
-            for f in range(o.shape[1]):
-                key = (layer, s, f)
-                if cond:
-                    self.refine_handles[key] = refinement.build_correspondence(
-                        o[s, f], units, target=(s, f)
-                    )
-                    map_ids.append(next(self.run.map_ids))
-                out[s, f] = refinement.inject_refinement(
-                    out[s, f], anchor_feats, self.refine_handles[key], self.masks.masks[s, f],
-                    cfg.refine_blend,
-                )
+        out, maps = refinement.refine(o, self.anchors, self.masks.masks, cfg.refine_blend,
+                                      None if cond else self.refine_handles[layer])
         if cond:  # sample copies these records as the unconditional forward's
+            self.refine_handles[layer], map_ids = maps, [next(self.run.map_ids) for _ in maps]
             self.record("refinement", layer, {"pass": "cond", "map_ids": map_ids})
         return out
 

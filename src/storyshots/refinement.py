@@ -1,7 +1,7 @@
 """Refinement feature injection: blend attention-output features from anchor
 frames into corresponding subject patches. The conditional pass builds the
-correspondence map once per denoising step; at a `cfg_scale` other than 1 the
-unconditional pass reuses it verbatim, which keeps the two passes in sync.
+correspondence maps once per denoising step; at a `cfg_scale` other than 1 the
+unconditional pass reuses them verbatim, which keeps the two passes in sync.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from . import tensor_core as tc
 
 @dataclass
 class CorrespondenceMap:
-    """Per-patch (frame, patch) match into an anchor's full frame set."""
+    """Per-patch match into the flattened (frame, patch) rows of an anchor set."""
 
     target: tuple  # (shot, frame)
-    match_frame: np.ndarray  # int (P,)
-    match_patch: np.ndarray  # int (P,)
+    match: np.ndarray  # int (P,); frame and patch are divmod(match, patches)
     score: np.ndarray  # float (P,)
     matched: np.ndarray  # bool (P,); False where the target vector was zero
 
@@ -34,16 +33,9 @@ def build_correspondence(
     ties break to the lowest linear index, and zero target vectors are left
     unmatched and flagged.
     """
-    patches, dim = anchor_units.shape[1:]
+    dim = anchor_units.shape[-1]
     best, score = tc.best_match(tc.unit_rows(target_feats), anchor_units.reshape(1, -1, dim))
-    linear = best[:, 0]
-    return CorrespondenceMap(
-        target=target,
-        match_frame=linear // patches,
-        match_patch=linear % patches,
-        score=score[:, 0],
-        matched=target_feats.any(axis=1),
-    )
+    return CorrespondenceMap(target, best[:, 0], score[:, 0], target_feats.any(axis=1))
 
 
 def inject_refinement(
@@ -52,18 +44,39 @@ def inject_refinement(
     corr: CorrespondenceMap,
     mask: np.ndarray,
     blend: float,
-) -> np.ndarray:
-    """Blend matched anchor features into subject patches.
-
-    Background patches (mask False) and unmatched patches are bit-unchanged.
+) -> None:
+    """Blend matched anchor features, the rows of o_anchor (..., d) that
+    corr.match indexes once flattened, into the subject patches of o_target
+    (P, d), in place. Background patches (mask False) and unmatched patches
+    are bit-unchanged.
     """
-    out = o_target.copy()
     if blend == 0.0:  # the blend below would turn a -0.0 feature into +0.0
-        return out
+        return
     active = mask & corr.matched
-    src = o_anchor[corr.match_frame[active], corr.match_patch[active]]
-    out[active] = (
-        (1.0 - blend) * out[active].astype(np.float64)
+    src = o_anchor.reshape(-1, o_anchor.shape[-1])[corr.match[active]]
+    o_target[active] = (
+        (1.0 - blend) * o_target[active].astype(np.float64)
         + blend * src.astype(np.float64)
     ).astype(tc.F32)
-    return out
+
+
+def refine(o: np.ndarray, anchors, masks: np.ndarray, blend: float, maps: dict | None = None):
+    """Refinement of one layer's attention output o (S, F, P, d) under the
+    (S, F, P) bool masks. A shot's sources are the other anchor shots (a shot
+    with none is left as it is); their frames are normalized once per shot,
+    and each (shot, frame) gets one build_correspondence against them unless
+    maps, as this call returned them for the conditional forward, are given.
+    Returns (out, maps), the maps keyed by (shot, frame) in build order."""
+    out, build = o.copy(), maps is None
+    maps = {} if build else maps
+    for s in range(o.shape[0]):
+        sources = sorted(a for a in anchors if a != s)
+        if not sources:
+            continue
+        feats = np.concatenate([o[a] for a in sources], axis=0)
+        units = tc.unit_rows(feats) if build else None
+        for f in range(o.shape[1]):
+            if build:
+                maps[s, f] = build_correspondence(o[s, f], units, (s, f))
+            inject_refinement(out[s, f], feats, maps[s, f], masks[s, f], blend)
+    return out, maps

@@ -366,6 +366,28 @@ class TestHelperThread:
         assert threads[7:] == [caller] * 7  # the lone calls above
         assert threads[:7].count(caller) == 4 and len(set(threads[:7])) == 2
 
+    @pytest.mark.parametrize("cpus", [(0,), (0, 1)])
+    def test_each_walk_makes_its_chunks_logits_in_one_buffer(self, monkeypatch, allow_cpus, cpus):
+        q, k, v = self.inputs(monkeypatch, items=7)
+        monkeypatch.setattr(attention, "LOGITS_BUDGET_BYTES", 2 * 8 * 4 * 4)  # 2 items, the last 1
+        allow_cpus(*cpus)
+        kernel, walks = attention._kernel, {}  # thread -> the weights of each chunk it made
+
+        def logged(*args):
+            h, weights = kernel(*args)
+            walks.setdefault(threading.get_ident(), []).append(weights)
+            return h, weights
+
+        monkeypatch.setattr(attention, "_kernel", logged)
+        h, _ = attention.masked_attention(q, k, v)
+        assert len(walks) == len(cpus) and sum(map(len, walks.values())) == 4
+        for chunks in walks.values():
+            assert all(np.shares_memory(w, chunks[0]) for w in chunks)
+        firsts = [chunks[0] for chunks in walks.values()]
+        assert not any(np.shares_memory(a, b) for a, b in zip(firsts, firsts[1:]))
+        for i in range(7):  # the per-item loop
+            assert same_bits(h[i], kernel(q[i], k[i], v[i])[0])
+
     @pytest.mark.parametrize("cpus, items", [((0,), 6), ((0, 1), 3), (None, 6)])
     def test_one_cpu_or_under_four_chunks_stay_on_the_caller(
         self, monkeypatch, allow_cpus, cpus, items

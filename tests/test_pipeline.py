@@ -460,6 +460,13 @@ class TestRunPasses:
             assert threads[name] and set(threads[name]) == caller, name
         assert set(threads["_kernel"]) - caller  # the helper ran
 
+    @pytest.mark.parametrize("mode", pipeline.RunMode, ids=lambda m: m.value)
+    def test_no_prompt_fails_before_any_forward(self, monkeypatch, mode):
+        forwards = count_calls(monkeypatch, pipeline.ToyModel, "forward")
+        with pytest.raises(ConfigError, match="run needs at least one prompt"):
+            list(pipeline.run_passes(small_config(), [], mode))
+        assert not forwards
+
     @pytest.mark.parametrize("overrides", CHAIN_CONFIGS.values(), ids=CHAIN_CONFIGS)
     def test_every_handoff_is_let_go_once_read(self, overrides):
         # a pass's arrays stay with its own run, not with the runs it handed to

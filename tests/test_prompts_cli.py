@@ -103,6 +103,16 @@ class TestPromptSets:
         with pytest.raises(PromptError, match="'Straße' and 'STRASSE' differ only in letter case"):
             prompts.parse_prompt_sets({"Straße": entry, "dog": entry, "STRASSE": entry})
 
+    @pytest.mark.parametrize("doc", [None, ["fox"], "fox"], ids=["empty", "list", "text"])
+    def test_non_mapping_document_rejected(self, doc):
+        with pytest.raises(PromptError, match="prompt file must be a mapping"):
+            prompts.parse_prompt_sets(doc)
+
+    @pytest.mark.parametrize("entry", [None, ["a red fox"], "a red fox"], ids=["null", "list", "text"])
+    def test_non_mapping_set_entry_rejected(self, entry):
+        with pytest.raises(PromptError, match="prompt set 'fox': expected a mapping"):
+            prompts.parse_prompt_sets({"fox": entry})
+
     def test_non_list_settings_rejected(self):
         with pytest.raises(PromptError):
             prompts.parse_prompt_sets(
@@ -644,6 +654,22 @@ class TestCli:
         assert (out / "FAILED").read_text().startswith(f"{error}: ")
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["FAILED"]
+
+    def test_unhashable_config_key_fails_the_run(self, io_paths, capsys):
+        cfg, pro, out = io_paths
+        cfg.write_text("? [seed, sampler_steps]\n: 2\n")  # a flow sequence as a key
+        assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--out", str(out)]) == 1
+        failed = (out / "FAILED").read_text()
+        assert failed.startswith("ConfigError: ") and "found unhashable key" in failed
+        assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["FAILED"]
+
+    def test_unknown_mode_fails_before_compute(self, io_paths, capsys):
+        cfg, pro, out = io_paths
+        assert cli.run_storyboard(cfg, pro, out, mode="bogus") == 1
+        assert (out / "FAILED").read_text() == "StoryshotsError: unknown mode 'bogus'\n"
+        assert "Traceback" not in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["FAILED"]
 
     def test_prompt_hash_is_of_the_parsed_bytes(self, io_paths, monkeypatch):

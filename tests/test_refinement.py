@@ -47,11 +47,15 @@ def tie_heavy(rng, shape) -> np.ndarray:
     return x
 
 
+def frames_patches(corr, patches) -> list:
+    """The (frame, patch) of each entry of corr's flat match index."""
+    return [divmod(m, patches) for m in corr.match.tolist()]
+
+
 def assert_equals_reference(target, anchor):
     corr = rf.build_correspondence(target, tc.unit_rows(anchor))
     frame, patch, score = reference_correspondence(target, tc.unit_rows(anchor))
-    assert corr.match_frame.tolist() == frame.tolist()
-    assert corr.match_patch.tolist() == patch.tolist()
+    assert frames_patches(corr, anchor.shape[1]) == list(zip(frame.tolist(), patch.tolist()))
     assert corr.score.tobytes() == score.tobytes()
     assert corr.matched.tolist() == target.any(axis=1).tolist()
 
@@ -83,8 +87,7 @@ class TestBuildCorrespondence:
         anchor = rng.standard_normal((3, 8, 4)).astype(np.float32)
         anchor[1] = target
         corr = rf.build_correspondence(target, tc.unit_rows(anchor))
-        assert (corr.match_frame == 1).all()
-        assert np.array_equal(corr.match_patch, np.arange(8))
+        assert frames_patches(corr, 8) == [(1, p) for p in range(8)]
         assert np.allclose(corr.score, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -94,8 +97,7 @@ class TestBuildCorrespondence:
         anchor = rng.standard_normal((4, 16, 8)).astype(np.float32)
         corr = rf.build_correspondence(target, tc.unit_rows(anchor))
         expected = exhaustive_correspondence(target, anchor)
-        got = list(zip(corr.match_frame.tolist(), corr.match_patch.tolist()))
-        assert got == expected
+        assert frames_patches(corr, 16) == expected
 
     def test_orthogonal_scores_zero_with_tie_rule(self):
         target = np.array([[1.0, 0.0]], dtype=np.float32)
@@ -103,7 +105,7 @@ class TestBuildCorrespondence:
         anchor[..., 1] = 1.0  # every candidate orthogonal to the target
         corr = rf.build_correspondence(target, tc.unit_rows(anchor))
         assert corr.score[0] == 0.0
-        assert (corr.match_frame[0], corr.match_patch[0]) == (0, 0)
+        assert frames_patches(corr, 3) == [(0, 0)]
 
     def test_duplicate_candidates_tie_to_lowest_linear_index(self):
         target = np.array([[1.0, 0.0]], dtype=np.float32)
@@ -111,7 +113,7 @@ class TestBuildCorrespondence:
         anchor[0, 1] = [2.0, 0.0]
         anchor[1, 0] = [1.0, 0.0]
         corr = rf.build_correspondence(target, tc.unit_rows(anchor))
-        assert (corr.match_frame[0], corr.match_patch[0]) == (0, 1)
+        assert frames_patches(corr, 2) == [(0, 1)]
 
     def test_zero_target_flagged_unmatched(self):
         target = np.zeros((2, 3), dtype=np.float32)
@@ -120,6 +122,13 @@ class TestBuildCorrespondence:
         corr = rf.build_correspondence(target, tc.unit_rows(anchor))
         assert not corr.matched[0]
         assert corr.matched[1]
+
+
+def injected(target, anchor, corr, mask, blend):
+    """inject_refinement, which writes in place, run on a copy of target."""
+    out = target.copy()
+    assert rf.inject_refinement(out, anchor, corr, mask, blend) is None
+    return out
 
 
 class TestInjectRefinement:
@@ -131,7 +140,7 @@ class TestInjectRefinement:
         self.mask = np.array([True, True, False, True, False, True])
 
     def test_blend_zero_identity(self):
-        out = rf.inject_refinement(self.target, self.anchor, self.corr, self.mask, 0.0)
+        out = injected(self.target, self.anchor, self.corr, self.mask, 0.0)
         assert np.array_equal(out, self.target)
 
     def test_blend_one_identity_map_full_mask_substitutes(self):
@@ -139,15 +148,15 @@ class TestInjectRefinement:
         anchor[0] = self.target * 2.0
         corr = rf.build_correspondence(self.target, tc.unit_rows(anchor))
         # scaled copy matches identically (cosine is scale invariant)
-        out = rf.inject_refinement(self.target, anchor, corr, np.ones(6, dtype=bool), 1.0)
+        out = injected(self.target, anchor, corr, np.ones(6, dtype=bool), 1.0)
         assert np.array_equal(out, anchor[0])
 
     def test_empty_mask_unchanged(self):
-        out = rf.inject_refinement(self.target, self.anchor, self.corr, np.zeros(6, dtype=bool), 0.9)
+        out = injected(self.target, self.anchor, self.corr, np.zeros(6, dtype=bool), 0.9)
         assert np.array_equal(out, self.target)
 
     def test_background_bit_unchanged(self):
-        out = rf.inject_refinement(self.target, self.anchor, self.corr, self.mask, 0.8)
+        out = injected(self.target, self.anchor, self.corr, self.mask, 0.8)
         background = ~self.mask
         assert np.array_equal(out[background], self.target[background])
         assert not np.array_equal(out[self.mask], self.target[self.mask])
@@ -155,6 +164,80 @@ class TestInjectRefinement:
     def test_idempotent_at_blend_one_identity_map(self):
         anchor = self.target[None].copy()
         corr = rf.build_correspondence(self.target, tc.unit_rows(anchor))
-        once = rf.inject_refinement(self.target, anchor, corr, np.ones(6, dtype=bool), 1.0)
-        twice = rf.inject_refinement(once, anchor, corr, np.ones(6, dtype=bool), 1.0)
+        once = injected(self.target, anchor, corr, np.ones(6, dtype=bool), 1.0)
+        twice = injected(once, anchor, corr, np.ones(6, dtype=bool), 1.0)
         assert np.array_equal(once, twice)
+
+    def test_in_place_writes_only_active_rows_of_its_frame(self):
+        rng = np.random.default_rng(4)
+        o = rng.standard_normal((2, 3, 8, 4)).astype(np.float32)
+        o[1, 2, :2] = 0.0  # unmatched rows
+        o[1, 2, 2, 0] = -0.0  # signed zeros in a background row
+        o[0, 1, 3] = -0.0  # and in another frame
+        corr = rf.build_correspondence(o[1, 2], tc.unit_rows(o[0]))
+        mask = np.array([True, True, False, True, True, False, True, True])
+        out = o.copy()
+        rf.inject_refinement(out[1, 2], o[0], corr, mask, 0.5)
+        written = np.zeros((2, 3, 8), dtype=bool)
+        written[1, 2] = mask & corr.matched
+        assert written[1, 2].tolist() == [False, False, False, True, True, False, True, True]
+        assert out[~written].tobytes() == o[~written].tobytes()
+        assert (out[written] != o[written]).any(axis=1).all()
+
+
+def reference_refine(o, anchors, masks, blend, handles=None):
+    """One layer's refinement as the pipeline's output-injection hook ran it
+    before refinement.refine, build_correspondence and the copying
+    inject_refinement of that time inlined: per (shot, frame) a match by
+    reference_correspondence into the shot's sources' frames, and a blend of
+    the (frame, patch) rows it names into a copy of the frame. handles, the
+    (frame, patch, matched) per (shot, frame) that a call without them
+    returns, are reused as the unconditional forward reused them. Returns
+    (out, handles)."""
+    out = o.copy()
+    cond = handles is None
+    handles = {} if cond else handles
+    for s in range(o.shape[0]):
+        sources = sorted(a for a in anchors if a != s)
+        if not sources:
+            continue
+        anchor_feats = np.concatenate([o[a] for a in sources], axis=0)
+        units = tc.unit_rows(anchor_feats) if cond else None
+        for f in range(o.shape[1]):
+            if cond:
+                frame, patch, _ = reference_correspondence(o[s, f], units)
+                handles[s, f] = (frame, patch, o[s, f].any(axis=1))
+            frame, patch, matched = handles[s, f]
+            target = out[s, f].copy()
+            if blend != 0.0:
+                active = masks[s, f] & matched
+                src = anchor_feats[frame[active], patch[active]]
+                target[active] = (
+                    (1.0 - blend) * target[active].astype(np.float64)
+                    + blend * src.astype(np.float64)
+                ).astype(np.float32)
+            out[s, f] = target
+    return out, handles
+
+
+class TestRefine:
+    @pytest.mark.parametrize("blend", [0.0, 0.8, 1.0])
+    @pytest.mark.parametrize("anchors", [(0,), (2, 0)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_reference_loop(self, seed, anchors, blend):
+        rng = np.random.default_rng(seed)
+        o_cond, o_uncond = tie_heavy(rng, (2, 3, 4, 8, 3))
+        o_cond[1, 2, 4:] = o_cond[0, 1, :4]  # exact copies of anchor patches
+        masks = rng.random((3, 4, 8)) < 0.6
+        out, maps = rf.refine(o_cond, anchors, masks, blend)
+        expected, handles = reference_refine(o_cond, anchors, masks, blend)
+        assert out.tobytes() == expected.tobytes()
+        assert list(maps) == list(handles)  # build order: shot by shot, frame by frame
+        for key, (frame, patch, matched) in handles.items():
+            assert maps[key].target == key
+            assert frames_patches(maps[key], 8) == list(zip(frame.tolist(), patch.tolist()))
+            assert maps[key].matched.tolist() == matched.tolist()
+        # the unconditional forward: other features, the conditional maps
+        out, reused = rf.refine(o_uncond, anchors, masks, blend, maps)
+        assert reused is maps
+        assert out.tobytes() == reference_refine(o_uncond, anchors, masks, blend, handles)[0].tobytes()
