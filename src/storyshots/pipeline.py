@@ -220,10 +220,8 @@ class ToyModel:
         attention output o that an identical forward had there.
         """
         first, h, o = resume or (0, None, None)
-        if resume is None:
-            h = np.array(x, dtype=tc.F32, copy=True)
-            if cond:
-                h += self.bias[:, None, None]
+        if resume is None:  # no residual is written in place: the unconditional h is x
+            h = np.asarray(x, tc.F32) + self.bias[:, None, None] if cond else np.asarray(x, tc.F32)
         for l, (w_q, w_k, w_v, w_o) in enumerate(self.layers[first:], first):
             if o is None:  # not the resumed layer; its q, k and v die in _attend
                 o = tc.matmul(_attend(l, h, w_q, w_k, w_v, cond, hooks), w_o)
@@ -338,9 +336,7 @@ class _StepHooks:
             return q
         if not cfg.q_injection:
             return q
-        # the same decision must feed both passes identically; cond only here
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7919, t, layer]))
-        q_out, rec = query_control.select_q(t, layer, q, run.cache, cfg, rng)
+        q_out, rec = query_control.select_q(t, layer, q, run.cache, cfg)
         self.record("query", layer, {"role": rec.role, "dropout_kept_fraction": rec.dropout_kept_fraction})
         return q_out
 
@@ -363,10 +359,10 @@ class _StepHooks:
         if not self.refine_on or layer not in cfg.refine_layer_set():
             return o
         out, maps = refinement.refine(o, self.anchors, self.masks.masks, cfg.refine_blend,
-                                      None if cond else self.refine_handles[layer])
-        if cond:  # sample copies these records as the unconditional forward's
-            self.refine_handles[layer], map_ids = maps, [next(self.run.map_ids) for _ in maps]
-            self.record("refinement", layer, {"pass": "cond", "map_ids": map_ids})
+                                      None if cond else self.refine_handles[layer][0])
+        if cond:  # sample writes the unconditional forward's records from these ids
+            self.refine_handles[layer] = maps, [next(self.run.map_ids) for _ in maps]
+            self.record("refinement", layer, {"pass": "cond", "map_ids": self.refine_handles[layer][1]})
         return out
 
 
@@ -385,9 +381,8 @@ def sample(run: PipelineRun) -> np.ndarray:
         raise ConfigError("run needs at least one prompt")
     anchors = cfg.anchor_list(shots)
     model = ToyModel(spec, run.prompts)
-    alphas = subject_mask.geometric_alphas(cfg.total_steps, cfg.alpha_min)
     ts = cfg.timesteps()
-    next_ts = ts[1:] + [0]
+    alphas = subject_mask.geometric_alphas(ts + [0], cfg.total_steps, cfg.alpha_min)  # ts[i]'s at i
     got, run.resume_from = run.resume_from or Handoff(0), None
     x = _init_latents(cfg, shots) if got.x is None else got.x
     run.audit.extend(got.audit)
@@ -403,25 +398,23 @@ def sample(run: PipelineRun) -> np.ndarray:
             hand.x, hand.audit = x, run.audit[:]
         if i == len(ts):  # the later pass has nothing left to run
             break
-        t, t_next = ts[i], next_ts[i]
+        t = ts[i]
         sdsa_on = run.mode != RunMode.VANILLA and _in_window(cfg.sdsa_window, t)
         refine_on = run.mode == RunMode.REFINED and _in_window(cfg.refine_window, t)
         masks = got.masks  # read only by SDSA and refinement: built when they run
         if masks is None and (sdsa_on or refine_on):  # the probe and its x0 are temporaries
             masks = subject_mask.build_masks(subject_mask.estimate_x0(
-                x, model.forward(x, True) if got.probe is None else got.probe, alphas[t],
+                x, model.forward(x, True) if got.probe is None else got.probe, alphas[i],
             ), cfg.subject_channel)
         hooks = _StepHooks(run, t, masks, anchors, sdsa_on, refine_on, hand)
-        n = len(run.audit)
         e_cond = model.forward(x, cond=True, hooks=hooks, resume=got.resume)
         got = Handoff(i + 1)  # the earlier pass's state is read; let it go
         if hand is not None:  # vanilla's hooks act as none: its e_cond is the probe
             hand.masks, hand.probe = masks, e_cond if run.mode == RunMode.VANILLA else None
-        if refine_on:  # the unconditional forward, when it runs, reuses this step's maps
-            for r in [r for r in run.audit[n:] if r["event"] == "refinement"]:
-                hooks.record("refinement", r["layer"], {"pass": "uncond", "map_ids": r["map_ids"]})
+        for layer, (_, map_ids) in hooks.refine_handles.items():  # the uncond forward reuses these maps
+            hooks.record("refinement", layer, {"pass": "uncond", "map_ids": map_ids})
         # the step's estimates die in _ddim_step; e_cond lives on only as a probe
-        x, e_cond = _ddim_step(model, x, e_cond, hooks, cfg.cfg_scale, alphas[t], alphas[t_next]), None
+        x, e_cond = _ddim_step(model, x, e_cond, hooks, cfg.cfg_scale, alphas[i], alphas[i + 1]), None
         if not np.isfinite(x).all():
             raise NonFiniteError(f"{run.mode.value} pass produced non-finite latents at t={t}")
     run.outputs = x

@@ -141,14 +141,15 @@ def query_role(t: int, layer: int, cfg) -> str:
     return "flow" if layer in cfg.injection_layer_set() else "consistent"
 
 
-def select_q(t: int, layer: int, q_c: np.ndarray, cache, cfg, rng: np.random.Generator):
+def select_q(t: int, layer: int, q_c: np.ndarray, cache, cfg):
     """Dispatch one (timestep, layer) query decision by query_role, reading a
-    handed-over cache. Dropout applies to whichever injection was chosen.
-    Returns (q, QueryAudit).
+    handed-over cache. Dropout applies to whichever injection was chosen, drawn
+    from the (seed, t, layer) stream every injecting pass shares; returns (q, QueryAudit).
     """
     role = query_role(t, layer, cfg)
     if role == "consistent":
         return q_c, QueryAudit(role, 0.0)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7919, t, layer]))
     if role == "vanilla":
         q_inj = cache.entries[t, layer]
     else:

@@ -19,10 +19,10 @@ from . import tensor_core as tc
 OTSU_BINS = 256
 
 
-def geometric_alphas(total_steps: int, alpha_min: float = 0.02) -> np.ndarray:
-    """Cumulative schedule parameter per timestep, float64 (T + 1,): alpha_min
-    ** (t / T), 1.0 at t = 0 and nonincreasing."""
-    t = np.arange(total_steps + 1, dtype=np.float64) / total_steps
+def geometric_alphas(ts, total_steps: int, alpha_min: float = 0.02) -> np.ndarray:
+    """Cumulative schedule parameter alpha_min ** (t / T) at each timestep t of
+    ts, float64 (len(ts),): 1.0 at t = 0 and nonincreasing in t."""
+    t = np.asarray(ts, dtype=np.float64) / total_steps
     return alpha_min**t
 
 

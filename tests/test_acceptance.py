@@ -221,7 +221,7 @@ def test_acceptance_05_otsu_oracle():
 
 def test_acceptance_06_x0_round_trip():
     def body():
-        alphas = sm.geometric_alphas(1000, alpha_min=0.02)
+        alphas = sm.geometric_alphas(range(1001), 1000, alpha_min=0.02)
         rng = np.random.default_rng(600)
         x0 = rng.standard_normal((2, 3, 16, 8)).astype(np.float32)
         noise = rng.standard_normal(x0.shape).astype(np.float32)

@@ -736,6 +736,19 @@ class TestSample:
             bound = (1 + FORWARD_LIVE_ARRAYS) * x.nbytes + budgets * attention.LOGITS_BUDGET_BYTES
             assert peak <= bound, (cpus, peak / x.nbytes, bound / x.nbytes)
 
+    def test_peak_does_not_grow_with_total_steps(self):
+        # sample evaluates the noise schedule at its own timesteps: a table of
+        # all T + 1 of them would hold 16 MB more at T = 2e6. Windows and t_pres
+        # scale with T, so both runs take the same path through both steps.
+        def peak(T: int) -> int:
+            cfg = small_config(total_steps=T, sampler_steps=2, t_pres=T * 3 // 4,
+                               sdsa_window=(T // 2, T), refine_window=(T // 2, T))
+            return traced_peak(lambda: list(pipeline.run_passes(cfg, PROMPTS)))
+
+        peak(1000)  # numpy's first-call allocations are not the runs'
+        small, large = peak(1000), peak(2_000_000)
+        assert large - small <= 2**20, (small, large)
+
     def test_vanilla_fills_the_cache_it_is_given(self):
         cfg = small_config()
         cache = qc.FeatureCache(cfg)

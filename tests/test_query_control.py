@@ -168,7 +168,7 @@ class TestQPreserve:
 
     def select(self, cache, t):
         live = np.zeros((1, 4, 4, 4), dtype=np.float32)
-        return qc.select_q(t, 2, live, cache, cache.config, np.random.default_rng(0))
+        return qc.select_q(t, 2, live, cache, cache.config)
 
     def test_returns_cached_verbatim(self):
         cache = self.make_cache()
@@ -358,12 +358,12 @@ class TestFlowFieldMemo:
         monkeypatch.setattr(qc, "match_field", no_match)
         live = np.random.default_rng(9).standard_normal((2, 8, 9, 4)).astype(np.float32)
         for _ in range(2):
-            out, rec = qc.select_q(500, 1, live, cache, cache.config, np.random.default_rng(0))
+            out, rec = qc.select_q(500, 1, live, cache, cache.config)
             assert rec.role == "flow"
             assert np.array_equal(out, qc.q_flow(live, fld))
         assert cache.flow_fields[500, 1] is fld
         with pytest.raises(KeyError):
-            qc.select_q(400, 1, live, cache, cache.config, np.random.default_rng(0))
+            qc.select_q(400, 1, live, cache, cache.config)
 
     def test_hand_over_keeps_read_queries_drops_the_rest(self):
         cache, _ = self.make_cache()
@@ -431,18 +431,18 @@ class TestSelectQ:
 
     def test_boundary_is_preservation(self):
         cfg, q, cache = self.make_setup()
-        out, rec = qc.select_q(750, 0, q, cache, cfg, np.random.default_rng(0))
+        out, rec = qc.select_q(750, 0, q, cache, cfg)
         assert rec.role == "vanilla"
         assert np.array_equal(out, cache.entries[750, 0])
 
     def test_below_boundary_is_flow(self):
         cfg, q, cache = self.make_setup()
-        _, rec = qc.select_q(749, 0, q, cache, cfg, np.random.default_rng(0))
+        _, rec = qc.select_q(749, 0, q, cache, cfg)
         assert rec.role == "flow"
 
     def test_non_injection_layer_passes_through(self):
         cfg, q, cache = self.make_setup(injection_layers=(0,))
-        out, rec = qc.select_q(300, 1, q, cache, cfg, np.random.default_rng(0))
+        out, rec = qc.select_q(300, 1, q, cache, cfg)
         assert rec.role == "consistent"
         assert out is q
 

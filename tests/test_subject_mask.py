@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from storyshots import subject_mask as sm
+from storyshots import pipeline, subject_mask as sm
 
 
 def exhaustive_otsu(scores):
@@ -25,27 +25,40 @@ def exhaustive_otsu(scores):
 
 class TestGeometricAlphas:
     def test_geometric_shape_and_endpoints(self):
-        alphas = sm.geometric_alphas(100, alpha_min=0.02)
+        alphas = sm.geometric_alphas(range(101), 100, alpha_min=0.02)
         assert alphas.shape == (101,)
         assert alphas[0] == pytest.approx(1.0)
         assert alphas[100] == pytest.approx(0.02)
 
     def test_monotone_positive(self):
-        alphas = sm.geometric_alphas(50)
+        alphas = sm.geometric_alphas(range(51), 50)
         assert (np.diff(alphas) <= 0).all()
         assert (alphas > 0).all()
+
+    @pytest.mark.parametrize("alpha_min", [1e-6, 0.02, 0.5, 1.0])
+    @pytest.mark.parametrize("T", [1, 10, 997, 1000, 123457])
+    def test_equals_the_whole_table_at_every_sampled_step(self, T, alpha_min):
+        # the (T + 1,) table sample once built and indexed by t is the reference
+        table = alpha_min ** (np.arange(T + 1, dtype=np.float64) / T)
+        for steps in sorted({n for n in (1, 2, 3, 10, 50) if n <= T} | {T}):
+            ts = pipeline.StoryboardConfig(
+                total_steps=T, sampler_steps=steps, alpha_min=alpha_min,
+                t_pres=None, sdsa_window=None, refine_window=None,
+            ).timesteps() + [0]
+            got = sm.geometric_alphas(ts, T, alpha_min)
+            assert got.dtype == np.float64 and got.tobytes() == table[ts].tobytes(), steps
 
 
 class TestEstimateX0:
     def test_clean_limit(self):
-        alphas = sm.geometric_alphas(10)
+        alphas = sm.geometric_alphas(range(11), 10)
         x = np.array([1.0, -2.0, 3.0], dtype=np.float32)
         out = sm.estimate_x0(x, np.zeros(3, dtype=np.float32), alphas[0])
         assert np.array_equal(out, x)
 
     def test_forward_compose_round_trip(self):
         rng = np.random.default_rng(0)
-        alphas = sm.geometric_alphas(1000, alpha_min=0.02)
+        alphas = sm.geometric_alphas(range(1001), 1000, alpha_min=0.02)
         x0 = rng.standard_normal(64).astype(np.float32)
         noise = rng.standard_normal(64).astype(np.float32)
         for t in (1, 100, 500, 900, 1000):
@@ -68,7 +81,7 @@ class TestEstimateX0:
         x = np.concatenate([rng.standard_normal(64) * 10, [0.0, -0.0, 0.0, -0.0, big, -big, big]])
         e = np.concatenate([rng.standard_normal(64) * 10, [0.0, 0.0, -0.0, -0.0, -big, big, big]])
         x, e = x.astype(np.float32), e.astype(np.float32)
-        for a in (1.0, *sm.geometric_alphas(10)[[1, 5, 10]], 1e-6):
+        for a in (1.0, *sm.geometric_alphas([1, 5, 10], 10), 1e-6):
             with np.errstate(over="ignore"):
                 got = sm.estimate_x0(x, e, a)
                 want = ((x.astype(np.float64) - math.sqrt(1.0 - a) * e.astype(np.float64))
@@ -78,7 +91,7 @@ class TestEstimateX0:
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
-        a = sm.geometric_alphas(100)[40]
+        a = sm.geometric_alphas([40], 100)[0]
         x1, x2, e1, e2 = (rng.standard_normal(16).astype(np.float32) for _ in range(4))
         combined = sm.estimate_x0(x1 + x2, e1 + e2, a)
         parts = sm.estimate_x0(x1, e1, a) + sm.estimate_x0(x2, e2, a)
