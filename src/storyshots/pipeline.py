@@ -27,7 +27,7 @@ class RunMode(enum.Enum):
     REFINED = "refined"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToyModelSpec:
     layers: int = 4
     patches_per_side: int = 8
@@ -47,7 +47,7 @@ class ToyModelSpec:
         return self.patches_per_side**2
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoryboardConfig:
     total_steps: int = 1000  # T
     sampler_steps: int = 50
@@ -73,12 +73,13 @@ class StoryboardConfig:
 
     def __post_init__(self):
         """The one place a config value is checked or normalised: a bad value
-        raises ConfigError naming its field before any compute runs."""
+        raises ConfigError naming its field before any compute runs. Frozen:
+        dataclasses.replace, which checks again, is the way to change one."""
         for name in ("sdsa_window", "refine_window", "anchors", "injection_layers", "refine_layers"):
             if isinstance(getattr(self, name), list):  # as YAML and JSON give them
-                setattr(self, name, tuple(getattr(self, name)))
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if isinstance(self.model, Mapping):
-            self.model = _from_known_keys(ToyModelSpec, self.model)
+            object.__setattr__(self, "model", _from_known_keys(ToyModelSpec, self.model))
         # the rules below read model and total_steps
         _require("model", "a mapping or ToyModelSpec", self.model, isinstance(self.model, ToyModelSpec))
         _require("total_steps", "an integer >= 1", self.total_steps, _int_in(self.total_steps, 1))
@@ -377,8 +378,8 @@ def sample(run: PipelineRun) -> np.ndarray:
     cfg = run.config
     spec = cfg.model
     shots = run.shots
-    if shots < 1:
-        raise ConfigError("run needs at least one prompt")
+    if isinstance(run.prompts, str) or shots < 1 or not all(isinstance(p, str) for p in run.prompts):
+        raise ConfigError(f"run needs at least one prompt, and every prompt a str, got {run.prompts!r}")
     anchors = cfg.anchor_list(shots)
     model = ToyModel(spec, run.prompts)
     ts = cfg.timesteps()
@@ -457,7 +458,7 @@ def run_passes(config: StoryboardConfig, prompts, mode: RunMode = RunMode.REFINE
     later pass resumes from a Handoff of the pass before it, or of vanilla,
     where their hooks first act differently (a hand-built run runs every step)."""
     modes = list(RunMode)[: list(RunMode).index(mode) + 1]
-    prompts = list(prompts)
+    prompts = prompts if isinstance(prompts, str) else list(prompts)  # sample refuses a bare str
     cache = query_control.FeatureCache(config) if len(modes) > 1 and config.q_injection else None
     runs = [PipelineRun(config, prompts, run_mode, cache=cache) for run_mode in modes]
     for run, hand in zip(runs[1:], _handoffs(config)):

@@ -28,6 +28,8 @@ class ShotPromptSet:
         # default macOS and Windows filesystems fold case
         if self.name.casefold() == "failed":
             raise PromptError(f"prompt set name {self.name!r} is the CLI's failure marker")
+        if not isinstance(self.settings, list):  # a str would give one shot per letter
+            raise PromptError(f"prompt set {self.name!r}: field 'settings' must be a list")
         if not self.settings:
             raise PromptError(f"prompt set {self.name!r}: needs at least one setting")
         # in the prompt a null would read as the text "None", a list or mapping as its repr
@@ -62,10 +64,7 @@ def parse_prompt_sets(data: dict) -> list:
         if set(entry) != known:  # a misspelt field would otherwise be dropped unread
             missing, unknown = sorted(known - set(entry)), sorted(set(entry) - known, key=str)
             raise PromptError(f"prompt set {name!r}: missing fields {missing}, unknown fields {unknown}")
-        settings = entry["settings"]
-        if not isinstance(settings, list):
-            raise PromptError(f"prompt set {name!r}: field 'settings' must be a list")
-        sets.append(ShotPromptSet(name, entry["subject"], settings, entry["style"]))
+        sets.append(ShotPromptSet(name, entry["subject"], entry["settings"], entry["style"]))
         # one directory each under --out, where default macOS and Windows filesystems fold case
         other = folded.setdefault(name.casefold(), name)
         if other != name:

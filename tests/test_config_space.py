@@ -6,9 +6,11 @@ of the sequential chain, run at one item per plain-attention call, for every
 valid one, and hands the later passes only the cached queries and match
 fields they read; the CLI writes the tree the sequential chain gives through
 the CLI's writers; at cfg_scale 1 the guided estimate the sampler skips is
-the conditional one at every step; and each hand-picked malformed config
-fails when it is built."""
+the conditional one at every step; a built config survives its dict round
+trip, equal and with an equal hash, and no field of it can be reassigned;
+and each hand-picked malformed config fails when it is built."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -265,6 +267,20 @@ def test_scale_one_guidance_is_the_conditional_estimate(board):
             assert ran == ts[len(ts) - len(ran) :], run.mode
             assert run.mode != pipeline.RunMode.VANILLA or ran == ts
             ran.clear()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(storyboards())
+def test_config_round_trips_and_stays_as_built(board):
+    config, shots, _ = board
+    cfg = built(config, shots)
+    again = pipeline.StoryboardConfig.from_dict(cfg.to_dict())
+    assert again == cfg and hash(again) == hash(cfg)
+    # every drawn field, the model's included, keeps the value its checks passed
+    for obj, names in ((cfg, config), (cfg.model, config["model"])):
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
 
 
 # Malformed values that once ran with another meaning ([0.5] as shot 0, [True]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import threading
@@ -192,6 +193,18 @@ class TestStoryboardConfig:
         assert direct.anchors == (0, 1) and direct.sdsa_window == (1, 2)
         with pytest.raises(ConfigError, match="refine_layers"):
             pipeline.StoryboardConfig.from_dict({"refine_layers": [9]})
+
+    def test_built_config_is_frozen(self):
+        # a field set after __post_init__ would reach the run unchecked
+        cfg = small_config()
+        for obj in (cfg, cfg.model):
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+        with pytest.raises(ConfigError, match="sampler_steps"):
+            dataclasses.replace(cfg, sampler_steps=0)
+        with pytest.raises(ConfigError, match="model.layers"):
+            dataclasses.replace(cfg.model, layers=0)
 
 
 def assert_key_shots(anchors, key_shots):
@@ -414,6 +427,15 @@ CHAIN_CONFIGS = {
 }
 
 
+# each starts a run whose prompts are not a nonempty list of str, by run_passes or by hand
+NON_STR_PROMPT_RUNS = {
+    "str": lambda cfg, mode: list(pipeline.run_passes(cfg, "a fox", mode)),
+    "ints": lambda cfg, mode: list(pipeline.run_passes(cfg, [1, 2], mode)),
+    "none": lambda cfg, mode: list(pipeline.run_passes(cfg, ["a", None], mode)),
+    "hand-built-str": lambda cfg, mode: pipeline.sample(pipeline.PipelineRun(cfg, "ab", mode)),
+}
+
+
 class TestRunPasses:
     @pytest.mark.parametrize("overrides", CHAIN_CONFIGS.values(), ids=CHAIN_CONFIGS)
     @pytest.mark.parametrize("mode", pipeline.RunMode, ids=lambda m: m.value)
@@ -465,6 +487,15 @@ class TestRunPasses:
         forwards = count_calls(monkeypatch, pipeline.ToyModel, "forward")
         with pytest.raises(ConfigError, match="run needs at least one prompt"):
             list(pipeline.run_passes(small_config(), [], mode))
+        assert not forwards
+
+    @pytest.mark.parametrize("mode", pipeline.RunMode, ids=lambda m: m.value)
+    @pytest.mark.parametrize("start", NON_STR_PROMPT_RUNS.values(), ids=NON_STR_PROMPT_RUNS)
+    def test_non_str_prompts_fail_before_any_forward(self, monkeypatch, mode, start):
+        # a bare str would run one shot per character; an int fails inside the model
+        forwards = count_calls(monkeypatch, pipeline.ToyModel, "forward")
+        with pytest.raises(ConfigError, match="run needs at least one prompt"):
+            start(small_config(), mode)
         assert not forwards
 
     @pytest.mark.parametrize("overrides", CHAIN_CONFIGS.values(), ids=CHAIN_CONFIGS)

@@ -119,6 +119,17 @@ class TestPromptSets:
                 {"n": {"subject": "a dog", "style": "ink", "settings": "beach"}}
             )
 
+    @pytest.mark.parametrize("settings", ["ab", ("a", "b")], ids=["text", "tuple"])
+    def test_non_list_settings_rejected_by_the_set_itself(self, tmp_path, settings):
+        # a str would otherwise give one one-letter shot per character
+        path = tmp_path / "p.yaml"
+        path.write_text("n:\n  subject: a fox\n  style: ink\n  settings: ab\n")
+        with pytest.raises(PromptError) as from_file:
+            prompts.load_prompts(path)
+        with pytest.raises(PromptError) as built:
+            prompts.ShotPromptSet("n", "a fox", settings, "ink")
+        assert str(built.value) == str(from_file.value) == "prompt set 'n': field 'settings' must be a list"
+
     # the last four would clash with the CLI's FAILED marker or hold a NUL byte
     @pytest.mark.parametrize(
         "name", ["", ".", "..", "a/b", "/abs", "a\\b", "FAILED", "failed", "Failed", "b\0ad"]
