@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -18,7 +17,7 @@ from .errors import ConfigError, PromptError, StoryshotsError
 _SET_ARTIFACTS = ("latents_*.tensor", "audit_*.jsonl", "metrics.*", "manifest.json", "slices/shot_*.pgm")
 
 
-# config field -> (conversion of its flag's text, what the text must be)
+# one value flag per config field: (conversion of the flag's text, what the text must be)
 _FLAG_TEXT = {
     "seed": (int, "an integer"),
     "t_pres": (int, "an integer"),
@@ -154,17 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="YAML config file")
     parser.add_argument("--prompts", required=True, help="YAML prompt-set file")
-    parser.add_argument(
-        "--out",
-        default=os.environ.get("STORYBOARD_OUT", "out"),
-        help="output directory (default: $STORYBOARD_OUT or ./out)",
-    )
-    # value flags stay text here: run_storyboard converts them, so bad text fails the run
-    parser.add_argument("--seed", default=None)
+    parser.add_argument("--out", default="out", help="output directory (default: ./out)")
     parser.add_argument("--mode", choices=[m.value for m in pipeline.RunMode], default="refined")
-    parser.add_argument("--t-pres", default=None, dest="t_pres")
-    parser.add_argument("--q-dropout", default=None, dest="q_dropout")
-    parser.add_argument("--anchors", default=None, help="comma-separated shot ids")
+    # value flags stay text here: run_storyboard converts them, so bad text fails the run
+    for name, (_, rule) in _FLAG_TEXT.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None, help=rule)
     return parser
 
 

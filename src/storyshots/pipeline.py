@@ -234,15 +234,19 @@ class ToyModel:
 
 def _attend(l: int, h: np.ndarray, w_q, w_k, w_v, cond: bool, hooks) -> np.ndarray:
     """Layer l's attention output from the residual h, before its output
-    projection; its queries, keys and values are released when it returns."""
+    projection: SDSA where the step's hooks turn it on, else plain attention.
+    Its queries, keys and values are released when it returns."""
     q = tc.matmul(h, w_q)
     k = tc.matmul(h, w_k)
     v = tc.matmul(h, w_v)
     if hooks is not None:
         q = hooks.substitute_q(l, q, cond)
-    if hooks is not None and hooks.sdsa_on:
-        return hooks.extended_attention(l, q, k, v, cond)
-    return attention.masked_attention(q, k, v)[0]  # plain: one call over the (shot, frame) items
+    if hooks is None or not hooks.sdsa_on:
+        return attention.masked_attention(q, k, v)[0]  # plain: one call over the (shot, frame) items
+    if cond:  # before the call, which writes no record of its own
+        hooks.record("sdsa", l, {})
+    return attention.extended_attention(q, k, v, hooks.masks.masks, hooks.anchors,
+                                        hooks.cfg.attend_middle_frame)
 
 
 # --- runs -----------------------------------------------------------------
@@ -341,16 +345,6 @@ class _StepHooks:
         self.record("query", layer, {"role": rec.role, "dropout_kept_fraction": rec.dropout_kept_fraction})
         return q_out
 
-    # -- extended attention --
-
-    def extended_attention(self, layer: int, q, k, v, cond: bool) -> np.ndarray:
-        out = attention.extended_attention(
-            q, k, v, self.masks.masks, self.anchors, self.cfg.attend_middle_frame
-        )
-        if cond:
-            self.record("sdsa", layer, {})
-        return out
-
     # -- refinement injection --
 
     def inject_o(self, layer: int, h: np.ndarray, o: np.ndarray, cond: bool) -> np.ndarray:
@@ -442,9 +436,10 @@ def _handoffs(cfg: StoryboardConfig) -> tuple:
     with SDSA or the flow phase, and the first refinement step at its lowest
     layer, resumed from vanilla when it comes before the consistent one."""
     ts, layers = cfg.timesteps(), cfg.refine_layer_set()
-    # per step, whether the pass acts there; a last True past the end
+    # per step, whether the pass acts there; a last True past the end. The
+    # preserve phase covers every layer, so layer 0's query role is the step's
     consistent = [_in_window(cfg.sdsa_window, t) or cfg.q_injection and (
-        cfg.t_pres is None or t < cfg.t_pres) for t in ts] + [True]
+        query_control.query_role(t, 0, cfg) != "vanilla") for t in ts] + [True]
     refined = [bool(layers) and _in_window(cfg.refine_window, t) for t in ts] + [True]
     c, r = consistent.index(True), refined.index(True)
     return Handoff(c, from_vanilla=True), Handoff(r, min(layers, default=-1), from_vanilla=r < c)

@@ -1,9 +1,9 @@
-"""Prompt-set loading: YAML files mapping set name -> subject/style/settings."""
+"""Prompt-set loading: YAML files mapping set name -> the fields of a ShotPromptSet."""
 
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -56,7 +56,7 @@ def parse_prompt_sets(data: dict) -> list:
         raise PromptError("prompt file must be a mapping of set name -> fields")
     if not data:  # a run over no set would write nothing and succeed
         raise PromptError("prompt file holds no prompt set")
-    known = {"subject", "style", "settings"}
+    known = {f.name for f in fields(ShotPromptSet)} - {"name"}
     sets, folded = [], {}  # folded: each name's casefold -> the first name with it
     for name, entry in data.items():
         if not isinstance(entry, dict):
@@ -64,7 +64,7 @@ def parse_prompt_sets(data: dict) -> list:
         if set(entry) != known:  # a misspelt field would otherwise be dropped unread
             missing, unknown = sorted(known - set(entry)), sorted(set(entry) - known, key=str)
             raise PromptError(f"prompt set {name!r}: missing fields {missing}, unknown fields {unknown}")
-        sets.append(ShotPromptSet(name, entry["subject"], entry["settings"], entry["style"]))
+        sets.append(ShotPromptSet(name, **entry))
         # one directory each under --out, where default macOS and Windows filesystems fold case
         other = folded.setdefault(name.casefold(), name)
         if other != name:

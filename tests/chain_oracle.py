@@ -1,5 +1,5 @@
-"""The sequential oracle for pipeline.run_passes, shared by the test files
-that compare a pass driver with it."""
+"""The sequential oracle for pipeline.run_passes and the handoff rule's
+start points, shared by the test files that compare a pass driver with them."""
 
 from storyshots import pipeline, query_control as qc
 
@@ -21,3 +21,29 @@ def reference_chain(cfg, prompts, mode=pipeline.RunMode.REFINED) -> list:
         runs.append(run)
         if run_mode == mode:
             return runs
+
+
+def in_window(window, t) -> bool:
+    return window is not None and window[0] <= t <= window[1]
+
+
+def pass_starts(cfg) -> dict:
+    """The step index each pass of run_passes starts at, by the handoff rule:
+    the consistent pass at the first step with SDSA or the flow phase
+    (q_injection and t < t_pres), the refined pass at the first refinement
+    step (past the end without a refinement layer); len(ts) when none."""
+    ts = cfg.timesteps()
+
+    def first(acts):
+        return next((i for i, t in enumerate(ts) if acts(t)), len(ts))
+
+    def consistent_acts(t):
+        flow = cfg.q_injection and (cfg.t_pres is None or t < cfg.t_pres)
+        return flow or in_window(cfg.sdsa_window, t)
+
+    refines = bool(cfg.refine_layer_set())
+    return {
+        pipeline.RunMode.VANILLA: 0,
+        pipeline.RunMode.CONSISTENT: first(consistent_acts),
+        pipeline.RunMode.REFINED: first(lambda t: refines and in_window(cfg.refine_window, t)),
+    }

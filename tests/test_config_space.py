@@ -3,9 +3,10 @@ before any latents are written, or the CLI run succeeds and writes every
 artifact, and a second run in the same process writes the same bytes;
 run_passes, whose passes resume from each other's handoffs, writes the bytes
 of the sequential chain, run at one item per plain-attention call, for every
-valid one, and hands the later passes only the cached queries and match
-fields they read; the CLI writes the tree the sequential chain gives through
-the CLI's writers; at cfg_scale 1 the guided estimate the sampler skips is
+valid one, hands the later passes only the cached queries and match
+fields they read, and starts each later pass where the handoff rule says;
+the CLI writes the tree the sequential chain gives through the CLI's
+writers; at cfg_scale 1 the guided estimate the sampler skips is
 the conditional one at every step; a built config survives its dict round
 trip, equal and with an equal hash, and no field of it can be reassigned;
 and each hand-picked malformed config fails when it is built."""
@@ -27,7 +28,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 from storyshots import attention, cli, pipeline, prompts as prompt_files, tensor_core
 from storyshots.errors import ConfigError
 
-from chain_oracle import reference_chain
+from chain_oracle import pass_starts, reference_chain
 
 MODE_PASSES = {
     "vanilla": ["vanilla"],
@@ -199,6 +200,30 @@ def test_vanilla_hands_later_passes_only_what_they_read(board):
     assert cache.entries.keys() == preserved
     flow = {(t, layer) for t, layer in keys - preserved if layer in cfg.injection_layer_set()}
     assert cache.flow_fields.keys() == flow
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(storyboards())
+def test_later_passes_start_where_the_handoff_rule_says(board):
+    config, shots, _ = board
+    cfg = built(config, shots)
+    prompts = [f"a red fox, scene {s}, ink" for s in range(shots)]
+    sample, entered = pipeline.sample, {}
+
+    def entering(run):  # the start run_passes gave the run, read before it samples
+        entered[run.mode] = None if run.resume_from is None else run.resume_from.step
+        return sample(run)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "sample", entering)
+        for _ in pipeline.run_passes(cfg, prompts):
+            pass
+    starts = pass_starts(cfg)
+    assert entered == {
+        pipeline.RunMode.VANILLA: None,
+        pipeline.RunMode.CONSISTENT: starts[pipeline.RunMode.CONSISTENT],
+        pipeline.RunMode.REFINED: starts[pipeline.RunMode.REFINED],
+    }
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

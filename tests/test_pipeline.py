@@ -12,7 +12,7 @@ from storyshots import attention, cli, pipeline, query_control as qc, subject_ma
 from storyshots import tensor_core as tc
 from storyshots.errors import ConfigError, NonFiniteError
 
-from chain_oracle import reference_chain
+from chain_oracle import in_window, pass_starts, reference_chain
 
 SMALL_SPEC = dict(layers=2, patches_per_side=4, channels=8, frames=4)
 PROMPTS = [
@@ -379,32 +379,6 @@ def count_calls(monkeypatch, owner, name) -> list:
     is_class = isinstance(owner.__dict__[name], classmethod)
     monkeypatch.setattr(owner, name, staticmethod(counted) if is_class else counted)
     return calls
-
-
-def in_window(window, t) -> bool:
-    return window is not None and window[0] <= t <= window[1]
-
-
-def pass_starts(cfg) -> dict:
-    """The step index each pass of run_passes starts at, by the handoff rule:
-    the consistent pass at the first step with SDSA or the flow phase
-    (q_injection and t < t_pres), the refined pass at the first refinement
-    step (past the end without a refinement layer); len(ts) when none."""
-    ts = cfg.timesteps()
-
-    def first(acts):
-        return next((i for i, t in enumerate(ts) if acts(t)), len(ts))
-
-    def consistent_acts(t):
-        flow = cfg.q_injection and (cfg.t_pres is None or t < cfg.t_pres)
-        return flow or in_window(cfg.sdsa_window, t)
-
-    refines = bool(cfg.refine_layer_set())
-    return {
-        pipeline.RunMode.VANILLA: 0,
-        pipeline.RunMode.CONSISTENT: first(consistent_acts),
-        pipeline.RunMode.REFINED: first(lambda t: refines and in_window(cfg.refine_window, t)),
-    }
 
 
 CHAIN_CONFIGS = {

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -702,6 +703,30 @@ class TestCli:
     def test_anchor_flag_parsing(self):
         assert cli._parse_flag("anchors", "0,2") == (0, 2)
         assert cli._parse_flag("seed", "7") == 7 and cli._parse_flag("q_dropout", "0.4") == 0.4
+
+    def test_one_value_flag_per_flag_text_entry(self, capsys):
+        parser = cli.build_parser()
+        fields = {f.name for f in dataclasses.fields(pipeline.StoryboardConfig)}
+        flags = [a for a in parser._actions if a.dest in fields]
+        assert [(a.option_strings, a.dest, a.default) for a in flags] == [
+            (["--" + name.replace("_", "-")], name, None) for name in cli._FLAG_TEXT
+        ]
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())  # as argparse wraps it at any width
+        for name, (_, rule) in cli._FLAG_TEXT.items():
+            assert f"--{name.replace('_', '-')} {name.upper()} {rule}" in text, name
+
+    def test_out_defaults_to_out_whatever_the_environment(self, io_paths, tmp_path, monkeypatch):
+        cfg, pro, _ = io_paths
+        work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+        work.mkdir()
+        elsewhere.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("STORYBOARD_OUT", str(elsewhere))
+        assert cli.main(["--config", str(cfg), "--prompts", str(pro), "--mode", "vanilla"]) == 0
+        assert (work / "out" / "fox" / "manifest.json").is_file()
+        assert list(elsewhere.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flag, text, message",
